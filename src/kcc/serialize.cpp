@@ -8,7 +8,24 @@ namespace kspec::kcc {
 
 namespace {
 
-constexpr char kMagic[8] = {'K', 'S', 'P', 'C', 'M', 'O', 'D', '1'};
+// The envelope header: magic, version, checksum, payload size.
+constexpr std::size_t kHeaderBytes = 28;
+constexpr std::size_t kChecksumOffset = 12;
+constexpr std::size_t kPayloadSizeOffset = 20;
+
+struct KindInfo {
+  char magic[8];
+  std::uint32_t version;
+  const char* name;
+};
+
+const KindInfo& Info(ArtifactKind kind) {
+  static constexpr KindInfo kModule = {{'K', 'S', 'P', 'C', 'M', 'O', 'D', '1'},
+                                       kModuleFormatVersion, "module"};
+  static constexpr KindInfo kNative = {{'K', 'S', 'P', 'C', 'N', 'S', 'O', '1'},
+                                       kNativeFormatVersion, "native"};
+  return kind == ArtifactKind::kModule ? kModule : kNative;
+}
 
 template <typename E>
 E DecodeEnum(std::uint8_t raw, E max_value, const char* what) {
@@ -115,61 +132,53 @@ vgpu::CompiledKernel GetKernel(ByteReader& r) {
 
 }  // namespace
 
-std::vector<std::uint8_t> Serialize(const CompiledModule& mod, const std::string& key_text) {
-  ByteWriter payload;
-  payload.Str(key_text);
-  payload.U32(static_cast<std::uint32_t>(mod.kernels.size()));
-  for (const auto& k : mod.kernels) PutKernel(payload, k);
-  payload.U32(static_cast<std::uint32_t>(mod.constants.size()));
-  for (const auto& c : mod.constants) {
-    payload.Str(c.name);
-    payload.U8(static_cast<std::uint8_t>(c.elem));
-    payload.I64(c.count);
-    payload.U32(c.offset);
-    payload.U32(c.bytes);
-  }
-  payload.U32(static_cast<std::uint32_t>(mod.textures.size()));
-  for (const auto& t : mod.textures) payload.Str(t);
-  payload.U32(mod.const_bytes);
-  payload.F64(mod.compile_millis);
-
+std::vector<std::uint8_t> SealEnvelope(ArtifactKind kind, const std::string& key_text,
+                                       std::span<const std::uint8_t> body) {
+  const KindInfo& info = Info(kind);
   ByteWriter out;
-  out.Raw(kMagic, sizeof(kMagic));
-  out.U32(kModuleFormatVersion);
-  out.U64(Fnv1aBytes(payload.bytes().data(), payload.size()));
-  out.U64(payload.size());
-  out.Raw(payload.bytes().data(), payload.size());
+  out.Raw(info.magic, sizeof(info.magic));
+  out.U32(info.version);
+  out.U64(0);  // checksum, patched below
+  out.U64(0);  // payload size, patched below
+  out.Str(key_text);
+  out.Raw(body.data(), body.size());
+  const std::size_t payload = out.size() - kHeaderBytes;
+  out.PatchU64(kChecksumOffset, Fnv1aBytes(out.bytes().data() + kHeaderBytes, payload));
+  out.PatchU64(kPayloadSizeOffset, payload);
   return out.Take();
 }
 
-CompiledModule Deserialize(std::span<const std::uint8_t> bytes, std::string* key_text) {
-  ByteReader header(bytes);
-  char magic[8];
-  if (header.remaining() < sizeof(magic)) throw SerializeError("artifact shorter than header");
-  for (char& c : magic) c = static_cast<char>(header.U8());
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw SerializeError("bad magic: not a kspec module artifact");
+std::span<const std::uint8_t> OpenEnvelope(ArtifactKind kind, std::span<const std::uint8_t> bytes,
+                                           std::string* key_text) {
+  const KindInfo& info = Info(kind);
+  if (bytes.size() < kHeaderBytes) throw SerializeError("artifact shorter than header");
+  if (std::memcmp(bytes.data(), info.magic, sizeof(info.magic)) != 0) {
+    throw SerializeError(std::string("bad magic: not a kspec ") + info.name + " artifact");
   }
-  std::uint32_t version = header.U32();
-  if (version != kModuleFormatVersion) {
-    throw SerializeError("format version " + std::to_string(version) + " != expected " +
-                         std::to_string(kModuleFormatVersion));
+  ByteReader header(bytes.subspan(sizeof(info.magic)));
+  const std::uint32_t version = header.U32();
+  if (version != info.version) {
+    throw SerializeError(std::string(info.name) + " format version " + std::to_string(version) +
+                         " != expected " + std::to_string(info.version));
   }
-  std::uint64_t checksum = header.U64();
-  std::uint64_t payload_size = header.U64();
+  const std::uint64_t checksum = header.U64();
+  const std::uint64_t payload_size = header.U64();
   if (payload_size != header.remaining()) {
     throw SerializeError("payload size mismatch: header says " + std::to_string(payload_size) +
                          ", file has " + std::to_string(header.remaining()));
   }
-  std::span<const std::uint8_t> payload = header.Rest();
+  const std::span<const std::uint8_t> payload = header.Rest();
   if (Fnv1aBytes(payload.data(), payload.size()) != checksum) {
     throw SerializeError("content checksum mismatch (corrupt artifact)");
   }
-
   ByteReader r(payload);
   std::string stored_key = r.Str();
   if (key_text) *key_text = std::move(stored_key);
+  return r.Rest();
+}
 
+CompiledModule DecodeModuleBody(std::span<const std::uint8_t> body) {
+  ByteReader r(body);
   CompiledModule mod;
   std::uint32_t n_kernels = r.U32();
   mod.kernels.reserve(n_kernels);
@@ -196,58 +205,51 @@ CompiledModule Deserialize(std::span<const std::uint8_t> bytes, std::string* key
   return mod;
 }
 
-std::vector<std::uint8_t> SerializeNative(std::span<const std::uint8_t> so_bytes,
-                                          const std::string& key_text) {
-  static constexpr char kNsoMagic[8] = {'K', 'S', 'P', 'C', 'N', 'S', 'O', '1'};
-  ByteWriter payload;
-  payload.Str(key_text);
-  payload.U64(so_bytes.size());
-  payload.Raw(so_bytes.data(), so_bytes.size());
-
-  ByteWriter out;
-  out.Raw(kNsoMagic, sizeof(kNsoMagic));
-  out.U32(kNativeFormatVersion);
-  out.U64(Fnv1aBytes(payload.bytes().data(), payload.size()));
-  out.U64(payload.size());
-  out.Raw(payload.bytes().data(), payload.size());
-  return out.Take();
-}
-
-std::vector<std::uint8_t> DeserializeNative(std::span<const std::uint8_t> bytes,
-                                            std::string* key_text) {
-  static constexpr char kNsoMagic[8] = {'K', 'S', 'P', 'C', 'N', 'S', 'O', '1'};
-  ByteReader header(bytes);
-  char magic[8];
-  if (header.remaining() < sizeof(magic)) throw SerializeError("artifact shorter than header");
-  for (char& c : magic) c = static_cast<char>(header.U8());
-  if (std::memcmp(magic, kNsoMagic, sizeof(kNsoMagic)) != 0) {
-    throw SerializeError("bad magic: not a kspec native artifact");
-  }
-  std::uint32_t version = header.U32();
-  if (version != kNativeFormatVersion) {
-    throw SerializeError("native format version " + std::to_string(version) + " != expected " +
-                         std::to_string(kNativeFormatVersion));
-  }
-  std::uint64_t checksum = header.U64();
-  std::uint64_t payload_size = header.U64();
-  if (payload_size != header.remaining()) {
-    throw SerializeError("payload size mismatch: header says " + std::to_string(payload_size) +
-                         ", file has " + std::to_string(header.remaining()));
-  }
-  std::span<const std::uint8_t> payload = header.Rest();
-  if (Fnv1aBytes(payload.data(), payload.size()) != checksum) {
-    throw SerializeError("content checksum mismatch (corrupt artifact)");
-  }
-
-  ByteReader r(payload);
-  std::string stored_key = r.Str();
-  if (key_text) *key_text = std::move(stored_key);
-  std::uint64_t so_size = r.U64();
+std::span<const std::uint8_t> DecodeNativeBody(std::span<const std::uint8_t> body) {
+  ByteReader r(body);
+  const std::uint64_t so_size = r.U64();
   if (so_size != r.remaining()) {
     throw SerializeError("shared object size mismatch: payload says " + std::to_string(so_size) +
                          ", artifact has " + std::to_string(r.remaining()));
   }
-  std::span<const std::uint8_t> so = r.Rest();
+  return r.Rest();
+}
+
+std::vector<std::uint8_t> Serialize(const CompiledModule& mod, const std::string& key_text) {
+  ByteWriter body;
+  body.U32(static_cast<std::uint32_t>(mod.kernels.size()));
+  for (const auto& k : mod.kernels) PutKernel(body, k);
+  body.U32(static_cast<std::uint32_t>(mod.constants.size()));
+  for (const auto& c : mod.constants) {
+    body.Str(c.name);
+    body.U8(static_cast<std::uint8_t>(c.elem));
+    body.I64(c.count);
+    body.U32(c.offset);
+    body.U32(c.bytes);
+  }
+  body.U32(static_cast<std::uint32_t>(mod.textures.size()));
+  for (const auto& t : mod.textures) body.Str(t);
+  body.U32(mod.const_bytes);
+  body.F64(mod.compile_millis);
+  return SealEnvelope(ArtifactKind::kModule, key_text, body.bytes());
+}
+
+CompiledModule Deserialize(std::span<const std::uint8_t> bytes, std::string* key_text) {
+  return DecodeModuleBody(OpenEnvelope(ArtifactKind::kModule, bytes, key_text));
+}
+
+std::vector<std::uint8_t> SerializeNative(std::span<const std::uint8_t> so_bytes,
+                                          const std::string& key_text) {
+  ByteWriter body;
+  body.U64(so_bytes.size());
+  body.Raw(so_bytes.data(), so_bytes.size());
+  return SealEnvelope(ArtifactKind::kNative, key_text, body.bytes());
+}
+
+std::vector<std::uint8_t> DeserializeNative(std::span<const std::uint8_t> bytes,
+                                            std::string* key_text) {
+  const std::span<const std::uint8_t> so =
+      DecodeNativeBody(OpenEnvelope(ArtifactKind::kNative, bytes, key_text));
   return std::vector<std::uint8_t>(so.begin(), so.end());
 }
 

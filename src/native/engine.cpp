@@ -3,13 +3,13 @@
 #include <dlfcn.h>
 
 #include <condition_variable>
-#include <filesystem>
 #include <vector>
 
 #include "kcc/serialize.hpp"
 #include "native/build.hpp"
 #include "native/codegen.hpp"
 #include "netd/artifact_store.hpp"
+#include "support/log.hpp"
 #include "support/math.hpp"
 #include "support/serialize.hpp"
 #include "support/status.hpp"
@@ -22,17 +22,28 @@
 namespace kspec::native {
 namespace {
 
-namespace fs = std::filesystem;
 using vgpu::Opcode;
 using vgpu::Space;
 
-// Renames a bad artifact aside so it is never read again and the next publish
-// lands cleanly. Best-effort; falls back to unlink.
-void QuarantineFile(const std::string& path) {
-  std::error_code ec;
-  fs::rename(path, path + ".bad", ec);
-  if (ec) fs::remove(path, ec);
-}
+// The generic artifact and the shape variants feed separate counters, so the
+// generic ones keep their exact meanings whether or not a variant serves.
+struct LadderCounters {
+  std::uint64_t NativeEngineStats::*disk_hits;
+  std::uint64_t NativeEngineStats::*store_hits;
+  std::uint64_t NativeEngineStats::*builds_started;
+  std::uint64_t NativeEngineStats::*builds_completed;
+  std::uint64_t NativeEngineStats::*build_failures;
+};
+
+constexpr LadderCounters kGenericCounters = {
+    &NativeEngineStats::disk_hits, &NativeEngineStats::store_hits,
+    &NativeEngineStats::builds_started, &NativeEngineStats::builds_completed,
+    &NativeEngineStats::build_failures};
+
+constexpr LadderCounters kShapeCounters = {
+    &NativeEngineStats::shape_disk_hits, &NativeEngineStats::shape_store_hits,
+    &NativeEngineStats::shape_builds_started, &NativeEngineStats::shape_builds_completed,
+    &NativeEngineStats::shape_build_failures};
 
 bool IsGlobalAtomic(const vgpu::Instr& i) {
   switch (i.op) {
@@ -139,48 +150,43 @@ struct NativeEngine::LoadedModule {
   }
 };
 
-struct NativeEngine::VariantSlot {
+// One artifact: the generic shared object of a module or one shape variant.
+struct NativeEngine::Slot {
   enum State {
-    kUnknown,   // never probed (or evicted; the disk artifact may remain)
-    kMissing,   // probed load-only: nothing servable, a build may fix it
-    kBuilding,  // one thread (eager launch or promoter) owns the ladder
+    kUnknown,   // never probed (or an evicted variant; its disk artifact may remain)
+    kMissing,   // probed load-only: nothing servable yet, a build may fix it
+    kBuilding,  // one thread (a launch or the promoter) owns the ladder
     kReady,
     kFailed,    // build failed; sticky for the life of the process
   } state = kUnknown;
   std::shared_ptr<LoadedModule> loaded;
-  std::uint64_t heat = 0;       // launches observed for this (module, shape)
+  std::uint64_t heat = 0;       // lookups observed (drives kAuto promotion)
   std::uint64_t last_used = 0;  // LRU tick of the last serve
   bool promote_queued = false;  // a background promotion is queued/running
 };
 
 struct NativeEngine::Entry {
-  std::mutex mu;
+  std::mutex mu;  // guards both slots' contents
   std::condition_variable cv;
-  enum State {
-    kUnknown,   // never probed
-    kMissing,   // probed (load-only): nothing servable yet, a build may fix it
-    kBuilding,  // one thread is loading/building; others wait (or degrade)
-    kReady,
-    kFailed,    // build failed; sticky for the life of the process
-  } state = kUnknown;
-  std::shared_ptr<LoadedModule> loaded;
-  // Shape-specialized variants by shape canonical text, bounded by
-  // Options::max_shape_variants. Guarded by mu like everything else here.
-  std::map<std::string, VariantSlot> variants;
+  Slot generic;
+  // Shape variants by shape canonical text, bounded by
+  // Options::max_shape_variants. Nodes are never erased (eviction resets
+  // them), so a Slot& stays valid across unlocks.
+  std::map<std::string, Slot> variants;
 };
 
 struct NativeEngine::PromoteJob {
-  std::shared_ptr<Entry> entry;
   kcc::ModuleCacheKey key;
   std::shared_ptr<const kcc::CompiledModule> mod;
   ShapeSpec shape;
-  std::string shape_text;
 };
 
 NativeEngine::NativeEngine() : NativeEngine(Options{}) {}
 
 NativeEngine::NativeEngine(Options opts)
-    : opts_(std::move(opts)), scratch_("kspec-native-so") {}
+    : opts_(std::move(opts)), scratch_("kspec-native-so") {
+  if (!opts_.cache_dir.empty()) disk_.emplace(opts_.cache_dir);
+}
 
 NativeEngine::~NativeEngine() {
   {
@@ -214,7 +220,20 @@ NativeEngineStats NativeEngine::stats() const {
   return stats_;
 }
 
+void NativeEngine::Bump(std::uint64_t NativeEngineStats::*counter) {
+  std::lock_guard<std::mutex> lk(mu_);
+  ++(stats_.*counter);
+}
+
 bool NativeEngine::IsReady(const kcc::ModuleCacheKey& key) const {
+  return SlotReady(key, nullptr);
+}
+
+bool NativeEngine::IsVariantReady(const kcc::ModuleCacheKey& key, const ShapeSpec& shape) const {
+  return SlotReady(key, &shape);
+}
+
+bool NativeEngine::SlotReady(const kcc::ModuleCacheKey& key, const ShapeSpec* shape) const {
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -223,93 +242,20 @@ bool NativeEngine::IsReady(const kcc::ModuleCacheKey& key) const {
     entry = it->second;
   }
   std::lock_guard<std::mutex> lk(entry->mu);
-  return entry->state == Entry::kReady;
+  if (shape == nullptr) return entry->generic.state == Slot::kReady;
+  auto it = entry->variants.find(shape->CanonicalText());
+  return it != entry->variants.end() && it->second.state == Slot::kReady;
 }
 
 bool NativeEngine::EnsureReady(const kcc::ModuleCacheKey& key, const kcc::CompiledModule& mod) {
-  return Resolve(key, &mod, /*may_build=*/true) != nullptr;
-}
-
-std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::Resolve(const kcc::ModuleCacheKey& key,
-                                                                  const kcc::CompiledModule* mod,
-                                                                  bool may_build) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    std::shared_ptr<Entry>& slot = entries_[key.CanonicalText()];
-    if (!slot) slot = std::make_shared<Entry>();
-    entry = slot;
-  }
-  std::unique_lock<std::mutex> lk(entry->mu);
-  for (;;) {
-    switch (entry->state) {
-      case Entry::kReady:
-        return entry->loaded;
-      case Entry::kFailed:
-        return nullptr;
-      case Entry::kMissing:
-        // A load-only probe already came up empty; only a build changes that.
-        if (!may_build) return nullptr;
-        break;
-      case Entry::kBuilding:
-        // kAuto launches never wait on a build; forced ones do.
-        if (!may_build) return nullptr;
-        entry->cv.wait(lk);
-        continue;
-      case Entry::kUnknown:
-        break;
-    }
-    break;
-  }
-  entry->state = Entry::kBuilding;
-  lk.unlock();
-
-  std::shared_ptr<LoadedModule> lm;
-  try {
-    lm = LoadOrBuild(key, mod, may_build);
-  } catch (...) {
-    lm = nullptr;
-  }
-
-  lk.lock();
-  if (lm) {
-    entry->loaded = lm;
-    entry->state = Entry::kReady;
-  } else {
-    // A failed *build* is sticky; a fruitless load-only probe is retriable
-    // once somebody may build.
-    entry->state = may_build ? Entry::kFailed : Entry::kMissing;
-  }
-  entry->cv.notify_all();
-  return lm;
-}
-
-std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::TryLoadEnvelope(
-    const std::vector<std::uint8_t>& envelope, const std::string& expect_key_text,
-    const std::string& quarantine_path, bool closeable) {
-  std::string key_text;
-  std::vector<std::uint8_t> so_bytes;
-  try {
-    so_bytes = kcc::DeserializeNative(envelope, &key_text);
-  } catch (const SerializeError&) {
-    if (!quarantine_path.empty()) QuarantineFile(quarantine_path);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.corrupt_quarantined;
-    return nullptr;
-  }
-  if (key_text != expect_key_text) {
-    // Hash collision: the artifact belongs to a different key. Leave it in
-    // place for its own key; this launch degrades.
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.stale_discarded;
-    return nullptr;
-  }
-  return OpenSharedObject(so_bytes, expect_key_text, quarantine_path, closeable);
+  // Non-owning: only shape variants queue promotions that outlive the call.
+  const std::shared_ptr<const kcc::CompiledModule> borrowed(std::shared_ptr<void>(), &mod);
+  return LoadOrBuild(key, borrowed, /*shape=*/nullptr, /*may_build=*/true) != nullptr;
 }
 
 std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
-    const std::vector<std::uint8_t>& so_bytes, const std::string& expect_key_text,
-    const std::string& origin, bool closeable) {
+    std::span<const std::uint8_t> so_bytes, const std::string& expect_key_text, bool closeable,
+    bool* stale) {
   std::string path;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -335,12 +281,10 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
       expect_key_text !=
           std::string_view(build_key(), static_cast<std::size_t>(build_key_size()))) {
     // Stale or foreign SO (older codegen, bumped ABI). Nothing stateful ran
-    // yet, so dlclose is safe here even for a non-closeable module. An
-    // on-disk original is quarantined so the rebuild replaces it.
+    // yet, so dlclose is safe here even for a non-closeable module.
     ::dlclose(handle);
-    if (!origin.empty()) QuarantineFile(origin);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.stale_discarded;
+    if (stale) *stale = true;
+    Bump(&NativeEngineStats::stale_discarded);
     return nullptr;
   }
 
@@ -354,261 +298,177 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
 }
 
 std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuild(
-    const kcc::ModuleCacheKey& key, const kcc::CompiledModule* mod, bool may_build) {
-  // 1. Disk tier.
-  std::string disk_path;
-  if (!opts_.cache_dir.empty()) {
-    disk_path = (fs::path(opts_.cache_dir) / ArtifactFileName(key)).string();
-    std::vector<std::uint8_t> envelope;
-    if (ReadFileBytes(disk_path, &envelope)) {
-      if (auto lm = TryLoadEnvelope(envelope, key.CanonicalText(), disk_path,
-                                    /*closeable=*/false)) {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.disk_hits;
-        return lm;
-      }
-    }
-  }
-
-  // 2. Shared store tier (write through to the disk tier on a hit).
-  if (opts_.store) {
-    std::vector<std::uint8_t> envelope;
-    if (opts_.store->LoadNativeBytes(key, &envelope)) {
-      if (auto lm = TryLoadEnvelope(envelope, key.CanonicalText(), /*quarantine_path=*/"",
-                                    /*closeable=*/false)) {
-        if (!disk_path.empty()) WriteFileAtomic(disk_path, envelope);
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.store_hits;
-        return lm;
-      }
-    }
-  }
-
-  // 3. Build.
-  if (!may_build || mod == nullptr || !ToolchainAvailable()) return nullptr;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.builds_started;
-  }
-  const std::string source = EmitModuleSource(*mod, key.CanonicalText());
-  std::string error;
-  const std::vector<std::uint8_t> so_bytes = CompileSharedObject(source, &error);
-  if (so_bytes.empty()) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.build_failures;
-    return nullptr;
-  }
-  auto lm = OpenSharedObject(so_bytes, key.CanonicalText(), /*origin=*/"",
-                             /*closeable=*/false);
-  if (!lm) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.build_failures;
-    return nullptr;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.builds_completed;
-  }
-  const std::vector<std::uint8_t> envelope = kcc::SerializeNative(so_bytes, key.CanonicalText());
-  if (!disk_path.empty()) WriteFileAtomic(disk_path, envelope);
-  if (opts_.store) opts_.store->PublishNativeBytes(key, envelope);
-  return lm;
-}
-
-std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuildVariant(
-    const kcc::ModuleCacheKey& key, const kcc::CompiledModule* mod, const ShapeSpec& shape,
-    bool may_build) {
-  const std::string key_text = VariantKeyText(key, shape);
-  const std::string file_name = VariantFileName(key, shape);
-
-  // 1. Disk tier.
-  std::string disk_path;
-  if (!opts_.cache_dir.empty()) {
-    disk_path = (fs::path(opts_.cache_dir) / file_name).string();
-    std::vector<std::uint8_t> envelope;
-    if (ReadFileBytes(disk_path, &envelope)) {
-      if (auto lm = TryLoadEnvelope(envelope, key_text, disk_path, /*closeable=*/true)) {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.shape_disk_hits;
-        return lm;
-      }
-    }
-  }
-
-  // 2. Shared store tier (write through to the disk tier on a hit).
-  if (opts_.store) {
-    std::vector<std::uint8_t> envelope;
-    if (opts_.store->LoadNativeBytesNamed(file_name, key_text, &envelope)) {
-      if (auto lm = TryLoadEnvelope(envelope, key_text, /*quarantine_path=*/"",
-                                    /*closeable=*/true)) {
-        if (!disk_path.empty()) WriteFileAtomic(disk_path, envelope);
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.shape_store_hits;
-        return lm;
-      }
-    }
-  }
-
-  // 3. Build.
-  if (!may_build || mod == nullptr || !ToolchainAvailable()) return nullptr;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.shape_builds_started;
-  }
-  const std::string source = EmitModuleSource(*mod, key_text, &shape);
-  std::string error;
-  const std::vector<std::uint8_t> so_bytes = CompileSharedObject(source, &error);
-  if (so_bytes.empty()) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.shape_build_failures;
-    return nullptr;
-  }
-  auto lm = OpenSharedObject(so_bytes, key_text, /*origin=*/"", /*closeable=*/true);
-  if (!lm) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.shape_build_failures;
-    return nullptr;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.shape_builds_completed;
-  }
-  const std::vector<std::uint8_t> envelope = kcc::SerializeNative(so_bytes, key_text);
-  if (!disk_path.empty()) WriteFileAtomic(disk_path, envelope);
-  if (opts_.store) opts_.store->PublishNativeBytesNamed(file_name, key_text, envelope);
-  return lm;
-}
-
-std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::ResolveVariant(
-    const kcc::ModuleCacheKey& key, std::shared_ptr<const kcc::CompiledModule> mod,
-    const ShapeSpec& shape, vgpu::ShapeMode mode) {
+    const kcc::ModuleCacheKey& key, const std::shared_ptr<const kcc::CompiledModule>& mod,
+    const ShapeSpec* shape, bool may_build) {
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    std::shared_ptr<Entry>& slot = entries_[key.CanonicalText()];
-    if (!slot) slot = std::make_shared<Entry>();
-    entry = slot;
+    std::shared_ptr<Entry>& e = entries_[key.CanonicalText()];
+    if (!e) e = std::make_shared<Entry>();
+    entry = e;
   }
-  const std::string shape_text = shape.CanonicalText();
+  const std::string shape_text = shape ? shape->CanonicalText() : std::string();
 
-  bool want_promote = false;
+  // 1. Memory.
   std::unique_lock<std::mutex> lk(entry->mu);
-  VariantSlot& slot = entry->variants[shape_text];
+  Slot& slot = shape ? entry->variants[shape_text] : entry->generic;
   ++slot.heat;
   for (;;) {
     switch (slot.state) {
-      case VariantSlot::kReady:
+      case Slot::kReady:
         slot.last_used = ++lru_tick_;
         return slot.loaded;
-      case VariantSlot::kFailed:
+      case Slot::kFailed:
         return nullptr;
-      case VariantSlot::kBuilding:
-        // Eager launches wait for the variant (mirroring how forced generic
-        // launches wait on a build); kAuto never blocks — the generic
-        // artifact serves this launch.
-        if (mode != vgpu::ShapeMode::kEager) return nullptr;
+      case Slot::kBuilding:
+        // Callers that may build wait on the build in flight; the others
+        // (kAuto launches) never block.
+        if (!may_build) return nullptr;
         entry->cv.wait(lk);
         continue;
-      case VariantSlot::kUnknown:
-      case VariantSlot::kMissing:
+      case Slot::kMissing:
+        if (may_build) break;
+        // The load-only ladder already came up empty. Queue a background
+        // promotion once a variant is hot; the generic TU serves this launch.
+        if (shape && mod && !slot.promote_queued && slot.heat >= opts_.shape_hot_threshold &&
+            ToolchainAvailable()) {
+          slot.promote_queued = true;
+          lk.unlock();
+          std::lock_guard<std::mutex> plk(mu_);
+          if (!promo_shutdown_) {
+            if (!promoter_.joinable()) promoter_ = std::thread(&NativeEngine::PromoterMain, this);
+            promo_queue_.push_back(PromoteJob{key, mod, *shape});
+            promo_cv_.notify_all();
+          }
+        }
+        return nullptr;
+      case Slot::kUnknown:
         break;
     }
     break;
   }
-
-  const bool may_build = mode == vgpu::ShapeMode::kEager && mod != nullptr;
-  if (slot.state == VariantSlot::kMissing && !may_build) {
-    // The load-only ladder already came up empty. Queue a background
-    // promotion once the pair is hot; this launch runs on the generic TU.
-    if (mode == vgpu::ShapeMode::kAuto && mod != nullptr && !slot.promote_queued &&
-        slot.heat >= opts_.shape_hot_threshold && ToolchainAvailable()) {
-      slot.promote_queued = true;
-      want_promote = true;
-    }
-    lk.unlock();
-    if (want_promote) {
-      PromoteJob job;
-      job.entry = entry;
-      job.key = key;
-      job.mod = std::move(mod);
-      job.shape = shape;
-      job.shape_text = shape_text;
-      std::lock_guard<std::mutex> lk2(mu_);
-      if (!promo_shutdown_) {
-        if (!promoter_.joinable()) promoter_ = std::thread(&NativeEngine::PromoterMain, this);
-        promo_queue_.push_back(std::move(job));
-        promo_cv_.notify_all();
-      }
-    }
-    return nullptr;
-  }
-
-  // First probe (both modes) or eager build: run the ladder inline.
-  slot.state = VariantSlot::kBuilding;
+  slot.state = Slot::kBuilding;
   lk.unlock();
 
   std::shared_ptr<LoadedModule> lm;
   try {
-    lm = LoadOrBuildVariant(key, mod.get(), shape, may_build);
+    lm = FetchOrBuild(key, mod.get(), shape, may_build);
   } catch (...) {
     lm = nullptr;
   }
-  FinishVariant(entry, shape_text, lm, /*built=*/may_build);
-  if (lm) {
-    std::lock_guard<std::mutex> lk2(entry->mu);
-    entry->variants[shape_text].last_used = ++lru_tick_;
+
+  // Evicted variants are released outside the lock: the shared_ptr dlcloses
+  // the SO once the last in-flight launch using it drops its reference.
+  std::vector<std::shared_ptr<LoadedModule>> evicted;
+  lk.lock();
+  slot.promote_queued = false;
+  if (!lm) {
+    // A failed *build* is sticky; a fruitless load-only probe is retriable
+    // once somebody may build.
+    slot.state = may_build ? Slot::kFailed : Slot::kMissing;
+  } else {
+    slot.loaded = lm;
+    slot.state = Slot::kReady;
+    slot.last_used = ++lru_tick_;
+    unsigned ready = 0;
+    if (shape) {
+      for (const auto& [text, vs] : entry->variants) ready += vs.state == Slot::kReady ? 1 : 0;
+    }
+    while (ready > opts_.max_shape_variants) {
+      auto victim = entry->variants.end();
+      for (auto it = entry->variants.begin(); it != entry->variants.end(); ++it) {
+        if (it->first == shape_text || it->second.state != Slot::kReady) continue;
+        if (victim == entry->variants.end() || it->second.last_used < victim->second.last_used) {
+          victim = it;
+        }
+      }
+      if (victim == entry->variants.end()) break;  // only the new variant left
+      // Back to kUnknown: the disk/store artifact survives eviction, so a
+      // future launch re-enters the load ladder instead of rebuilding.
+      evicted.push_back(std::move(victim->second.loaded));
+      victim->second = Slot{};
+      --ready;
+    }
+  }
+  entry->cv.notify_all();
+  lk.unlock();
+  if (!evicted.empty()) {
+    std::lock_guard<std::mutex> slk(mu_);
+    stats_.shape_evicted += evicted.size();
   }
   return lm;
 }
 
-void NativeEngine::FinishVariant(const std::shared_ptr<Entry>& entry,
-                                 const std::string& shape_text,
-                                 std::shared_ptr<LoadedModule> lm, bool built) {
-  // Evicted handles are released outside the lock: the shared_ptr dlcloses
-  // the SO once the last in-flight launch using it drops its reference.
-  std::vector<std::shared_ptr<LoadedModule>> evicted;
-  {
-    std::lock_guard<std::mutex> lk(entry->mu);
-    VariantSlot& slot = entry->variants[shape_text];
-    if (lm) {
-      slot.loaded = std::move(lm);
-      slot.state = VariantSlot::kReady;
-      slot.promote_queued = false;
+std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::FetchOrBuild(
+    const kcc::ModuleCacheKey& key, const kcc::CompiledModule* mod, const ShapeSpec* shape,
+    bool may_build) {
+  // The generic artifact is the shape-less case: a variant differs only in
+  // file name, embedded key text, closeability, counters and the shape
+  // compiled into its TU.
+  const std::string key_text = shape ? VariantKeyText(key, *shape) : key.CanonicalText();
+  const std::string file_name = shape ? VariantFileName(key, *shape) : ArtifactFileName(key);
+  const bool closeable = shape != nullptr;
+  const LadderCounters& n = shape ? kShapeCounters : kGenericCounters;
 
-      unsigned ready = 0;
-      for (const auto& [text, vs] : entry->variants) {
-        if (vs.state == VariantSlot::kReady) ++ready;
-      }
-      while (ready > opts_.max_shape_variants) {
-        auto victim = entry->variants.end();
-        for (auto it = entry->variants.begin(); it != entry->variants.end(); ++it) {
-          if (it->first == shape_text || it->second.state != VariantSlot::kReady) continue;
-          if (victim == entry->variants.end() ||
-              it->second.last_used < victim->second.last_used) {
-            victim = it;
-          }
+  std::shared_ptr<LoadedModule> lm;
+  bool stale = false;
+  const kcc::ArtifactDir::BodyFn open = [&](std::span<const std::uint8_t> body) {
+    lm = OpenSharedObject(kcc::DecodeNativeBody(body), key_text, closeable, &stale);
+  };
+
+  // 2. Disk.
+  if (disk_) {
+    switch (disk_->Load(kcc::ArtifactKind::kNative, file_name, key_text, open)) {
+      case kcc::LoadResult::kHit:
+        if (lm) {
+          Bump(n.disk_hits);
+          return lm;
         }
-        if (victim == entry->variants.end()) break;  // only the new variant left
-        evicted.push_back(std::move(victim->second.loaded));
-        victim->second.loaded.reset();
-        // Back to kUnknown: the disk/store artifact survives eviction, so a
-        // future launch re-enters the load ladder instead of rebuilding.
-        victim->second.state = VariantSlot::kUnknown;
-        victim->second.heat = 0;
-        victim->second.promote_queued = false;
-        --ready;
-      }
-    } else {
-      slot.loaded.reset();
-      slot.state = built ? VariantSlot::kFailed : VariantSlot::kMissing;
-      slot.promote_queued = false;
+        // A stale SO is quarantined so the rebuild replaces it.
+        if (stale) disk_->Quarantine(file_name);
+        break;
+      case kcc::LoadResult::kCorrupt:
+        Bump(&NativeEngineStats::corrupt_quarantined);
+        break;
+      case kcc::LoadResult::kCollision:
+        // Another key's artifact: left in place for it, a miss for us.
+        Bump(&NativeEngineStats::stale_discarded);
+        break;
+      case kcc::LoadResult::kMissing:
+        break;
     }
-    entry->cv.notify_all();
   }
-  if (!evicted.empty()) {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.shape_evicted += evicted.size();
+
+  // 3. Shared store, written through to disk on a hit. The store's load
+  // already validated the envelope, so it is written as is.
+  if (opts_.store) {
+    std::vector<std::uint8_t> envelope;
+    if (opts_.store->LoadNative(file_name, key_text, open, &envelope) && lm) {
+      if (disk_) WriteFileAtomic(disk_->PathFor(file_name), envelope);
+      Bump(n.store_hits);
+      return lm;
+    }
   }
+
+  // 4. Build.
+  if (!may_build || mod == nullptr || !ToolchainAvailable()) return nullptr;
+  Bump(n.builds_started);
+  std::string error = "the built shared object failed to load";
+  const std::vector<std::uint8_t> so_bytes =
+      CompileSharedObject(EmitModuleSource(*mod, key_text, shape), &error);
+  if (!so_bytes.empty()) lm = OpenSharedObject(so_bytes, key_text, closeable, nullptr);
+  if (!lm) {
+    KSPEC_LOG_WARN << "native tier: build failed for " << key.Describe()
+                   << (shape ? " at shape " + shape->CanonicalText() : std::string()) << ": "
+                   << error;
+    Bump(n.build_failures);
+    return nullptr;
+  }
+  Bump(n.builds_completed);
+  const std::vector<std::uint8_t> envelope = kcc::SerializeNative(so_bytes, key_text);
+  if (disk_) disk_->Publish(kcc::ArtifactKind::kNative, file_name, key_text, envelope);
+  if (opts_.store) opts_.store->PublishNative(file_name, key_text, envelope);
+  return lm;
 }
 
 void NativeEngine::PromoterMain() {
@@ -620,26 +480,7 @@ void NativeEngine::PromoterMain() {
     promo_queue_.pop_front();
     ++promo_inflight_;
     lk.unlock();
-
-    bool run = false;
-    {
-      std::lock_guard<std::mutex> elk(job.entry->mu);
-      VariantSlot& slot = job.entry->variants[job.shape_text];
-      if (slot.state == VariantSlot::kUnknown || slot.state == VariantSlot::kMissing) {
-        slot.state = VariantSlot::kBuilding;
-        run = true;
-      }
-    }
-    if (run) {
-      std::shared_ptr<LoadedModule> lm;
-      try {
-        lm = LoadOrBuildVariant(job.key, job.mod.get(), job.shape, /*may_build=*/true);
-      } catch (...) {
-        lm = nullptr;
-      }
-      FinishVariant(job.entry, job.shape_text, std::move(lm), /*built=*/true);
-    }
-
+    LoadOrBuild(job.key, job.mod, &job.shape, /*may_build=*/true);
     lk.lock();
     --promo_inflight_;
     promo_cv_.notify_all();
@@ -649,19 +490,6 @@ void NativeEngine::PromoterMain() {
 void NativeEngine::DrainShapeBuilds() {
   std::unique_lock<std::mutex> lk(mu_);
   promo_cv_.wait(lk, [&] { return promo_queue_.empty() && promo_inflight_ == 0; });
-}
-
-bool NativeEngine::IsVariantReady(const kcc::ModuleCacheKey& key, const ShapeSpec& shape) const {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = entries_.find(key.CanonicalText());
-    if (it == entries_.end()) return false;
-    entry = it->second;
-  }
-  std::lock_guard<std::mutex> lk(entry->mu);
-  auto it = entry->variants.find(shape.CanonicalText());
-  return it != entry->variants.end() && it->second.state == VariantSlot::kReady;
 }
 
 bool NativeEngine::TryLaunch(vcuda::Context& ctx, const vcuda::NativeLaunchRequest& req,
@@ -681,13 +509,15 @@ bool NativeEngine::TryLaunch(vcuda::Context& ctx, const vcuda::NativeLaunchReque
   // 32-lane warp layout their codegen bakes in, so any other warp size stays
   // on the generic path.
   std::shared_ptr<LoadedModule> lm =
-      Resolve(*req.key, req.module.get(), /*may_build=*/req.require);
+      LoadOrBuild(*req.key, req.module, /*shape=*/nullptr, /*may_build=*/req.require);
   bool shape_served = false;
   if (lm != nullptr) {
     const vgpu::ShapeMode mode = vgpu::ResolveShapeMode(opts_.shape_mode);
     if (mode != vgpu::ShapeMode::kOff && ctx.device().warp_size == 32) {
+      const ShapeSpec shape = ShapeSpec::FromConfig(*req.cfg);
       std::shared_ptr<LoadedModule> variant =
-          ResolveVariant(*req.key, req.module, ShapeSpec::FromConfig(*req.cfg), mode);
+          LoadOrBuild(*req.key, req.module, &shape,
+                      /*may_build=*/mode == vgpu::ShapeMode::kEager && req.module != nullptr);
       if (variant != nullptr) {
         lm = std::move(variant);
         shape_served = true;

@@ -1,37 +1,41 @@
 // The native execution tier: content-addressed shared-object artifacts plus
 // the host-side launch mirror that runs them.
 //
-// NativeEngine implements vcuda::NativeExecutionService. Per ModuleCacheKey
-// it maintains a small state machine (unknown -> building -> ready | failed)
-// over a three-level artifact hierarchy:
+// NativeEngine implements vcuda::NativeExecutionService. Per artifact — the
+// generic shared object of a ModuleCacheKey, or one of its shape variants —
+// it keeps a small state machine (unknown -> building -> ready | failed) over
+// one artifact ladder:
 //
 //   memory  — a dlopen'd shared object, reused for every later launch;
-//   disk    — `k%016llx.nso` files in cache_dir (the .kmod layout's sibling):
-//             a second process with a warm cache directory serves the native
-//             tier with zero recompiles;
-//   store   — the shared netd::ArtifactStore, when attached.
+//   disk    — cache_dir as a kcc::ArtifactDir (`k%016llx.nso` beside the
+//             .kmod files): a second process with a warm cache directory
+//             serves the native tier with zero recompiles;
+//   store   — the shared netd::ArtifactStore, when attached (written through
+//             to disk on a hit).
 //
-// Every artifact is the self-validating kcc::SerializeNative envelope; a
-// corrupt file is quarantined (renamed aside) and treated as a miss, a loaded
-// SO whose kspec_native_abi_version or embedded build key disagrees is
-// discarded as stale — in every case the launch degrades to the decoded tier
-// instead of failing.
+// Every artifact is a kcc::SerializeNative envelope; a corrupt file is
+// quarantined (renamed aside) and treated as a miss, a loaded SO whose
+// kspec_native_abi_version or embedded build key disagrees is discarded as
+// stale — in every case the launch degrades to the decoded tier instead of
+// failing. A failed build logs the host compiler's diagnostics once.
 //
 // Build policy follows NativeLaunchRequest::require: a forced native launch
 // builds inline (single-flight per key; concurrent launches wait); a kAuto
 // launch only serves what is already loadable and leaves background builds to
 // NativeBuildExecutor riding the serve pipeline.
 //
-// On top of the generic artifact each module keeps a bounded ladder of
+// On top of the generic artifact each module keeps a bounded set of
 // shape-specialized variants, content-addressed by (module key, launch
 // shape): divergence-aware TUs whose launch dimensions are compile-time
-// constants (codegen + maskprop). The generic artifact always stays resident
-// as the fallback, so a kAuto launch never blocks: under ShapeMode::kAuto a
-// (module, shape) pair that crosses Options::shape_hot_threshold launches is
-// promoted by a background builder thread; under kEager the variant builds
-// inline. Variants beyond Options::max_shape_variants are LRU-evicted — and
-// since shape TUs hold no thread_local state, an evicted variant's shared
-// object really is dlclosed once its last in-flight launch completes.
+// constants (codegen + maskprop). A variant runs the same ladder; only its
+// file name, embedded key text, closeability and counters differ. The
+// generic artifact always stays resident as the fallback, so a kAuto launch
+// never blocks: under ShapeMode::kAuto a (module, shape) pair that crosses
+// Options::shape_hot_threshold launches is promoted by a background builder
+// thread; under kEager the variant builds inline. Variants beyond
+// Options::max_shape_variants are LRU-evicted — and since shape TUs hold no
+// thread_local state, an evicted variant's shared object really is dlclosed
+// once its last in-flight launch completes.
 //
 // The launch itself mirrors the interpreter's shell exactly: the shared
 // vgpu::PrepareLaunch / FinalizeLaunchStats bracket per-chunk runs, per-worker
@@ -47,9 +51,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 
+#include "kcc/artifact_dir.hpp"
 #include "native/abi.hpp"
 #include "native/shape.hpp"
 #include "support/temp_dir.hpp"
@@ -149,45 +156,37 @@ class NativeEngine : public vcuda::NativeExecutionService {
 
  private:
   struct LoadedModule;
+  struct Slot;
   struct Entry;
-  struct VariantSlot;
   struct PromoteJob;
 
-  // Returns the ready entry for the request, loading or (require) building as
-  // allowed. nullptr = degrade.
-  std::shared_ptr<LoadedModule> Resolve(const kcc::ModuleCacheKey& key,
-                                        const kcc::CompiledModule* mod, bool may_build);
-  // The artifact ladder for one key, called with the entry locked in
-  // kBuilding state. Returns the loaded SO or nullptr.
+  // The one artifact ladder: memory -> disk -> store -> build, for the
+  // generic artifact (shape == nullptr) or one shape variant. The memory
+  // step is the artifact's slot state machine, single-flight: callers that
+  // may build wait for a build in flight, the others never block. A kAuto
+  // variant probe that finds nothing queues a background promotion once the
+  // pair is hot. Returns the loaded SO or nullptr (degrade).
   std::shared_ptr<LoadedModule> LoadOrBuild(const kcc::ModuleCacheKey& key,
-                                            const kcc::CompiledModule* mod, bool may_build);
-  std::shared_ptr<LoadedModule> TryLoadEnvelope(const std::vector<std::uint8_t>& envelope,
-                                                const std::string& key_text,
-                                                const std::string& origin, bool closeable);
-  std::shared_ptr<LoadedModule> OpenSharedObject(const std::vector<std::uint8_t>& so_bytes,
-                                                 const std::string& key_text,
-                                                 const std::string& origin, bool closeable);
-
-  // Shape-variant ladder. ResolveVariant implements the per-mode policy
-  // (serve resident, probe disk/store, build inline for kEager, enqueue a
-  // background promotion for hot kAuto pairs); LoadOrBuildVariant is the
-  // memory -> disk -> store -> build ladder for one (key, shape).
-  std::shared_ptr<LoadedModule> ResolveVariant(const kcc::ModuleCacheKey& key,
-                                               std::shared_ptr<const kcc::CompiledModule> mod,
-                                               const ShapeSpec& shape, vgpu::ShapeMode mode);
-  std::shared_ptr<LoadedModule> LoadOrBuildVariant(const kcc::ModuleCacheKey& key,
-                                                   const kcc::CompiledModule* mod,
-                                                   const ShapeSpec& shape, bool may_build);
-  // Finishes a variant build slot under entry->mu and LRU-evicts beyond the
-  // per-module cap.
-  void FinishVariant(const std::shared_ptr<Entry>& entry, const std::string& shape_text,
-                     std::shared_ptr<LoadedModule> lm, bool built);
+                                            const std::shared_ptr<const kcc::CompiledModule>& mod,
+                                            const ShapeSpec* shape, bool may_build);
+  // The disk -> store -> build steps, run by the slot's owning thread.
+  std::shared_ptr<LoadedModule> FetchOrBuild(const kcc::ModuleCacheKey& key,
+                                             const kcc::CompiledModule* mod,
+                                             const ShapeSpec* shape, bool may_build);
+  // dlopens an SO image and checks its ABI version and embedded build key;
+  // a mismatch is counted stale and reported through *stale.
+  std::shared_ptr<LoadedModule> OpenSharedObject(std::span<const std::uint8_t> so_bytes,
+                                                 const std::string& key_text, bool closeable,
+                                                 bool* stale);
+  bool SlotReady(const kcc::ModuleCacheKey& key, const ShapeSpec* shape) const;
+  void Bump(std::uint64_t NativeEngineStats::*counter);
   void PromoterMain();
 
   vgpu::LaunchStats RunNative(vcuda::Context& ctx, const LoadedModule& lm, unsigned kernel_index,
                               const vcuda::NativeLaunchRequest& req);
 
   Options opts_;
+  std::optional<kcc::ArtifactDir> disk_;  // engaged when opts_.cache_dir is set
   ScopedTempDir scratch_;  // dlopen needs the SO image on disk
   mutable std::mutex mu_;  // guards entries_, stats_, scratch_ naming, promoter state
   std::map<std::string, std::shared_ptr<Entry>> entries_;  // by canonical key text

@@ -1,114 +1,72 @@
 #include "netd/artifact_store.hpp"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <filesystem>
 
-#include "kcc/serialize.hpp"
-#include "support/log.hpp"
-#include "support/serialize.hpp"
 #include "support/status.hpp"
-#include "support/str.hpp"
 
 namespace kspec::netd {
 
+using kcc::ArtifactKind;
+using kcc::LoadResult;
+
 ArtifactStore::ArtifactStore(std::string dir) : dir_(std::move(dir)) {
-  KSPEC_CHECK_MSG(!dir_.empty(), "artifact store needs a directory");
+  KSPEC_CHECK_MSG(!dir_.path().empty(), "artifact store needs a directory");
   std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec) throw Error("artifact store: cannot create '" + dir_ + "': " + ec.message());
+  std::filesystem::create_directories(dir_.path(), ec);
+  if (ec) throw Error("artifact store: cannot create '" + dir_.path() + "': " + ec.message());
 }
 
 std::string ArtifactStore::PathFor(const kcc::ModuleCacheKey& key) const {
-  return dir_ + "/" + key.FileName();
+  return dir_.PathFor(key.FileName());
 }
 
-void ArtifactStore::Quarantine(const std::string& path) {
-  static std::atomic<std::uint64_t> counter{0};
-  const std::string aside = path + Format(".bad.%d.%llu", static_cast<int>(::getpid()),
-                                          static_cast<unsigned long long>(counter.fetch_add(1)));
-  if (std::rename(path.c_str(), aside.c_str()) != 0) ::unlink(path.c_str());
+bool ArtifactStore::Count(LoadResult r, std::uint64_t StoreStats::*hits,
+                          std::uint64_t StoreStats::*misses) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.corrupt_quarantined;
+  switch (r) {
+    case LoadResult::kHit:
+      ++(stats_.*hits);
+      return true;
+    case LoadResult::kCorrupt:
+      ++stats_.corrupt_quarantined;
+      break;
+    case LoadResult::kCollision:
+      ++stats_.collisions;
+      break;
+    case LoadResult::kMissing:
+      break;
+  }
+  ++(stats_.*misses);
+  return false;
 }
 
 bool ArtifactStore::LoadBytes(const kcc::ModuleCacheKey& key, std::vector<std::uint8_t>* out) {
-  const std::string path = PathFor(key);
-  std::vector<std::uint8_t> bytes;
-  if (!ReadFileBytes(path, &bytes)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return false;
-  }
-  try {
-    std::string stored_key;
-    kcc::Deserialize(bytes, &stored_key);  // full parse: checksum, version, layout
-    if (stored_key != key.CanonicalText()) {
-      // A valid artifact for a different key under this hash-derived name.
-      // Not corruption — don't quarantine; the caller's eventual publish of
-      // this key overwrites it.
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.collisions;
-      ++stats_.misses;
-      KSPEC_LOG_WARN << "artifact store: " << path
-                     << " belongs to a different key (hash collision) — treating as miss";
-      return false;
-    }
-  } catch (const SerializeError& e) {
-    KSPEC_LOG_WARN << "artifact store: quarantining unreadable artifact " << path << " ("
-                   << e.what() << ")";
-    Quarantine(path);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.hits;
-  }
-  *out = std::move(bytes);
-  return true;
+  // The body is decoded too, so a daemon never ships bytes a client cannot
+  // parse.
+  return Count(dir_.Load(ArtifactKind::kModule, key.FileName(), key.CanonicalText(),
+                         [](std::span<const std::uint8_t> body) { kcc::DecodeModuleBody(body); },
+                         out),
+               &StoreStats::hits, &StoreStats::misses);
 }
 
 std::shared_ptr<const kcc::CompiledModule> ArtifactStore::Load(const kcc::ModuleCacheKey& key) {
-  std::vector<std::uint8_t> bytes;
-  if (!LoadBytes(key, &bytes)) return nullptr;
-  // LoadBytes already validated; a parse failure here would mean the bytes
-  // changed in flight, which a local vector cannot.
-  return std::make_shared<const kcc::CompiledModule>(kcc::Deserialize(bytes));
+  std::shared_ptr<const kcc::CompiledModule> mod;
+  Count(dir_.Load(ArtifactKind::kModule, key.FileName(), key.CanonicalText(),
+                  [&](std::span<const std::uint8_t> body) {
+                    mod = std::make_shared<const kcc::CompiledModule>(
+                        kcc::DecodeModuleBody(body));
+                  }),
+        &StoreStats::hits, &StoreStats::misses);
+  return mod;
 }
 
 bool ArtifactStore::Publish(const kcc::ModuleCacheKey& key, const kcc::CompiledModule& mod) {
-  const std::vector<std::uint8_t> bytes = kcc::Serialize(mod, key.CanonicalText());
-  const std::string path = PathFor(key);
-  if (!WriteFileAtomic(path, bytes)) {
-    KSPEC_LOG_WARN << "artifact store: failed to publish " << path << " — continuing";
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.publishes;
-  return true;
+  return PublishBytes(key, kcc::Serialize(mod, key.CanonicalText()));
 }
 
 bool ArtifactStore::PublishBytes(const kcc::ModuleCacheKey& key,
                                  std::span<const std::uint8_t> bytes) {
-  try {
-    std::string stored_key;
-    kcc::Deserialize(bytes, &stored_key);
-    if (stored_key != key.CanonicalText()) {
-      KSPEC_LOG_WARN << "artifact store: refusing to publish bytes keyed differently than "
-                     << key.FileName();
-      return false;
-    }
-  } catch (const SerializeError& e) {
-    KSPEC_LOG_WARN << "artifact store: refusing to publish malformed artifact for "
-                   << key.FileName() << " (" << e.what() << ")";
-    return false;
-  }
-  const std::string path = PathFor(key);
-  if (!WriteFileAtomic(path, bytes)) {
-    KSPEC_LOG_WARN << "artifact store: failed to publish " << path << " — continuing";
+  if (!dir_.Publish(ArtifactKind::kModule, key.FileName(), key.CanonicalText(), bytes)) {
     return false;
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -117,104 +75,26 @@ bool ArtifactStore::PublishBytes(const kcc::ModuleCacheKey& key,
 }
 
 bool ArtifactStore::Contains(const kcc::ModuleCacheKey& key) const {
-  std::error_code ec;
-  return std::filesystem::exists(PathFor(key), ec);
+  return dir_.Contains(key.FileName());
 }
 
-std::string ArtifactStore::PathForNative(const kcc::ModuleCacheKey& key) const {
-  return dir_ + "/" + Format("k%016llx.nso", static_cast<unsigned long long>(key.Hash()));
+bool ArtifactStore::LoadNative(const std::string& file_name, const std::string& key_text,
+                               const kcc::ArtifactDir::BodyFn& on_body,
+                               std::vector<std::uint8_t>* envelope) {
+  return Count(dir_.Load(ArtifactKind::kNative, file_name, key_text, on_body, envelope),
+               &StoreStats::native_hits, &StoreStats::native_misses);
 }
 
-bool ArtifactStore::LoadNativeBytes(const kcc::ModuleCacheKey& key,
-                                    std::vector<std::uint8_t>* out) {
-  return LoadNativeAt(PathForNative(key), key.CanonicalText(), out);
-}
-
-bool ArtifactStore::LoadNativeBytesNamed(const std::string& file_name,
-                                         const std::string& key_text,
-                                         std::vector<std::uint8_t>* out) {
-  return LoadNativeAt(dir_ + "/" + file_name, key_text, out);
-}
-
-bool ArtifactStore::LoadNativeAt(const std::string& path, const std::string& key_text,
-                                 std::vector<std::uint8_t>* out) {
-  std::vector<std::uint8_t> bytes;
-  if (!ReadFileBytes(path, &bytes)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.native_misses;
-    return false;
-  }
-  try {
-    std::string stored_key;
-    kcc::DeserializeNative(bytes, &stored_key);  // checksum, version, layout
-    if (stored_key != key_text) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.collisions;
-      ++stats_.native_misses;
-      KSPEC_LOG_WARN << "artifact store: " << path
-                     << " belongs to a different key (hash collision) — treating as miss";
-      return false;
-    }
-  } catch (const SerializeError& e) {
-    KSPEC_LOG_WARN << "artifact store: quarantining unreadable native artifact " << path
-                   << " (" << e.what() << ")";
-    Quarantine(path);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.native_misses;
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.native_hits;
-  }
-  *out = std::move(bytes);
-  return true;
-}
-
-bool ArtifactStore::PublishNativeBytes(const kcc::ModuleCacheKey& key,
-                                       std::span<const std::uint8_t> bytes) {
-  return PublishNativeAt(PathForNative(key), key.CanonicalText(), bytes);
-}
-
-bool ArtifactStore::PublishNativeBytesNamed(const std::string& file_name,
-                                            const std::string& key_text,
-                                            std::span<const std::uint8_t> bytes) {
-  return PublishNativeAt(dir_ + "/" + file_name, key_text, bytes);
-}
-
-bool ArtifactStore::PublishNativeAt(const std::string& path, const std::string& key_text,
-                                    std::span<const std::uint8_t> bytes) {
-  try {
-    std::string stored_key;
-    kcc::DeserializeNative(bytes, &stored_key);
-    if (stored_key != key_text) {
-      KSPEC_LOG_WARN << "artifact store: refusing to publish native bytes keyed differently "
-                        "than "
-                     << path;
-      return false;
-    }
-  } catch (const SerializeError& e) {
-    KSPEC_LOG_WARN << "artifact store: refusing to publish malformed native artifact ("
-                   << e.what() << ")";
-    return false;
-  }
-  if (!WriteFileAtomic(path, bytes)) {
-    KSPEC_LOG_WARN << "artifact store: failed to publish " << path << " — continuing";
-    return false;
-  }
+bool ArtifactStore::PublishNative(const std::string& file_name, const std::string& key_text,
+                                  std::span<const std::uint8_t> envelope) {
+  if (!dir_.Publish(ArtifactKind::kNative, file_name, key_text, envelope)) return false;
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.native_publishes;
   return true;
 }
 
-bool ArtifactStore::ContainsNative(const kcc::ModuleCacheKey& key) const {
-  std::error_code ec;
-  return std::filesystem::exists(PathForNative(key), ec);
-}
-
-bool ArtifactStore::ContainsNativeNamed(const std::string& file_name) const {
-  std::error_code ec;
-  return std::filesystem::exists(dir_ + "/" + file_name, ec);
+bool ArtifactStore::ContainsNative(const std::string& file_name) const {
+  return dir_.Contains(file_name);
 }
 
 StoreStats ArtifactStore::stats() const {

@@ -1,15 +1,15 @@
 // Content-addressed shared artifact store.
 //
 // One directory holding the compiled specializations of every process on the
-// machine: file name = hash of the canonical ModuleCacheKey ("k%016llx.kmod",
-// the exact layout Context::set_cache_dir uses, so a plain Context pointed at
-// the store directory gets the same artifacts with zero glue), contents = the
-// self-validating kcc::Serialize envelope. Publishing goes through
-// WriteFileAtomic (unique temp + fsync + rename), so concurrent publishers of
-// the same key are safe — the last complete rename wins and readers only ever
-// observe whole artifacts. Corrupt entries (torn writes from crashed
-// publishers, checksum mismatches, format-version bumps) are quarantined:
-// renamed aside so the next publish replaces them, never served, never fatal.
+// machine: a kcc::ArtifactDir, the same envelope directory a Context's
+// cache_dir and a NativeEngine's cache_dir are, counted for a fleet report.
+// Module artifacts are named "k%016llx.kmod" by key hash — the exact layout
+// Context::set_cache_dir uses, so a plain Context (or NativeEngine) pointed at
+// the store directory gets the same artifacts with zero glue. Publishing is
+// validated and atomic, so concurrent publishers of the same key are safe and
+// readers only ever observe whole artifacts. Corrupt entries are quarantined
+// as "<name>.bad.<pid>.<n>" (never served, never fatal); hash-colliding
+// entries are a counted miss left in place.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "kcc/artifact_dir.hpp"
 #include "kcc/cache_key.hpp"
 #include "kcc/compiler.hpp"
 
@@ -42,16 +43,15 @@ class ArtifactStore {
   // Creates `dir` if absent; throws kspec::Error if that fails.
   explicit ArtifactStore(std::string dir);
 
-  const std::string& dir() const { return dir_; }
+  const std::string& dir() const { return dir_.path(); }
   std::string PathFor(const kcc::ModuleCacheKey& key) const;
 
   // Validated artifact bytes for `key` into *out. False on miss — including
   // corrupt entries (quarantined, counted) and hash-colliding entries (left
-  // in place for their own key... which is this file name, so the next
-  // publish of `key` overwrites them; counted).
+  // in place; the next publish of `key` overwrites them; counted).
   bool LoadBytes(const kcc::ModuleCacheKey& key, std::vector<std::uint8_t>* out);
 
-  // LoadBytes + deserialize; nullptr on miss.
+  // The deserialized module for `key`; nullptr on miss.
   std::shared_ptr<const kcc::CompiledModule> Load(const kcc::ModuleCacheKey& key);
 
   // Serializes and publishes atomically. False on I/O failure (the store is
@@ -68,37 +68,25 @@ class ArtifactStore {
   bool Contains(const kcc::ModuleCacheKey& key) const;
 
   // ---- native-tier artifacts (.nso) ----
-  // Same directory, same hash-derived stem, `.nso` extension: the envelope is
-  // kcc::SerializeNative (a host shared object instead of a module), with the
-  // identical corrupt-quarantine / collision policy as the .kmod methods.
-  std::string PathForNative(const kcc::ModuleCacheKey& key) const;
-  bool LoadNativeBytes(const kcc::ModuleCacheKey& key, std::vector<std::uint8_t>* out);
-  bool PublishNativeBytes(const kcc::ModuleCacheKey& key, std::span<const std::uint8_t> bytes);
-  bool ContainsNative(const kcc::ModuleCacheKey& key) const;
-
-  // ---- named native artifacts (shape-specialized variants) ----
-  // Same envelope, validation, and quarantine policy, but the caller names
-  // the file (e.g. "k<hash>_s<hash>.nso") and supplies the expected embedded
-  // key text (module canonical text + "\n" + shape canonical text), because
-  // the artifact identity is wider than one ModuleCacheKey.
-  bool LoadNativeBytesNamed(const std::string& file_name, const std::string& key_text,
-                            std::vector<std::uint8_t>* out);
-  bool PublishNativeBytesNamed(const std::string& file_name, const std::string& key_text,
-                               std::span<const std::uint8_t> bytes);
-  bool ContainsNativeNamed(const std::string& file_name) const;
+  // The caller names the file and supplies the embedded key text, because a
+  // native artifact's identity may be wider than one ModuleCacheKey (shape
+  // variants). LoadNative runs `on_body` on a hit and hands over the envelope
+  // when `envelope` is non-null.
+  bool LoadNative(const std::string& file_name, const std::string& key_text,
+                  const kcc::ArtifactDir::BodyFn& on_body,
+                  std::vector<std::uint8_t>* envelope = nullptr);
+  bool PublishNative(const std::string& file_name, const std::string& key_text,
+                     std::span<const std::uint8_t> envelope);
+  bool ContainsNative(const std::string& file_name) const;
 
   StoreStats stats() const;
 
  private:
-  bool LoadNativeAt(const std::string& path, const std::string& key_text,
-                    std::vector<std::uint8_t>* out);
-  bool PublishNativeAt(const std::string& path, const std::string& key_text,
-                       std::span<const std::uint8_t> bytes);
-  // Renames a bad entry aside so it is never read again and the next publish
-  // lands cleanly. Best-effort; falls back to unlink.
-  void Quarantine(const std::string& path);
+  // Tallies one load into the module or native counters.
+  bool Count(kcc::LoadResult r, std::uint64_t StoreStats::*hits,
+             std::uint64_t StoreStats::*misses);
 
-  std::string dir_;
+  kcc::ArtifactDir dir_;
   mutable std::mutex mu_;  // guards stats_
   StoreStats stats_;
 };

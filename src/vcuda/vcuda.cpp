@@ -2,9 +2,8 @@
 
 #include <filesystem>
 
-#include "kcc/serialize.hpp"
+#include "kcc/artifact_dir.hpp"
 #include "support/log.hpp"
-#include "support/serialize.hpp"
 #include "support/status.hpp"
 #include "support/str.hpp"
 
@@ -128,42 +127,6 @@ CacheStats Context::cache_stats() const {
   return stats;
 }
 
-std::shared_ptr<const kcc::CompiledModule> Context::TryLoadFromDisk(
-    const std::string& dir, const kcc::ModuleCacheKey& key) {
-  std::string path = dir + "/" + key.FileName();
-  std::vector<std::uint8_t> bytes;
-  if (!ReadFileBytes(path, &bytes)) return nullptr;  // no artifact: plain miss
-  try {
-    std::string stored_key;
-    auto mod = std::make_shared<const kcc::CompiledModule>(kcc::Deserialize(bytes, &stored_key));
-    if (stored_key != key.CanonicalText()) {
-      // The artifact's hash-derived file name matched but its full key does
-      // not: an on-disk collision. Recompile (and overwrite it) rather than
-      // serve the wrong specialization.
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      ++cache_stats_.collisions_detected;
-      KSPEC_LOG_WARN << "specialization cache: disk artifact " << path
-                     << " belongs to a different key (hash collision) — recompiling";
-      return nullptr;
-    }
-    return mod;
-  } catch (const SerializeError& e) {
-    KSPEC_LOG_WARN << "specialization cache: discarding unreadable artifact " << path << " ("
-                   << e.what() << ") — recompiling";
-    return nullptr;
-  }
-}
-
-void Context::StoreToDisk(const std::string& dir, const kcc::ModuleCacheKey& key,
-                          const kcc::CompiledModule& mod) {
-  std::string path = dir + "/" + key.FileName();
-  std::vector<std::uint8_t> bytes = kcc::Serialize(mod, key.CanonicalText());
-  if (!WriteFileAtomic(path, bytes)) {
-    KSPEC_LOG_WARN << "specialization cache: failed to write " << path
-                   << " — continuing without persistence for this module";
-  }
-}
-
 std::shared_ptr<Module> Context::LoadModule(const std::string& source,
                                             const kcc::CompileOptions& opts) {
   auto key = std::make_shared<const kcc::ModuleCacheKey>(
@@ -181,10 +144,20 @@ std::shared_ptr<Module> Context::LoadModule(const std::string& source,
     dir = cache_dir_;
   }
 
-  // Disk tier (outside the lock: file I/O + deserialization).
+  // Disk tier (outside the lock: file I/O + deserialization). A corrupt
+  // artifact is quarantined and a colliding one left in place; both recompile.
+  const kcc::ArtifactDir disk(dir);
   if (!dir.empty()) {
-    if (auto from_disk = TryLoadFromDisk(dir, *key)) {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
+    std::shared_ptr<const kcc::CompiledModule> from_disk;
+    const kcc::LoadResult r =
+        disk.Load(kcc::ArtifactKind::kModule, key->FileName(), key->CanonicalText(),
+                  [&](std::span<const std::uint8_t> body) {
+                    from_disk = std::make_shared<const kcc::CompiledModule>(
+                        kcc::DecodeModuleBody(body));
+                  });
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    if (r == kcc::LoadResult::kCollision) ++cache_stats_.collisions_detected;
+    if (from_disk) {
       ++cache_stats_.disk_hits;
       KSPEC_LOG_DEBUG << "module disk cache hit (" << key->Describe() << ")";
       return std::make_shared<Module>(cache_.Put(hash, *key, std::move(from_disk)),
@@ -195,7 +168,10 @@ std::shared_ptr<Module> Context::LoadModule(const std::string& source,
   // Compile outside the lock so independent specializations build in
   // parallel; a lost race is resolved by Put reusing the winner's module.
   auto compiled = std::make_shared<const kcc::CompiledModule>(kcc::CompileModule(source, opts));
-  if (!dir.empty()) StoreToDisk(dir, *key, *compiled);
+  if (!dir.empty()) {
+    disk.Publish(kcc::ArtifactKind::kModule, key->FileName(), key->CanonicalText(),
+                 kcc::Serialize(*compiled, key->CanonicalText()));
+  }
   KSPEC_LOG_DEBUG << "compiled module (" << key->Describe() << ") in "
                   << compiled->compile_millis << " ms";
 

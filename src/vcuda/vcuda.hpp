@@ -255,13 +255,6 @@ class Context {
   vgpu::ExecPolicy exec_policy() const { return exec_policy_; }
 
  private:
-  // Returns the module for `key` from the disk tier, or nullptr if absent,
-  // corrupt, version-mismatched, or keyed differently (hash collision).
-  std::shared_ptr<const kcc::CompiledModule> TryLoadFromDisk(const std::string& dir,
-                                                             const kcc::ModuleCacheKey& key);
-  void StoreToDisk(const std::string& dir, const kcc::ModuleCacheKey& key,
-                   const kcc::CompiledModule& mod);
-
   vgpu::DeviceProfile device_;
   vgpu::GlobalMemory memory_;
   mutable std::mutex cache_mutex_;  // guards cache_, cache_stats_

@@ -263,6 +263,56 @@ __kernel void f(float* out, int n) {
   }
 }
 
+// The envelope bytes are an on-disk contract: cache directories and stores
+// written by earlier builds must stay hits. These goldens were recorded from
+// the two original per-kind codecs; any layout drift fails here before it
+// silently turns every warm cache cold.
+TEST(Serialize, EnvelopeBytesMatchGoldens) {
+  const std::uint8_t so[] = {0x01, 0x02, 0x03};
+  const std::vector<std::uint8_t> native_golden = {
+      'K', 'S', 'P', 'C', 'N', 'S', 'O', '1',          // magic
+      0x01, 0x00, 0x00, 0x00,                          // kNativeFormatVersion
+      0x1a, 0x82, 0x89, 0x4d, 0xab, 0xff, 0x20, 0x03,  // FNV-1a of the payload
+      0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload bytes
+      0x01, 0x00, 0x00, 0x00, 'k',                     // key text
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // shared-object bytes
+      0x01, 0x02, 0x03};
+  EXPECT_EQ(kcc::SerializeNative(so, "k"), native_golden);
+  std::string key;
+  EXPECT_EQ(kcc::DeserializeNative(native_golden, &key), std::vector<std::uint8_t>(so, so + 3));
+  EXPECT_EQ(key, "k");
+
+  kcc::CompiledModule mod;  // no kernels, compile_millis = 0
+  kcc::ConstantInfo c;
+  c.name = "c";
+  c.elem = vgpu::Type::kF32;
+  c.count = 4;
+  c.bytes = 16;
+  mod.constants.push_back(c);
+  mod.textures.push_back("tex");
+  mod.const_bytes = 16;
+  const std::vector<std::uint8_t> module_golden = {
+      'K', 'S', 'P', 'C', 'M', 'O', 'D', '1',          // magic
+      0x01, 0x00, 0x00, 0x00,                          // kModuleFormatVersion
+      0xd0, 0x4d, 0x06, 0xa4, 0x86, 0xb7, 0x43, 0x83,  // FNV-1a of the payload
+      0x3a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload bytes
+      0x01, 0x00, 0x00, 0x00, 'k',                     // key text
+      0x00, 0x00, 0x00, 0x00,                          // kernels
+      0x01, 0x00, 0x00, 0x00,                          // constants
+      0x01, 0x00, 0x00, 0x00, 'c', 0x05,               //   name, elem
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //   count
+      0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00,  //   offset, bytes
+      0x01, 0x00, 0x00, 0x00,                          // textures
+      0x03, 0x00, 0x00, 0x00, 't', 'e', 'x',           //   name
+      0x10, 0x00, 0x00, 0x00,                          // const_bytes
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00}; // compile_millis
+  EXPECT_EQ(kcc::Serialize(mod, "k"), module_golden);
+  kcc::CompiledModule back = kcc::Deserialize(module_golden, &key);
+  EXPECT_EQ(key, "k");
+  EXPECT_EQ(back.textures, mod.textures);
+  EXPECT_EQ(back.const_bytes, 16u);
+}
+
 // Acceptance: a second Context pointed at the same cache_dir loads from disk
 // without compiling, and the deserialized module launches identically.
 TEST(DiskCache, SecondContextGetsDiskHit) {

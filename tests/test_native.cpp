@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -380,7 +381,12 @@ TEST(NativeTier, CorruptArtifactDegradesThenRebuilds) {
   EXPECT_EQ(es.corrupt_quarantined, 1u);
   EXPECT_EQ(es.builds_started, 0u);
   EXPECT_FALSE(fs::exists(artifact)) << "corrupt artifact must be renamed aside";
-  EXPECT_TRUE(fs::exists(artifact.string() + ".bad"));
+  const std::string aside = artifact.filename().string() + ".bad.";
+  EXPECT_TRUE(std::any_of(fs::directory_iterator(cache.dir), fs::directory_iterator(),
+                          [&](const fs::directory_entry& e) {
+                            return e.path().filename().string().starts_with(aside);
+                          }))
+      << "expected the quarantined <name>.bad.<pid>.<n> beside " << artifact;
 
   // A forced native launch may build, and the rebuild replaces the artifact.
   LaunchOutcome forced = RunReduce(ctx, *mod, ExecutionTier::kNative);
@@ -486,41 +492,87 @@ TEST(NativeTier, KeylessModuleDegrades) {
 
 TEST(NativeTier, ArtifactStoreRoundTripWithWriteThrough) {
   SKIP_WITHOUT_TOOLCHAIN();
+  // kAuto leaves the shape variant unbuilt; kEager also sends it through the
+  // store's named-variant path.
+  for (const vgpu::ShapeMode mode : {vgpu::ShapeMode::kAuto, vgpu::ShapeMode::kEager}) {
+    SCOPED_TRACE(mode == vgpu::ShapeMode::kEager ? "eager" : "auto");
+    const bool eager = mode == vgpu::ShapeMode::kEager;
+    ShapeGuard g(mode);
+    TempCacheDir store_dir("_store");
+    TempCacheDir disk1("_disk1");
+    TempCacheDir disk2("_disk2");
+    netd::ArtifactStore store(store_dir.str());
+    kcc::ModuleCacheKey key;
+    {
+      native::NativeEngine::Options nopts;
+      nopts.cache_dir = disk1.str();
+      nopts.store = &store;
+      native::NativeEngine engine(nopts);
+      vcuda::Context ctx(vgpu::TeslaC1060());
+      ctx.set_native_service(&engine);
+      auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+      key = kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name);
+      ASSERT_TRUE(engine.EnsureReady(key, mod->compiled()));
+      if (eager) EXPECT_TRUE(RunReduce(ctx, *mod, ExecutionTier::kNative).exec.native_shape);
+      EXPECT_EQ(store.stats().native_publishes, eager ? 2u : 1u);
+      EXPECT_TRUE(store.ContainsNative(native::NativeEngine::ArtifactFileName(key)));
+    }
+    // Engine 2 has a cold private disk cache but shares the store: the
+    // artifacts come from the store and are written through to the local
+    // disk tier.
+    native::NativeEngine::Options nopts;
+    nopts.cache_dir = disk2.str();
+    nopts.store = &store;
+    native::NativeEngine engine2(nopts);
+    vcuda::Context ctx(vgpu::TeslaC1060());
+    ctx.set_native_service(&engine2);
+    auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+    LaunchOutcome r = RunReduce(ctx, *mod, ExecutionTier::kNative);
+    EXPECT_EQ(r.exec.served, ExecutionTier::kNative);
+    EXPECT_EQ(r.exec.native_shape, eager);
+    native::NativeEngineStats es = engine2.stats();
+    EXPECT_EQ(es.store_hits, 1u);
+    EXPECT_EQ(es.disk_hits, 0u);
+    EXPECT_EQ(es.builds_started, 0u);
+    EXPECT_EQ(es.shape_store_hits, eager ? 1u : 0u);
+    EXPECT_EQ(es.shape_builds_started, 0u);
+    EXPECT_EQ(store.stats().native_hits, eager ? 2u : 1u);
+    EXPECT_TRUE(fs::exists(disk2.dir / native::NativeEngine::ArtifactFileName(key)));
+    native::ShapeSpec shape;
+    shape.block_x = 64;
+    shape.grid_x = 4;
+    EXPECT_EQ(fs::exists(disk2.dir / native::NativeEngine::VariantFileName(key, shape)), eager);
+  }
+}
+
+// The store directory is a plain cache_dir: an engine pointed at it serves a
+// store-published .nso as a disk hit with zero builds.
+TEST(NativeTier, EngineCacheDirReadsTheStore) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  ShapeGuard g(vgpu::ShapeMode::kOff);
   TempCacheDir store_dir("_store");
-  TempCacheDir disk1("_disk1");
-  TempCacheDir disk2("_disk2");
   netd::ArtifactStore store(store_dir.str());
-  kcc::ModuleCacheKey key;
   {
     native::NativeEngine::Options nopts;
-    nopts.cache_dir = disk1.str();
     nopts.store = &store;
     native::NativeEngine engine(nopts);
     vcuda::Context ctx(vgpu::TeslaC1060());
-    ctx.set_native_service(&engine);
     auto mod = ctx.LoadModule(kKernel, OptsFor(3));
-    key = kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name);
-    ASSERT_TRUE(engine.EnsureReady(key, mod->compiled()));
-    EXPECT_EQ(store.stats().native_publishes, 1u);
-    EXPECT_TRUE(store.ContainsNative(key));
+    ASSERT_TRUE(engine.EnsureReady(
+        kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name), mod->compiled()));
+    ASSERT_EQ(store.stats().native_publishes, 1u);
   }
-  // Engine 2 has a cold private disk cache but shares the store: the artifact
-  // comes from the store and is written through to the local disk tier.
   native::NativeEngine::Options nopts;
-  nopts.cache_dir = disk2.str();
-  nopts.store = &store;
+  nopts.cache_dir = store.dir();
   native::NativeEngine engine2(nopts);
   vcuda::Context ctx(vgpu::TeslaC1060());
   ctx.set_native_service(&engine2);
   auto mod = ctx.LoadModule(kKernel, OptsFor(3));
   LaunchOutcome r = RunReduce(ctx, *mod, ExecutionTier::kNative);
   EXPECT_EQ(r.exec.served, ExecutionTier::kNative);
-  native::NativeEngineStats es = engine2.stats();
-  EXPECT_EQ(es.store_hits, 1u);
-  EXPECT_EQ(es.disk_hits, 0u);
+  const native::NativeEngineStats es = engine2.stats();
+  EXPECT_EQ(es.disk_hits, 1u);
   EXPECT_EQ(es.builds_started, 0u);
-  EXPECT_EQ(store.stats().native_hits, 1u);
-  EXPECT_TRUE(fs::exists(disk2.dir / native::NativeEngine::ArtifactFileName(key)));
 }
 
 TEST(NativeTier, BuildExecutorPromotesInBackground) {

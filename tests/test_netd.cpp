@@ -266,6 +266,25 @@ TEST(NetdArtifactStore, PublishThenLoadRoundTrips) {
   EXPECT_EQ(s.collisions, 0u);
 }
 
+// The store directory is a plain cache_dir: a Context pointed at it reads a
+// store-published module as a disk hit, with no glue and no compile.
+TEST(NetdArtifactStore, ContextCacheDirReadsTheStore) {
+  ScratchDir scratch;
+  ArtifactStore store(scratch.File("store"));
+  {
+    vcuda::Context publisher(vgpu::TeslaC1060());
+    auto mod = publisher.LoadModule(kKernel, OptsFor(7));
+    ASSERT_TRUE(store.Publish(KeyFor(OptsFor(7)), mod->compiled()));
+  }
+  vcuda::Context reader(vgpu::TeslaC1060());
+  reader.set_cache_dir(store.dir());
+  auto mod = reader.LoadModule(kKernel, OptsFor(7));
+  ASSERT_NE(mod, nullptr);
+  const vcuda::CacheStats cs = reader.cache_stats();
+  EXPECT_EQ(cs.disk_hits, 1u);
+  EXPECT_EQ(cs.misses, 0u);
+}
+
 TEST(NetdArtifactStore, TornWriteIsQuarantinedAndRepublishable) {
   ScratchDir scratch;
   ArtifactStore store(scratch.File("store"));

@@ -20,7 +20,7 @@
 #include "kcc/cache_key.hpp"
 #include "kcc/compiler.hpp"
 #include "kcc/preprocess.hpp"
-#include "kcc/serialize.hpp"
+#include "kcc/artifact_dir.hpp"
 #include "native/build.hpp"
 #include "native/build_executor.hpp"
 #include "native/engine.hpp"
@@ -427,31 +427,21 @@ int main(int argc, char** argv) {
     bool disk_hit = false;
     std::string artifact;
     if (!cache_dir.empty()) {
+      // The same envelope directory a Context's cache_dir is: a corrupt
+      // artifact is quarantined and a colliding one left in place.
       kcc::ModuleCacheKey key = kcc::ModuleCacheKey::Make(source, opts, dev.name);
-      artifact = cache_dir + "/" + key.FileName();
-      std::vector<std::uint8_t> bytes;
-      if (ReadFileBytes(artifact, &bytes)) {
-        try {
-          std::string stored_key;
-          kcc::CompiledModule cached = kcc::Deserialize(bytes, &stored_key);
-          if (stored_key == key.CanonicalText()) {
-            mod = std::move(cached);
-            disk_hit = true;
-          } else {
-            std::cerr << "kccc: cache artifact " << artifact
-                      << " belongs to a different key (hash collision); recompiling\n";
-          }
-        } catch (const SerializeError& e) {
-          std::cerr << "kccc: discarding unreadable cache artifact " << artifact << " ("
-                    << e.what() << "); recompiling\n";
-        }
-      }
+      std::error_code ec;
+      std::filesystem::create_directories(cache_dir, ec);
+      const kcc::ArtifactDir disk(cache_dir);
+      artifact = disk.PathFor(key.FileName());
+      disk_hit = disk.Load(kcc::ArtifactKind::kModule, key.FileName(), key.CanonicalText(),
+                           [&](std::span<const std::uint8_t> body) {
+                             mod = kcc::DecodeModuleBody(body);
+                           }) == kcc::LoadResult::kHit;
       if (!disk_hit) {
         mod = kcc::CompileModule(source, opts);
-        std::error_code ec;
-        std::filesystem::create_directories(cache_dir, ec);
-        std::vector<std::uint8_t> out = kcc::Serialize(mod, key.CanonicalText());
-        if (ec || !WriteFileAtomic(artifact, out)) {
+        if (ec || !disk.Publish(kcc::ArtifactKind::kModule, key.FileName(), key.CanonicalText(),
+                                kcc::Serialize(mod, key.CanonicalText()))) {
           std::cerr << "kccc: warning: could not store cache artifact " << artifact << "\n";
           artifact.clear();
         }
