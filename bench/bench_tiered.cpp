@@ -4,9 +4,10 @@
 //   RE only   — compile the adaptable build once, never specialize
 //   SK always — specialize up front
 //   tiered    — serve RE while cold, promote to SK at the hot threshold
-// Plus the non-blocking variant: a StageRunner in kAsyncPromote policy runs
-// the PIV app repeatedly while a CompileExecutor builds the specialization in
-// the background — the promotion stats advance without any launch stalling.
+// Plus the non-blocking variant: a StageRunner in kTiered policy, on a
+// context with a CompileExecutor attached, runs the PIV app repeatedly while
+// the executor builds the specialization in the background — the promotion
+// stats advance without any launch stalling.
 #include <iostream>
 
 #include "apps/piv/gpu.hpp"
@@ -112,13 +113,12 @@ int main(int argc, char** argv) {
                "mid-range (it buys both builds) without knowing the launch count in advance.\n";
 
   // ---- non-blocking promotion through the shared launch layer ----
-  bench::Banner("PR 2-3 stack", "StageRunner kAsyncPromote: RE serves while SK compiles");
+  bench::Banner("serving stack", "StageRunner kTiered + executor: RE serves while SK compiles");
   {
     serve::CompileExecutor executor({.workers = 1, .max_queue = 16});
     vcuda::Context ctx(vgpu::TeslaC1060());
     ctx.set_async_service(&executor);
-    launch::StageRunner runner(
-        ctx, {.policy = launch::LoadPolicy::kAsyncPromote, .hot_threshold = 2});
+    launch::StageRunner runner(ctx, {.policy = launch::LoadPolicy::kTiered, .hot_threshold = 2});
 
     PivConfig cfg;
     cfg.variant = Variant::kWarpSpec;  // single-source: RE fallback is valid

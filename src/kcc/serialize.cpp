@@ -1,29 +1,16 @@
 #include "kcc/serialize.hpp"
 
-#include <cstring>
-
 #include "support/serialize.hpp"
 
 namespace kspec::kcc {
 
 namespace {
 
-// The envelope header: magic, version, checksum, payload size.
-constexpr std::size_t kHeaderBytes = 28;
-constexpr std::size_t kChecksumOffset = 12;
-constexpr std::size_t kPayloadSizeOffset = 20;
-
-struct KindInfo {
-  char magic[8];
-  std::uint32_t version;
-  const char* name;
-};
-
-const KindInfo& Info(ArtifactKind kind) {
-  static constexpr KindInfo kModule = {{'K', 'S', 'P', 'C', 'M', 'O', 'D', '1'},
-                                       kModuleFormatVersion, "module"};
-  static constexpr KindInfo kNative = {{'K', 'S', 'P', 'C', 'N', 'S', 'O', '1'},
-                                       kNativeFormatVersion, "native"};
+const EnvelopeFormat& FormatOf(ArtifactKind kind) {
+  static constexpr EnvelopeFormat kModule = {{'K', 'S', 'P', 'C', 'M', 'O', 'D', '1'},
+                                             kModuleFormatVersion, "module"};
+  static constexpr EnvelopeFormat kNative = {{'K', 'S', 'P', 'C', 'N', 'S', 'O', '1'},
+                                             kNativeFormatVersion, "native"};
   return kind == ArtifactKind::kModule ? kModule : kNative;
 }
 
@@ -134,44 +121,15 @@ vgpu::CompiledKernel GetKernel(ByteReader& r) {
 
 std::vector<std::uint8_t> SealEnvelope(ArtifactKind kind, const std::string& key_text,
                                        std::span<const std::uint8_t> body) {
-  const KindInfo& info = Info(kind);
-  ByteWriter out;
-  out.Raw(info.magic, sizeof(info.magic));
-  out.U32(info.version);
-  out.U64(0);  // checksum, patched below
-  out.U64(0);  // payload size, patched below
-  out.Str(key_text);
-  out.Raw(body.data(), body.size());
-  const std::size_t payload = out.size() - kHeaderBytes;
-  out.PatchU64(kChecksumOffset, Fnv1aBytes(out.bytes().data() + kHeaderBytes, payload));
-  out.PatchU64(kPayloadSizeOffset, payload);
-  return out.Take();
+  ByteWriter payload;
+  payload.Str(key_text);
+  payload.Raw(body.data(), body.size());
+  return kspec::SealEnvelope(FormatOf(kind), payload.bytes());
 }
 
 std::span<const std::uint8_t> OpenEnvelope(ArtifactKind kind, std::span<const std::uint8_t> bytes,
                                            std::string* key_text) {
-  const KindInfo& info = Info(kind);
-  if (bytes.size() < kHeaderBytes) throw SerializeError("artifact shorter than header");
-  if (std::memcmp(bytes.data(), info.magic, sizeof(info.magic)) != 0) {
-    throw SerializeError(std::string("bad magic: not a kspec ") + info.name + " artifact");
-  }
-  ByteReader header(bytes.subspan(sizeof(info.magic)));
-  const std::uint32_t version = header.U32();
-  if (version != info.version) {
-    throw SerializeError(std::string(info.name) + " format version " + std::to_string(version) +
-                         " != expected " + std::to_string(info.version));
-  }
-  const std::uint64_t checksum = header.U64();
-  const std::uint64_t payload_size = header.U64();
-  if (payload_size != header.remaining()) {
-    throw SerializeError("payload size mismatch: header says " + std::to_string(payload_size) +
-                         ", file has " + std::to_string(header.remaining()));
-  }
-  const std::span<const std::uint8_t> payload = header.Rest();
-  if (Fnv1aBytes(payload.data(), payload.size()) != checksum) {
-    throw SerializeError("content checksum mismatch (corrupt artifact)");
-  }
-  ByteReader r(payload);
+  ByteReader r(kspec::OpenEnvelope(FormatOf(kind), bytes));
   std::string stored_key = r.Str();
   if (key_text) *key_text = std::move(stored_key);
   return r.Rest();

@@ -6,7 +6,7 @@
 // written to disk once and any later Context pointed at the same cache_dir
 // loads it back at shared-object-load speed.
 //
-// Envelope layout (all integers little-endian), identical for every kind:
+// The envelope is support's (support/serialize.hpp, little-endian):
 //   [0..7]   magic: "KSPCMOD1" (.kmod module) or "KSPCNSO1" (.nso native)
 //   [8..11]  u32 format version (kModuleFormatVersion / kNativeFormatVersion)
 //   [12..19] u64 FNV-1a checksum of the payload bytes

@@ -12,13 +12,7 @@ const StageRecord* LaunchBreakdown::Stage(const std::string& name) const {
 }
 
 StageRunner::StageRunner(vcuda::Context& ctx, RunnerOptions opts)
-    : ctx_(&ctx), opts_(opts) {
-  if (opts_.policy == LoadPolicy::kAsyncPromote) {
-    KSPEC_CHECK_MSG(ctx_->async_service() != nullptr,
-                    "kAsyncPromote requires an AsyncCompileService attached to the context "
-                    "(Context::set_async_service)");
-  }
-}
+    : ctx_(&ctx), opts_(opts) {}
 
 StageRecord& StageRunner::StageFor(const std::string& name) {
   for (StageRecord& s : breakdown_.stages) {

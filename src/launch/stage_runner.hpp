@@ -10,9 +10,7 @@
 //   kTiered        — TieredLoader per source: the run-time-evaluated build
 //                    serves cold parameter sets, specialization happens at
 //                    the hot threshold (blocking, or in the background when
-//                    the Context has an AsyncCompileService attached);
-//   kAsyncPromote  — kTiered, but requires the async service so promotion is
-//                    guaranteed non-blocking (the PR 2-3 serving stack).
+//                    the Context has an AsyncCompileService attached).
 //
 // Per-stage records accumulate into a LaunchBreakdown (compile / transfer /
 // sim millis plus per-stage reg counts) that every app's result struct now
@@ -73,7 +71,6 @@ struct LaunchBreakdown {
 enum class LoadPolicy {
   kInline,
   kTiered,
-  kAsyncPromote,
 };
 
 struct RunnerOptions {

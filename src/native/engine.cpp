@@ -155,14 +155,13 @@ struct NativeEngine::Slot {
   enum State {
     kUnknown,   // never probed (or an evicted variant; its disk artifact may remain)
     kMissing,   // probed load-only: nothing servable yet, a build may fix it
-    kBuilding,  // one thread (a launch or the promoter) owns the ladder
+    kBuilding,  // one thread (a launch or a promotion task) owns the ladder
     kReady,
     kFailed,    // build failed; sticky for the life of the process
   } state = kUnknown;
   std::shared_ptr<LoadedModule> loaded;
   std::uint64_t heat = 0;       // lookups observed (drives kAuto promotion)
   std::uint64_t last_used = 0;  // LRU tick of the last serve
-  bool promote_queued = false;  // a background promotion is queued/running
 };
 
 struct NativeEngine::Entry {
@@ -175,12 +174,6 @@ struct NativeEngine::Entry {
   std::map<std::string, Slot> variants;
 };
 
-struct NativeEngine::PromoteJob {
-  kcc::ModuleCacheKey key;
-  std::shared_ptr<const kcc::CompiledModule> mod;
-  ShapeSpec shape;
-};
-
 NativeEngine::NativeEngine() : NativeEngine(Options{}) {}
 
 NativeEngine::NativeEngine(Options opts)
@@ -189,12 +182,10 @@ NativeEngine::NativeEngine(Options opts)
 }
 
 NativeEngine::~NativeEngine() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    promo_shutdown_ = true;
-  }
-  promo_cv_.notify_all();
-  if (promoter_.joinable()) promoter_.join();
+  // Waits for the promotion already running; queued ones see closing_ and
+  // return at once, so teardown never pays for builds nobody will serve.
+  closing_ = true;
+  shape_builds_.reset();
 }
 
 std::string NativeEngine::ArtifactFileName(const kcc::ModuleCacheKey& key) {
@@ -328,18 +319,19 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuild(
         continue;
       case Slot::kMissing:
         if (may_build) break;
-        // The load-only ladder already came up empty. Queue a background
-        // promotion once a variant is hot; the generic TU serves this launch.
-        if (shape && mod && !slot.promote_queued && slot.heat >= opts_.shape_hot_threshold &&
-            ToolchainAvailable()) {
-          slot.promote_queued = true;
+        // The load-only ladder already came up empty. Once a variant is hot,
+        // submit its background promotion (a repeat submit coalesces onto the
+        // queued or running task); the generic TU serves this launch.
+        if (shape && mod && slot.heat >= opts_.shape_hot_threshold && ToolchainAvailable()) {
           lk.unlock();
           std::lock_guard<std::mutex> plk(mu_);
-          if (!promo_shutdown_) {
-            if (!promoter_.joinable()) promoter_ = std::thread(&NativeEngine::PromoterMain, this);
-            promo_queue_.push_back(PromoteJob{key, mod, *shape});
-            promo_cv_.notify_all();
+          if (!shape_builds_) {
+            shape_builds_ = std::make_unique<serve::CompileExecutor>(
+                serve::ExecutorOptions{.workers = 1});
           }
+          shape_builds_->SubmitTask(VariantKeyText(key, *shape), [this, key, mod, s = *shape] {
+            if (!closing_) LoadOrBuild(key, mod, &s, /*may_build=*/true);
+          });
         }
         return nullptr;
       case Slot::kUnknown:
@@ -361,7 +353,6 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuild(
   // the SO once the last in-flight launch using it drops its reference.
   std::vector<std::shared_ptr<LoadedModule>> evicted;
   lk.lock();
-  slot.promote_queued = false;
   if (!lm) {
     // A failed *build* is sticky; a fruitless load-only probe is retriable
     // once somebody may build.
@@ -471,25 +462,13 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::FetchOrBuild(
   return lm;
 }
 
-void NativeEngine::PromoterMain() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    promo_cv_.wait(lk, [&] { return promo_shutdown_ || !promo_queue_.empty(); });
-    if (promo_shutdown_) return;
-    PromoteJob job = std::move(promo_queue_.front());
-    promo_queue_.pop_front();
-    ++promo_inflight_;
-    lk.unlock();
-    LoadOrBuild(job.key, job.mod, &job.shape, /*may_build=*/true);
-    lk.lock();
-    --promo_inflight_;
-    promo_cv_.notify_all();
-  }
-}
-
 void NativeEngine::DrainShapeBuilds() {
-  std::unique_lock<std::mutex> lk(mu_);
-  promo_cv_.wait(lk, [&] { return promo_queue_.empty() && promo_inflight_ == 0; });
+  serve::CompileExecutor* builds;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    builds = shape_builds_.get();
+  }
+  if (builds) builds->Drain();
 }
 
 bool NativeEngine::TryLaunch(vcuda::Context& ctx, const vcuda::NativeLaunchRequest& req,

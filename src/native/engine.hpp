@@ -21,8 +21,8 @@
 //
 // Build policy follows NativeLaunchRequest::require: a forced native launch
 // builds inline (single-flight per key; concurrent launches wait); a kAuto
-// launch only serves what is already loadable and leaves background builds to
-// NativeBuildExecutor riding the serve pipeline.
+// launch only serves what is already loadable and leaves generic builds to
+// EnsureReady (kccc runs it as serve::CompileExecutor build tasks).
 //
 // On top of the generic artifact each module keeps a bounded set of
 // shape-specialized variants, content-addressed by (module key, launch
@@ -31,8 +31,9 @@
 // file name, embedded key text, closeability and counters differ. The
 // generic artifact always stays resident as the fallback, so a kAuto launch
 // never blocks: under ShapeMode::kAuto a (module, shape) pair that crosses
-// Options::shape_hot_threshold launches is promoted by a background builder
-// thread; under kEager the variant builds inline. Variants beyond
+// Options::shape_hot_threshold launches is promoted by a build task on a
+// one-worker serve::CompileExecutor the engine creates on first promotion;
+// under kEager the variant builds inline. Variants beyond
 // Options::max_shape_variants are LRU-evicted — and since shape TUs hold no
 // thread_local state, an evicted variant's shared object really is dlclosed
 // once its last in-flight launch completes.
@@ -45,20 +46,18 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 
 #include "kcc/artifact_dir.hpp"
 #include "native/abi.hpp"
 #include "native/shape.hpp"
+#include "serve/compile_executor.hpp"
 #include "support/temp_dir.hpp"
 #include "vcuda/native_hook.hpp"
 #include "vgpu/tier.hpp"
@@ -138,7 +137,7 @@ class NativeEngine : public vcuda::NativeExecutionService {
   bool IsVariantReady(const kcc::ModuleCacheKey& key, const ShapeSpec& shape) const;
 
   // Blocks until every background shape promotion queued so far has finished
-  // (the queue is empty and no build is in flight). Test/bench hook.
+  // (the queue is empty and no build is running). Test/bench hook.
   void DrainShapeBuilds();
 
   // Disk-tier artifact name for `key` ("k%016llx.nso").
@@ -158,14 +157,13 @@ class NativeEngine : public vcuda::NativeExecutionService {
   struct LoadedModule;
   struct Slot;
   struct Entry;
-  struct PromoteJob;
 
   // The one artifact ladder: memory -> disk -> store -> build, for the
   // generic artifact (shape == nullptr) or one shape variant. The memory
   // step is the artifact's slot state machine, single-flight: callers that
   // may build wait for a build in flight, the others never block. A kAuto
-  // variant probe that finds nothing queues a background promotion once the
-  // pair is hot. Returns the loaded SO or nullptr (degrade).
+  // variant probe that finds nothing submits a background promotion task
+  // while the pair is hot. Returns the loaded SO or nullptr (degrade).
   std::shared_ptr<LoadedModule> LoadOrBuild(const kcc::ModuleCacheKey& key,
                                             const std::shared_ptr<const kcc::CompiledModule>& mod,
                                             const ShapeSpec* shape, bool may_build);
@@ -180,7 +178,6 @@ class NativeEngine : public vcuda::NativeExecutionService {
                                                  bool* stale);
   bool SlotReady(const kcc::ModuleCacheKey& key, const ShapeSpec* shape) const;
   void Bump(std::uint64_t NativeEngineStats::*counter);
-  void PromoterMain();
 
   vgpu::LaunchStats RunNative(vcuda::Context& ctx, const LoadedModule& lm, unsigned kernel_index,
                               const vcuda::NativeLaunchRequest& req);
@@ -188,18 +185,17 @@ class NativeEngine : public vcuda::NativeExecutionService {
   Options opts_;
   std::optional<kcc::ArtifactDir> disk_;  // engaged when opts_.cache_dir is set
   ScopedTempDir scratch_;  // dlopen needs the SO image on disk
-  mutable std::mutex mu_;  // guards entries_, stats_, scratch_ naming, promoter state
+  mutable std::mutex mu_;  // guards entries_, stats_, scratch_ naming, shape_builds_
   std::map<std::string, std::shared_ptr<Entry>> entries_;  // by canonical key text
   NativeEngineStats stats_;
   std::uint64_t scratch_seq_ = 0;
   std::atomic<std::uint64_t> lru_tick_{0};  // advanced per shape-variant serve
 
-  // Background promotion of hot (module, shape) pairs (kAuto).
-  std::thread promoter_;
-  std::condition_variable promo_cv_;
-  std::deque<PromoteJob> promo_queue_;
-  unsigned promo_inflight_ = 0;
-  bool promo_shutdown_ = false;
+  // Background promotion of hot (module, shape) pairs (kAuto): one worker,
+  // created on first promotion, so kEager and kOff engines start no thread.
+  std::unique_ptr<serve::CompileExecutor> shape_builds_;
+  // Set by the destructor: queued promotion tasks return without building.
+  std::atomic<bool> closing_{false};
 };
 
 }  // namespace kspec::native

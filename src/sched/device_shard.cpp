@@ -9,8 +9,8 @@ namespace {
 
 launch::RunnerOptions ShardRunnerOptions(int hot_threshold) {
   launch::RunnerOptions opts;
-  // Tiered, not kAsyncPromote: the shard works with or without an executor
-  // attached, and promotion turns non-blocking automatically when one is.
+  // Tiered: the shard works with or without an executor attached, and
+  // promotion turns non-blocking automatically when one is.
   opts.policy = launch::LoadPolicy::kTiered;
   opts.hot_threshold = hot_threshold;
   return opts;

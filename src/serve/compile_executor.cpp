@@ -34,42 +34,63 @@ vcuda::SubmitResult CompileExecutor::Submit(vcuda::Context& ctx,
                                             const vcuda::CompileRequest& req, bool prewarm) {
   const kcc::ModuleCacheKey mkey =
       kcc::ModuleCacheKey::Make(req.source, req.opts, ctx.device().name);
+  const std::string key_id = Format("k%016llx", static_cast<unsigned long long>(mkey.Hash()));
+  auto flight = std::make_shared<Flight>();
   // Two Contexts may share one executor, and equal sources/options targeting
   // different contexts must not coalesce (each context owns its cache and its
   // Module instances), so the flight key prefixes the canonical module key
   // with the context's identity.
-  std::string key = Format("%p|", static_cast<void*>(&ctx)) + mkey.CanonicalText();
-  const std::string key_id = Format("k%016llx", static_cast<unsigned long long>(mkey.Hash()));
+  flight->key = Format("%p|", static_cast<void*>(&ctx)) + mkey.CanonicalText();
+  flight->run = [this, &ctx, req] { return ExecuteFlight(ctx, req); };
+  flight->deadline = req.deadline;
+  flight->prewarm = prewarm;
 
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.submitted;
   ++stats_.key_requests[key_id];
   ServeStats::TenantCounters& tenant = stats_.tenants[req.tenant];
   ++tenant.submitted;
-  if (auto it = in_flight_.find(key); it != in_flight_.end()) {
+  const vcuda::SubmitResult r = Admit(std::move(flight));
+  if (r.status == vcuda::SubmitStatus::kRejected) {
+    ++tenant.rejected;
+    return r;
+  }
+  if (r.status == vcuda::SubmitStatus::kCoalesced) ++tenant.coalesced;
+  if (prewarm) ++stats_.prewarmed;
+  return r;
+}
+
+vcuda::SubmitResult CompileExecutor::SubmitTask(const std::string& key,
+                                                std::function<void()> task) {
+  auto flight = std::make_shared<Flight>();
+  // Module flight keys start with the context's address, so this prefix
+  // keeps the two kinds from ever coalescing onto each other.
+  flight->key = "task|" + key;
+  flight->run = [task = std::move(task)]() -> std::shared_ptr<vcuda::Module> {
+    task();
+    return nullptr;
+  };
+  flight->task = true;
+  std::lock_guard<std::mutex> lock(mu_);
+  return Admit(std::move(flight));
+}
+
+vcuda::SubmitResult CompileExecutor::Admit(std::shared_ptr<Flight> flight) {
+  ++stats_.submitted;
+  if (auto it = in_flight_.find(flight->key); it != in_flight_.end()) {
     ++stats_.coalesced;
-    ++tenant.coalesced;
-    if (prewarm) ++stats_.prewarmed;
     // A demand request landing on a prewarm-originated flight is the prewarm
     // paying off — the telemetry the daemon's hot-key predictor is scored on.
-    if (!prewarm && it->second->prewarm) ++stats_.prewarm_hits;
+    if (!flight->prewarm && it->second->prewarm) ++stats_.prewarm_hits;
     return {vcuda::SubmitStatus::kCoalesced, it->second->future};
   }
   if (stopping_ || queue_.size() >= options_.max_queue) {
     ++stats_.rejected;
-    ++tenant.rejected;
     return {vcuda::SubmitStatus::kRejected, {}};
   }
-  auto flight = std::make_shared<Flight>();
-  flight->ctx = &ctx;
-  flight->req = req;
-  flight->key = std::move(key);
-  flight->prewarm = prewarm;
   flight->future = flight->promise.get_future().share();
   in_flight_.emplace(flight->key, flight);
   queue_.push_back(flight);
   stats_.queue_depth_high_water = std::max(stats_.queue_depth_high_water, queue_.size());
-  if (prewarm) ++stats_.prewarmed;
   work_cv_.notify_one();
   return {vcuda::SubmitStatus::kScheduled, flight->future};
 }
@@ -91,12 +112,9 @@ void CompileExecutor::Finish(const std::shared_ptr<Flight>& flight,
   ++stats_.completed;
   if (expired) {
     ++stats_.expired;
-  } else if (error) {
-    ++stats_.failed;
-    stats_.RecordCompileMillis(compile_ms);
   } else {
-    ++stats_.succeeded;
-    stats_.RecordCompileMillis(compile_ms);
+    ++(error ? stats_.failed : stats_.succeeded);
+    if (!flight->task) stats_.RecordCompileMillis(compile_ms);
   }
   --active_;
   if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
@@ -114,7 +132,8 @@ void CompileExecutor::WorkerLoop() {
       ++active_;
     }
 
-    if (flight->req.HasDeadline() && std::chrono::steady_clock::now() > flight->req.deadline) {
+    if (flight->deadline != std::chrono::steady_clock::time_point{} &&
+        std::chrono::steady_clock::now() > flight->deadline) {
       // Expired while queued: don't burn a worker on a result nobody can use
       // in time. The null module tells waiters to keep their fallback.
       Finish(flight, nullptr, nullptr, 0, /*expired=*/true);
@@ -125,10 +144,10 @@ void CompileExecutor::WorkerLoop() {
     std::shared_ptr<vcuda::Module> module;
     std::exception_ptr error;
     try {
-      module = ExecuteFlight(*flight->ctx, flight->req);
+      module = flight->run();
     } catch (...) {
       error = std::current_exception();
-      KSPEC_LOG_WARN << "serve: background compile failed for a flight — waiters will rethrow";
+      KSPEC_LOG_WARN << "serve: background flight failed — waiters will rethrow";
     }
     Finish(flight, std::move(module), error, timer.ElapsedMillis(), /*expired=*/false);
   }

@@ -17,15 +17,22 @@
 //   * Per-request deadlines: a flight still queued when its deadline passes
 //     resolves to a null module instead of burning a worker.
 //   * A ServeStats counter block, including a compile-wall-time histogram.
+//   * Build tasks (SubmitTask): any keyed background job — the native
+//     engine's shape promotions, kccc's native builds — rides the same
+//     workers, single-flight key space, bounded queue, Drain and Shutdown.
+//     A flight holds one callable; a module flight's callable is
+//     ExecuteFlight, a task's is the caller's function.
 //
 // Thread-safe throughout; Contexts attach it with set_async_service to make
 // LoadModuleAsync, TieredLoader promotion, and GPU-PF re-specialization
 // non-blocking.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -74,8 +81,16 @@ class CompileExecutor : public vcuda::AsyncCompileService {
   // rejection and retry or fall back to a blocking load.
   vcuda::SubmitResult Prewarm(vcuda::Context& ctx, const vcuda::CompileRequest& req);
 
+  // Schedules `task` on a worker under `key`: while a task of the same key
+  // is queued or running, further submits coalesce onto it (and `task` is
+  // dropped). Task keys never meet module flights. The future resolves to a
+  // null module once the task returns, or rethrows what it threw (counted
+  // `failed`). Counted in submitted/coalesced/completed/rejected like a
+  // module flight, but not in the per-tenant, per-key or compile-time tallies.
+  vcuda::SubmitResult SubmitTask(const std::string& key, std::function<void()> task);
+
   // Blocks until every flight accepted so far has completed (the queue is
-  // empty and no worker is mid-compile).
+  // empty and no worker is mid-flight).
   void Drain();
 
   // Stops accepting work (further submits are rejected), completes the
@@ -97,10 +112,13 @@ class CompileExecutor : public vcuda::AsyncCompileService {
 
  private:
   struct Flight {
-    vcuda::Context* ctx = nullptr;
-    vcuda::CompileRequest req;
     std::string key;
+    std::function<std::shared_ptr<vcuda::Module>()> run;  // the flight's work
+    // Default-constructed = none; a flight still queued past it resolves
+    // null without running.
+    std::chrono::steady_clock::time_point deadline{};
     bool prewarm = false;  // originated by Prewarm (for prewarm_hits scoring)
+    bool task = false;     // a SubmitTask flight: no compile time recorded
     std::promise<std::shared_ptr<vcuda::Module>> promise;
     vcuda::ModuleFuture future;
   };
@@ -108,9 +126,12 @@ class CompileExecutor : public vcuda::AsyncCompileService {
   // Shared body of SubmitLoad and Prewarm.
   vcuda::SubmitResult Submit(vcuda::Context& ctx, const vcuda::CompileRequest& req,
                              bool prewarm);
+  // Shared tail of every submit, under mu_: coalesces onto `flight`'s key in
+  // flight, rejects at the queue cap or after Shutdown, or queues it.
+  vcuda::SubmitResult Admit(std::shared_ptr<Flight> flight);
   void WorkerLoop();
   // Fulfills the flight's promise, then retires it from the in-flight map and
-  // updates counters. `error`/`ms` describe the compile outcome; an expired
+  // updates counters. `error`/`ms` describe the run's outcome; an expired
   // flight passes `expired`.
   void Finish(const std::shared_ptr<Flight>& flight, std::shared_ptr<vcuda::Module> module,
               std::exception_ptr error, double compile_ms, bool expired);

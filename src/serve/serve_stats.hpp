@@ -1,9 +1,10 @@
 // Counter block for the asynchronous specialization service.
 //
 // The executor's accounting obeys one invariant the concurrency tests assert:
-// every SubmitLoad call lands in exactly one of a new flight (which shows up
-// in `completed` once it finishes), `coalesced`, or `rejected` — so once the
-// executor has drained, submitted == coalesced + completed + rejected.
+// every submit (SubmitLoad, Prewarm or SubmitTask) lands in exactly one of a
+// new flight (which shows up in `completed` once it finishes), `coalesced`,
+// or `rejected` — so once the executor has drained,
+// submitted == coalesced + completed + rejected.
 //
 // The same struct serves the specialization daemon (src/netd/): per-tenant
 // and per-key tallies feed its admission control and hot-key telemetry, and
@@ -28,11 +29,11 @@ inline constexpr std::array<double, 6> kCompileMsBucketUpper = {1, 10, 50, 100, 
 inline constexpr std::size_t kCompileMsBuckets = kCompileMsBucketUpper.size() + 1;
 
 struct ServeStats {
-  std::uint64_t submitted = 0;  // every SubmitLoad call
-  std::uint64_t coalesced = 0;  // joined an in-flight compile of the same key
+  std::uint64_t submitted = 0;  // every submit call
+  std::uint64_t coalesced = 0;  // joined a same-key flight in progress
   std::uint64_t completed = 0;  // flights finished: succeeded + failed + expired
   std::uint64_t succeeded = 0;
-  std::uint64_t failed = 0;     // compile threw; waiters rethrow on get()
+  std::uint64_t failed = 0;     // compile or task threw; waiters rethrow on get()
   std::uint64_t expired = 0;    // deadline passed while queued; null result
   std::uint64_t rejected = 0;   // bounded queue full at submit time
   // Submissions that came in through Prewarm (scheduler-driven warm-up of a

@@ -40,11 +40,6 @@ void ByteWriter::Raw(const void* data, std::size_t n) {
   buf_.insert(buf_.end(), p, p + n);
 }
 
-void ByteWriter::PatchU64(std::size_t offset, std::uint64_t v) {
-  KSPEC_CHECK(offset + 8 <= buf_.size());
-  for (int i = 0; i < 8; ++i) buf_[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 void ByteReader::Need(std::size_t n) const {
   if (pos_ + n > data_.size()) {
     throw SerializeError("truncated input: need " + std::to_string(n) + " bytes at offset " +
@@ -101,6 +96,43 @@ std::uint64_t Fnv1aBytes(const void* data, std::size_t n) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+std::vector<std::uint8_t> SealEnvelope(const EnvelopeFormat& format,
+                                       std::span<const std::uint8_t> payload) {
+  ByteWriter out;
+  out.Raw(format.magic, sizeof(format.magic));
+  out.U32(format.version);
+  out.U64(Fnv1aBytes(payload.data(), payload.size()));
+  out.U64(payload.size());
+  out.Raw(payload.data(), payload.size());
+  return out.Take();
+}
+
+std::span<const std::uint8_t> OpenEnvelope(const EnvelopeFormat& format,
+                                           std::span<const std::uint8_t> bytes) {
+  constexpr std::size_t kHeaderBytes = 28;
+  if (bytes.size() < kHeaderBytes) throw SerializeError("artifact shorter than header");
+  if (std::memcmp(bytes.data(), format.magic, sizeof(format.magic)) != 0) {
+    throw SerializeError(std::string("bad magic: not a kspec ") + format.name + " artifact");
+  }
+  ByteReader header(bytes.subspan(sizeof(format.magic)));
+  const std::uint32_t version = header.U32();
+  if (version != format.version) {
+    throw SerializeError(std::string(format.name) + " format version " + std::to_string(version) +
+                         " != expected " + std::to_string(format.version));
+  }
+  const std::uint64_t checksum = header.U64();
+  const std::uint64_t payload_size = header.U64();
+  if (payload_size != header.remaining()) {
+    throw SerializeError("payload size mismatch: header says " + std::to_string(payload_size) +
+                         ", file has " + std::to_string(header.remaining()));
+  }
+  const std::span<const std::uint8_t> payload = header.Rest();
+  if (Fnv1aBytes(payload.data(), payload.size()) != checksum) {
+    throw SerializeError("content checksum mismatch (corrupt artifact)");
+  }
+  return payload;
 }
 
 bool ReadFileBytes(const std::string& path, std::vector<std::uint8_t>* out) {

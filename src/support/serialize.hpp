@@ -40,9 +40,6 @@ class ByteWriter {
   std::vector<std::uint8_t> Take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
 
-  // Overwrites 8 bytes at `offset` (for back-patching checksums/sizes).
-  void PatchU64(std::size_t offset, std::uint64_t v);
-
  private:
   std::vector<std::uint8_t> buf_;
 };
@@ -75,6 +72,30 @@ class ByteReader {
 // FNV-1a over a raw byte range (same function as Fnv1a(string_view)); used as
 // the cache artifact content checksum.
 std::uint64_t Fnv1aBytes(const void* data, std::size_t n);
+
+// The self-validating envelope every persistent artifact shares — .kmod
+// modules, .nso shared objects, the tuning cache. Layout, all integers
+// little-endian:
+//   [0..7]   magic (names the artifact kind)
+//   [8..11]  u32 format version
+//   [12..19] u64 FNV-1a checksum of the payload bytes
+//   [20..27] u64 payload byte count
+//   [28..]   payload
+struct EnvelopeFormat {
+  char magic[8];
+  std::uint32_t version;
+  const char* name;  // artifact kind, for error messages
+};
+
+// Wraps `payload` in a `format` envelope.
+std::vector<std::uint8_t> SealEnvelope(const EnvelopeFormat& format,
+                                       std::span<const std::uint8_t> payload);
+
+// Checks an envelope's magic, version, size and checksum in one pass and
+// returns its payload (a view into `bytes`). Throws SerializeError on any
+// mismatch or truncation.
+std::span<const std::uint8_t> OpenEnvelope(const EnvelopeFormat& format,
+                                           std::span<const std::uint8_t> bytes);
 
 // Reads a whole file. Returns false (without throwing) if the file does not
 // exist or cannot be read.

@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "support/single_flight.hpp"
+
 namespace kspec::tune {
 
 struct ParamRange {
@@ -164,18 +166,16 @@ class TuningCache {
   bool Flush() const;
 
  private:
-  // One in-flight LookupOrCompute search per key; waiters share the outcome.
-  struct ComputeFlight;
-
   void LoadFromDisk();
 
   std::string path_;  // empty = in-memory only
-  mutable std::mutex mu_;  // guards entries_ and flights_
+  mutable std::mutex mu_;  // guards entries_
   // Serializes Flush's read-merge-write file cycle (held without mu_, so
   // file I/O never blocks Lookup/Store).
   mutable std::mutex flush_mu_;
   std::map<std::string, Config> entries_;
-  std::map<std::string, std::shared_ptr<ComputeFlight>> flights_;
+  // One LookupOrCompute search in progress per key; racers share its outcome.
+  SingleFlight<Config> searches_;
 };
 
 }  // namespace kspec::tune

@@ -1,14 +1,13 @@
 // Persistent tier of the TuningCache.
 //
-// Artifact layout mirrors the .kmod envelope (src/kcc/serialize.cpp): magic,
-// format version, FNV-1a content checksum, payload size, then the entry map.
+// The file is the shared artifact envelope (support/serialize.hpp: magic,
+// format version, FNV-1a content checksum, payload size) around the entry map.
 // Any malformed file — truncated, corrupt, version-bumped — deserializes to
 // an empty cache with a warning rather than an error: tuned configurations
 // are always recomputable, so the cache must never be able to wedge a run.
 // Writes go through WriteFileAtomic (temp file + rename) after re-merging
 // the on-disk entries, so concurrent processes sharing one path never see a
 // torn file and a late writer does not drop an earlier writer's entries.
-#include <cstring>
 #include <utility>
 
 #include "support/log.hpp"
@@ -19,8 +18,8 @@ namespace kspec::tune {
 
 namespace {
 
-constexpr char kMagic[8] = {'K', 'S', 'P', 'C', 'T', 'U', 'N', '1'};
-constexpr std::uint32_t kTuneFormatVersion = 1;
+constexpr EnvelopeFormat kTuneFormat = {{'K', 'S', 'P', 'C', 'T', 'U', 'N', '1'}, 1,
+                                         "tuning-cache"};
 
 std::vector<std::uint8_t> SerializeEntries(const std::map<std::string, Config>& entries) {
   ByteWriter payload;
@@ -33,40 +32,12 @@ std::vector<std::uint8_t> SerializeEntries(const std::map<std::string, Config>& 
       payload.I64(value);
     }
   }
-  ByteWriter out;
-  out.Raw(kMagic, sizeof(kMagic));
-  out.U32(kTuneFormatVersion);
-  out.U64(Fnv1aBytes(payload.bytes().data(), payload.size()));
-  out.U64(payload.size());
-  out.Raw(payload.bytes().data(), payload.size());
-  return out.Take();
+  return SealEnvelope(kTuneFormat, payload.bytes());
 }
 
 // Throws SerializeError on any malformation; callers downgrade to "empty".
 std::map<std::string, Config> DeserializeEntries(std::span<const std::uint8_t> bytes) {
-  ByteReader header(bytes);
-  char magic[8];
-  if (header.remaining() < sizeof(magic)) throw SerializeError("artifact shorter than header");
-  for (char& c : magic) c = static_cast<char>(header.U8());
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw SerializeError("bad magic: not a tuning-cache artifact");
-  }
-  std::uint32_t version = header.U32();
-  if (version != kTuneFormatVersion) {
-    throw SerializeError("format version " + std::to_string(version) + " != expected " +
-                         std::to_string(kTuneFormatVersion));
-  }
-  std::uint64_t checksum = header.U64();
-  std::uint64_t payload_size = header.U64();
-  if (payload_size != header.remaining()) {
-    throw SerializeError("payload size mismatch");
-  }
-  std::span<const std::uint8_t> payload = header.Rest();
-  if (Fnv1aBytes(payload.data(), payload.size()) != checksum) {
-    throw SerializeError("content checksum mismatch (corrupt artifact)");
-  }
-
-  ByteReader r(payload);
+  ByteReader r(OpenEnvelope(kTuneFormat, bytes));
   std::map<std::string, Config> entries;
   const std::uint32_t n = r.U32();
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -99,15 +70,6 @@ std::map<std::string, Config> ReadEntries(const std::string& path, bool warn) {
 }
 
 }  // namespace
-
-// One in-flight LookupOrCompute per key: the first thread runs the search
-// inside the once_flag, everyone else blocks on the same flag and shares the
-// outcome (mirroring TieredLoader's per-key blocking latch).
-struct TuningCache::ComputeFlight {
-  std::once_flag once;
-  Config config;
-  std::exception_ptr error;
-};
 
 TuningCache::TuningCache(std::string path) : path_(std::move(path)) { LoadFromDisk(); }
 
@@ -144,31 +106,18 @@ std::size_t TuningCache::size() const {
 
 Config TuningCache::LookupOrCompute(const std::string& key,
                                     const std::function<Config()>& compute) {
-  std::shared_ptr<ComputeFlight> flight;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(key);
-    if (it != entries_.end()) return it->second;
-    auto [fit, inserted] = flights_.try_emplace(key);
-    if (inserted) fit->second = std::make_shared<ComputeFlight>();
-    flight = fit->second;
-  }
+  if (std::optional<Config> hit = Lookup(key)) return *hit;
   // The search runs outside mu_ (it launches kernels, possibly for seconds);
-  // racers on the same key wait here instead of searching again.
-  std::call_once(flight->once, [&] {
-    try {
-      flight->config = compute();
-    } catch (...) {
-      flight->error = std::current_exception();
-    }
+  // racers on the same key wait for it instead of searching again. The
+  // flight re-checks the entry (a flight that finished since the Lookup
+  // above stored it) and stores its result before the key is released, so
+  // no later caller can run the search a second time.
+  return searches_.Do(key, [&] {
+    if (std::optional<Config> hit = Lookup(key)) return *hit;
+    Config config = compute();
+    Store(key, config);
+    return config;
   });
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    flights_.erase(key);
-  }
-  if (flight->error) std::rethrow_exception(flight->error);
-  Store(key, flight->config);
-  return flight->config;
 }
 
 bool TuningCache::Flush() const {

@@ -93,35 +93,25 @@ std::shared_ptr<Module> TieredLoader::Get(const kcc::CompileOptions& specialized
     // Blocking fallback (no service attached) — the original inline
     // promotion. Compile outside the lock: LoadModule is thread-safe and
     // other parameter sets should not stall behind this one's compile. The
-    // compile itself is guarded by a per-key single-flight latch (the
-    // re_once_ idiom, per parameter set): M threads crossing the hot
-    // threshold together run exactly one compile, the other M-1 wait on the
-    // same latch and share its module instead of burning M-1 discarded
-    // builds.
-    if (!s.blocking) s.blocking = std::make_shared<BlockingFlight>();
-    std::shared_ptr<BlockingFlight> flight = s.blocking;
+    // compile is single-flight per parameter set, and the flight stores its
+    // module before the key is forgotten, so a Get arriving after the flight
+    // finds it swapped in instead of compiling again. A compile error
+    // propagates to every waiter like the original inline promotion did;
+    // heat stays above the threshold, so a later Get retries.
     lock.unlock();
-    std::call_once(flight->once, [&] {
-      try {
-        flight->module = ctx_->LoadModule(source_, specialized_opts);
-      } catch (...) {
-        flight->error = std::current_exception();
+    std::shared_ptr<Module> mod = blocking_.Do(key, [&] {
+      std::shared_ptr<Module> built = ctx_->LoadModule(source_, specialized_opts);
+      std::lock_guard<std::mutex> relock(mu_);
+      SetState& again = state_[key];
+      if (!again.specialized) {
+        again.specialized = std::move(built);
+        ++stats_.specializations;
       }
+      return again.specialized;
     });
     lock.lock();
-    SetState& again = state_[key];
-    if (again.blocking == flight) again.blocking.reset();  // latch resolved
-    if (flight->error) {
-      // Propagate like the original inline promotion did; heat stays above
-      // the threshold, so a later Get may retry with a fresh latch.
-      std::rethrow_exception(flight->error);
-    }
-    if (!again.specialized) {
-      again.specialized = flight->module;
-      ++stats_.specializations;
-    }
     ++stats_.sk_served;
-    return again.specialized;
+    return mod;
   }
 
   ++stats_.re_served;

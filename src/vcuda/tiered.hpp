@@ -21,7 +21,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -29,6 +28,7 @@
 #include <string>
 
 #include "kcc/cache_key.hpp"
+#include "support/single_flight.hpp"
 #include "vcuda/async.hpp"
 #include "vcuda/vcuda.hpp"
 
@@ -86,15 +86,6 @@ class TieredLoader {
   Stats stats() const;
 
  private:
-  // One in-flight *blocking* promotion (the no-service path): the first
-  // hot thread compiles inside the once_flag, concurrent hot threads for the
-  // same key wait on it and share the module — never duplicate the compile.
-  struct BlockingFlight {
-    std::once_flag once;
-    std::shared_ptr<Module> module;
-    std::exception_ptr error;
-  };
-
   // Per-parameter-set promotion state. `specialized` is written exactly once,
   // under mu_ — readers either see the RE build or the complete specialized
   // module, never a torn promotion.
@@ -103,7 +94,6 @@ class TieredLoader {
     bool failed = false;                  // background compile threw; stay on RE
     std::shared_ptr<Module> specialized;  // serve this once set
     ModuleFuture pending;                 // valid while a background compile runs
-    std::shared_ptr<BlockingFlight> blocking;  // in-flight blocking promotion
   };
 
   // Heat is tracked per full parameter set. The key must cover every
@@ -130,6 +120,9 @@ class TieredLoader {
   std::chrono::milliseconds promotion_deadline_{0};
   std::map<std::string, SetState> state_;
   Stats stats_;
+  // Blocking promotions in progress (the no-service path), by set key: M
+  // threads crossing the hot threshold together run one compile and share it.
+  SingleFlight<std::shared_ptr<Module>> blocking_;
 
   // The shared RE build: written exactly once inside re_once_, read only
   // after call_once returns (which synchronizes), so it needs no mutex and

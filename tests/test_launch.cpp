@@ -232,11 +232,6 @@ TEST(StageRunner, InlinePolicyAlwaysSpecialized) {
   EXPECT_TRUE(runner.IsSpecialized(kScaleKernel, spec));
 }
 
-TEST(StageRunner, AsyncPromoteRequiresAttachedService) {
-  vcuda::Context ctx(vgpu::TeslaC2070());
-  EXPECT_THROW(StageRunner(ctx, {.policy = LoadPolicy::kAsyncPromote}), Error);
-}
-
 TEST(StageRunner, TieredPolicyPromotesAtThreshold) {
   vcuda::Context ctx(vgpu::TeslaC2070());
   StageRunner runner(ctx, {.policy = LoadPolicy::kTiered, .hot_threshold = 2});
@@ -267,7 +262,7 @@ TEST(StageRunnerTiered, AppRunServesReWhileSpecializationCompiles) {
   serve::CompileExecutor executor({.workers = 1, .max_queue = 16});
   vcuda::Context ctx(vgpu::TeslaC1060());
   ctx.set_async_service(&executor);
-  StageRunner runner(ctx, {.policy = LoadPolicy::kAsyncPromote, .hot_threshold = 2});
+  StageRunner runner(ctx, {.policy = LoadPolicy::kTiered, .hot_threshold = 2});
 
   apps::piv::Problem p = apps::piv::Generate("hot", 32, 8, 2, 4, 7);
   apps::piv::PivConfig cfg;

@@ -1,7 +1,8 @@
 // Native execution tier: bit-identical LaunchStats against the decoded tier
 // (serial and parallel), warm-cache cross-engine reuse with zero recompiles,
 // corrupt/stale/version-bump artifact degradation, store round-trips,
-// background promotion through NativeBuildExecutor, tier-selection precedence,
+// background promotion as a build task on a CompileExecutor, tier-selection
+// precedence,
 // cross-tier identity over all four applications, and the shape-specialized
 // variant ladder: eager/auto variant serving, variant-vs-generic cache-key
 // separation, per-variant corruption quarantine, and the per-module variant
@@ -26,9 +27,9 @@
 #include "kcc/cache_key.hpp"
 #include "kcc/serialize.hpp"
 #include "native/build.hpp"
-#include "native/build_executor.hpp"
 #include "native/engine.hpp"
 #include "netd/artifact_store.hpp"
+#include "serve/compile_executor.hpp"
 #include "support/serialize.hpp"
 #include "vcuda/vcuda.hpp"
 #include "vgpu/interp.hpp"
@@ -575,13 +576,13 @@ TEST(NativeTier, EngineCacheDirReadsTheStore) {
   EXPECT_EQ(es.builds_started, 0u);
 }
 
-TEST(NativeTier, BuildExecutorPromotesInBackground) {
+TEST(NativeTier, BuildTaskPromotesInBackground) {
   SKIP_WITHOUT_TOOLCHAIN();
   TempCacheDir cache;
   native::NativeEngine::Options nopts;
   nopts.cache_dir = cache.str();
   native::NativeEngine engine(nopts);
-  native::NativeBuildExecutor exec(&engine);
+  serve::CompileExecutor exec;
   vcuda::Context ctx(vgpu::TeslaC1060());
   ctx.set_native_service(&engine);
   ctx.set_async_service(&exec);
@@ -590,10 +591,14 @@ TEST(NativeTier, BuildExecutorPromotesInBackground) {
       kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name);
   EXPECT_FALSE(engine.IsReady(key));
 
-  // The compile flight completes, then hands the module to the engine so the
-  // native artifact is ready before any launch forced a build.
+  // The compile flight completes, then a build task on the same executor
+  // hands the module to the engine so the native artifact is ready before
+  // any launch forced a build.
   vcuda::SubmitResult sr = ctx.LoadModuleAsync(kKernel, OptsFor(3));
   ASSERT_TRUE(sr.future.valid());
+  std::shared_ptr<vcuda::Module> compiled = sr.future.get();
+  exec.SubmitTask(key.CanonicalText(),
+                  [&] { engine.EnsureReady(key, compiled->compiled()); });
   exec.Drain();
   EXPECT_TRUE(engine.IsReady(key));
   EXPECT_EQ(engine.stats().builds_completed, 1u);
@@ -1019,6 +1024,38 @@ TEST(NativeShape, AutoPromotesHotShapeInBackground) {
   EXPECT_EQ(first.out, hot.out);
   EXPECT_EQ(ctx.tier_stats().launches_native_shape, 1u);
   EXPECT_EQ(engine.stats().shape_served_launches, 1u);
+}
+
+// Destroying the engine waits only for the promotion already running: the
+// queued ones see the engine closing and return without building. A
+// shutdown that ran every accepted promotion would leave three variants.
+TEST(NativeShape, DestructionSkipsQueuedPromotions) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  TempCacheDir cache;
+  {
+    native::NativeEngine::Options nopts;
+    nopts.cache_dir = cache.str();
+    nopts.shape_hot_threshold = 1;
+    native::NativeEngine engine(nopts);
+    vcuda::Context ctx(vgpu::TeslaC1060());
+    ctx.set_native_service(&engine);
+    auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+    ASSERT_TRUE(engine.EnsureReady(
+        kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name), mod->compiled()));
+    ShapeGuard g(vgpu::ShapeMode::kAuto);
+    // A shape's first launch probes the load-only ladder; its second finds
+    // the variant missing and hot and queues the promotion.
+    for (int blocks : {2, 4, 8}) {
+      RunReduce(ctx, *mod, ExecutionTier::kAuto, blocks);
+      RunReduce(ctx, *mod, ExecutionTier::kAuto, blocks);
+    }
+  }
+  int variants = 0;
+  for (const fs::directory_entry& e : fs::directory_iterator(cache.dir)) {
+    const std::string name = e.path().filename().string();
+    if (name.find("_s") != std::string::npos && name.ends_with(".nso")) ++variants;
+  }
+  EXPECT_LE(variants, 1);
 }
 
 }  // namespace

@@ -188,6 +188,43 @@ TEST(CompileExecutor, ShutdownCompletesAcceptedFlightsAndRejectsNew) {
             vcuda::SubmitStatus::kRejected);
 }
 
+// Build tasks ride the module flights' machinery: per-key coalescing, the
+// failure path, rejection after Shutdown and the stats invariant.
+TEST(CompileExecutor, TaskFlights) {
+  vcuda::Context ctx(vgpu::TeslaC1060());
+  CompileExecutor ex({.workers = 1, .max_queue = 8});
+  auto blocker = OccupyWorker(ex, ctx);
+
+  std::atomic<int> runs{0};
+  const auto task = [&] { runs.fetch_add(1); };
+  vcuda::SubmitResult first = ex.SubmitTask("build", task);
+  EXPECT_EQ(first.status, vcuda::SubmitStatus::kScheduled);
+  EXPECT_EQ(ex.SubmitTask("build", task).status, vcuda::SubmitStatus::kCoalesced);
+  vcuda::SubmitResult bad = ex.SubmitTask("bad", [] { throw Error("build blew up"); });
+  EXPECT_EQ(bad.status, vcuda::SubmitStatus::kScheduled);
+  ex.Drain();
+  EXPECT_EQ(runs.load(), 1) << "the coalesced task must not run again";
+  EXPECT_EQ(first.future.get(), nullptr);
+  EXPECT_THROW(bad.future.get(), Error);
+
+  // The worker survived the throw.
+  EXPECT_EQ(ex.SubmitTask("after", task).status, vcuda::SubmitStatus::kScheduled);
+  ex.Drain();
+  EXPECT_EQ(runs.load(), 2);
+
+  ex.Shutdown();
+  EXPECT_EQ(ex.SubmitTask("late", task).status, vcuda::SubmitStatus::kRejected);
+  EXPECT_EQ(runs.load(), 2);
+
+  ServeStats s = ex.stats();
+  EXPECT_EQ(s.submitted, 6u);  // blocker, build x2, bad, after, late
+  EXPECT_EQ(s.coalesced, 1u);
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.succeeded, 3u);  // blocker, build, after
+  EXPECT_EQ(s.rejected, 1u);
+  ExpectInvariant(s);
+}
+
 TEST(Context, LoadModuleAsyncWithoutServiceCompilesInline) {
   vcuda::Context ctx(vgpu::TeslaC1060());
   vcuda::SubmitResult r = ctx.LoadModuleAsync(kKernel, OptsFor(4));

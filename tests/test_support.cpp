@@ -1,11 +1,16 @@
 // Unit tests for the support library.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "support/csv.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
+#include "support/single_flight.hpp"
 #include "support/status.hpp"
 #include "support/str.hpp"
 
@@ -137,5 +142,89 @@ TEST(CpuModel, FlopCountsScaleWithProblem) {
   EXPECT_GT(BackprojFlops(1000, 20), BackprojFlops(1000, 10));
 }
 
+// Callers of one key that arrive while its call runs share that call. Each
+// thread counts itself in just before Do, and the call holds on until all
+// have, so every other caller finds it running.
+TEST(SingleFlight, ConcurrentCallersShareOneRun) {
+  constexpr int kThreads = 8;
+  SingleFlight<int> flight;
+  std::atomic<int> arrived{0};
+  std::atomic<int> runs{0};
+  std::vector<int> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      results[t] = flight.Do("key", [&] {
+        runs.fetch_add(1);
+        while (arrived.load() < kThreads) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return 42;
+      });
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(runs.load(), 1);
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(results[t], 42) << "thread " << t;
+}
+
+TEST(SingleFlight, ErrorReachesEveryWaiterAndIsNotLatched) {
+  constexpr int kThreads = 8;
+  SingleFlight<int> flight;
+  std::atomic<int> arrived{0};
+  std::atomic<int> runs{0};
+  std::atomic<int> caught{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      arrived.fetch_add(1);
+      try {
+        flight.Do("key", [&]() -> int {
+          runs.fetch_add(1);
+          while (arrived.load() < kThreads) std::this_thread::yield();
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          throw Error("call blew up");
+        });
+      } catch (const Error&) {
+        caught.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(caught.load(), kThreads);
+
+  // The key was forgotten: the next call runs fn again.
+  EXPECT_EQ(flight.Do("key", [&] {
+              runs.fetch_add(1);
+              return 7;
+            }),
+            7);
+  EXPECT_EQ(runs.load(), 2);
+}
+
+// Each call waits (bounded) until both are inside fn, which only happens if
+// distinct keys run concurrently.
+TEST(SingleFlight, DistinctKeysRunConcurrently) {
+  SingleFlight<int> flight;
+  std::atomic<int> inside{0};
+  const auto fn = [&] {
+    inside.fetch_add(1);
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (inside.load() < 2 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    return inside.load();
+  };
+  int a = 0;
+  int b = 0;
+  std::thread ta([&] { a = flight.Do("a", fn); });
+  std::thread tb([&] { b = flight.Do("b", fn); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, 2);
+  EXPECT_EQ(b, 2);
+}
+
 }  // namespace
-}  // namespace kspec::apps
+}  // namespace kspec

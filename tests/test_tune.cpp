@@ -19,6 +19,7 @@
 #include "apps/matching/tune.hpp"
 #include "apps/piv/tune.hpp"
 #include "launch/stage_runner.hpp"
+#include "support/serialize.hpp"
 #include "support/temp_dir.hpp"
 #include "tune/prepass.hpp"
 #include "tune/tuner.hpp"
@@ -220,6 +221,29 @@ TEST(TuningCache, DiskRoundTrip) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->at("threads"), 128);
   EXPECT_EQ(hit->at("rb"), 2);
+}
+
+// The file is the shared artifact envelope around the entry map. These are
+// the exact bytes of the format as first shipped: moving the header codec
+// must not change one.
+TEST(TuningCache, FileBytesMatchGolden) {
+  TempDir tmp;
+  const std::string path = tmp.File("tune.bin");
+  tune::TuningCache(path).Store("k", {{"threads", 64}});
+  const std::vector<std::uint8_t> golden = {
+      'K', 'S', 'P', 'C', 'T', 'U', 'N', '1',          // magic
+      0x01, 0x00, 0x00, 0x00,                          // format version
+      0x45, 0x9e, 0x5f, 0xc8, 0x67, 0xe4, 0x41, 0x73,  // FNV-1a of the payload
+      0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload bytes
+      0x01, 0x00, 0x00, 0x00,                          // entries
+      0x01, 0x00, 0x00, 0x00, 'k',                     //   key
+      0x01, 0x00, 0x00, 0x00,                          //   params
+      0x07, 0x00, 0x00, 0x00, 't', 'h', 'r', 'e', 'a', 'd', 's',
+      0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};  //   value 64
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(path, &bytes));
+  EXPECT_EQ(bytes, golden);
+  EXPECT_EQ(tune::TuningCache(path).Lookup("k"), (tune::Config{{"threads", 64}}));
 }
 
 TEST(TuningCache, CorruptFileFallsBackToEmpty) {

@@ -22,7 +22,6 @@
 #include "kcc/preprocess.hpp"
 #include "kcc/artifact_dir.hpp"
 #include "native/build.hpp"
-#include "native/build_executor.hpp"
 #include "native/engine.hpp"
 #include "netd/artifact_store.hpp"
 #include "netd/daemon.hpp"
@@ -120,8 +119,9 @@ void PrintNativeReport(const kspec::native::NativeEngine& engine) {
 // CompileExecutor, or (with --connect/--store) the RemoteCompileService
 // fetching from the daemon and the shared store — sharing one Context (so
 // its in-memory and disk cache tiers dedupe across sets). With --tier native
-// the flights also make each set's specialized shared object ready, so this
-// is the fleet's native warm-up tool.
+// each compiled set also queues a build task on that service making its
+// specialized shared object ready, so this is the fleet's native warm-up
+// tool.
 int RunBatch(const std::string& source, const std::vector<kspec::kcc::CompileOptions>& sets,
              const kspec::vgpu::DeviceProfile& dev, const std::string& cache_dir, int jobs,
              const NetOptions& net, kspec::vgpu::ExecutionTier tier) {
@@ -159,11 +159,6 @@ int RunBatch(const std::string& source, const std::vector<kspec::kcc::CompileOpt
     auto svc = std::make_unique<netd::RemoteCompileService>(ro);
     remote = svc.get();
     executor = std::move(svc);
-  } else if (engine) {
-    serve::ExecutorOptions ex_opts;
-    ex_opts.workers = jobs;
-    ex_opts.max_queue = sets.size() + 16;
-    executor = std::make_unique<native::NativeBuildExecutor>(engine.get(), ex_opts);
   } else {
     serve::ExecutorOptions ex_opts;
     ex_opts.workers = jobs;
@@ -179,7 +174,6 @@ int RunBatch(const std::string& source, const std::vector<kspec::kcc::CompileOpt
   }
 
   int failures = 0;
-  std::vector<std::shared_ptr<vcuda::Module>> mods;
   for (std::size_t i = 0; i < sets.size(); ++i) {
     std::string defines = kcc::DefinesToString(sets[i].defines);
     if (defines.empty()) defines = "(no defines)";
@@ -192,20 +186,21 @@ int RunBatch(const std::string& source, const std::vector<kspec::kcc::CompileOpt
       auto mod = results[i].future.get();
       std::cout << Format("set %-3zu ok        %-48s kernels=%zu\n", i, defines.c_str(),
                           mod->compiled().kernels.size());
-      mods.push_back(std::move(mod));
+      // With --tier native, the set's shared object builds on the same
+      // workers while later sets are still resolving. Best-effort: a failed
+      // or unavailable native build leaves the set ok — the decoded tier
+      // serves it.
+      if (engine && mod->cache_key()) {
+        executor->SubmitTask(mod->cache_key()->CanonicalText(), [&engine, mod] {
+          engine->EnsureReady(*mod->cache_key(), mod->compiled());
+        });
+      }
     } catch (const std::exception& e) {
       std::cout << Format("set %-3zu FAILED    %s: %s\n", i, defines.c_str(), e.what());
       ++failures;
     }
   }
   executor->Drain();
-  // Remote flights compile through the daemon, not NativeBuildExecutor —
-  // promote their artifacts here instead.
-  if (engine && remote != nullptr) {
-    for (const auto& mod : mods) {
-      if (mod->cache_key()) engine->EnsureReady(*mod->cache_key(), mod->compiled());
-    }
-  }
   std::cout << serve::RenderServiceReport(executor->stats(), ctx.cache_stats());
   if (remote != nullptr) {
     const netd::RemoteStats rs = remote->remote_stats();
