@@ -13,6 +13,7 @@
 #include <functional>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/piv/gpu.hpp"
@@ -41,9 +42,10 @@ struct BenchRecord {
 //   --warmup N      untimed warmup runs for TimeMs (default 1)
 //
 // Records accumulate via Record(); the destructor writes the JSON file (if
-// asked). Only explicitly recorded rows are emitted — the session's own wall
-// time is process overhead (compiles, warmups, table printing), not a
-// measurement, and would read as a bogus datapoint next to real rows.
+// asked), with the host's core count beside the records. Only explicitly
+// recorded rows are emitted — the session's own wall time is process
+// overhead (compiles, warmups, table printing), not a measurement, and would
+// read as a bogus datapoint next to real rows.
 // The ASCII tables benches print are unaffected — the JSON is an additional,
 // machine-readable channel for tools/bench_report.
 class Session {
@@ -75,7 +77,8 @@ class Session {
       std::cerr << "bench: cannot write " << json_path_ << "\n";
       return;
     }
-    out << "{\n  \"bench\": \"" << Escape(bench_) << "\",\n  \"records\": [\n";
+    out << "{\n  \"bench\": \"" << Escape(bench_) << "\",\n  \"host\": {\"cores\": "
+        << std::thread::hardware_concurrency() << "},\n  \"records\": [\n";
     for (std::size_t i = 0; i < records_.size(); ++i) {
       const BenchRecord& r = records_[i];
       out << "    {\"name\": \"" << Escape(r.name) << "\", \"wall_ms\": " << r.wall_ms

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <set>
 
 #include "support/math.hpp"
 #include "support/status.hpp"
@@ -68,7 +66,7 @@ bool EvalConstInstr(const Instr& i, std::uint64_t a, std::uint64_t b, std::uint6
   using vgpu::EncodeI32;
 
   if (!IsConstEvaluable(i.op)) return false;
-  const Type t = i.op == Opcode::kSetp ? i.type : i.type;
+  const Type t = i.type;
 
   if (i.op == Opcode::kMov) {
     *out = a;
@@ -260,34 +258,253 @@ namespace {
 
 // Basic-block leader computation.
 std::vector<int> BlockStarts(const std::vector<Instr>& code) {
-  std::set<int> leaders;
-  leaders.insert(0);
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
+  const int n = static_cast<int>(code.size());
+  std::vector<bool> leader(code.size() + 1, false);
+  auto mark = [&](int pc) {
+    if (pc >= 0 && pc <= n) leader[pc] = true;
+  };
+  mark(0);
+  for (int pc = 0; pc < n; ++pc) {
     const Instr& i = code[pc];
-    if (i.op == Opcode::kBra || i.op == Opcode::kBraPred || i.op == Opcode::kExit) {
-      leaders.insert(static_cast<int>(pc) + 1);
+    if (i.op == Opcode::kBra || i.op == Opcode::kBraPred || i.op == Opcode::kExit ||
+        i.op == Opcode::kBarSync) {
+      mark(pc + 1);
     }
     if (i.op == Opcode::kBra || i.op == Opcode::kBraPred) {
-      leaders.insert(i.target);
-      if (i.reconv >= 0) leaders.insert(i.reconv);
+      mark(i.target);
+      if (i.reconv >= 0) mark(i.reconv);
     }
-    if (i.op == Opcode::kBarSync) leaders.insert(static_cast<int>(pc) + 1);
   }
+  leader[code.size()] = true;
   std::vector<int> out;
-  for (int l : leaders) {
-    if (l >= 0 && l <= static_cast<int>(code.size())) out.push_back(l);
-  }
-  if (out.empty() || out.back() != static_cast<int>(code.size())) {
-    out.push_back(static_cast<int>(code.size()));
+  for (int pc = 0; pc <= n; ++pc) {
+    if (leader[pc]) out.push_back(pc);
   }
   return out;
 }
+
+// Per-register lists of ints sharing one arena, for one basic block. A list
+// is valid while its head's stamp matches the current generation, so Clear()
+// is O(1) however many registers have lists.
+class RegLists {
+ public:
+  explicit RegLists(std::size_t regs) : heads_(regs) {}
+
+  void Clear() {
+    ++gen_;
+    links_.clear();
+  }
+
+  void Add(int reg, int value) {
+    Head& h = heads_[reg];
+    if (h.gen != gen_) h = {-1, gen_};
+    links_.push_back({value, h.first});
+    h.first = static_cast<int>(links_.size()) - 1;
+  }
+
+  // Calls fn(value) for every value filed under `reg`, then empties its list.
+  template <typename Fn>
+  void Drain(int reg, Fn&& fn) {
+    Head& h = heads_[reg];
+    if (h.gen != gen_) return;
+    for (int l = h.first; l >= 0; l = links_[l].next) fn(links_[l].value);
+    h.gen = 0;
+  }
+
+ private:
+  struct Head {
+    int first = -1;
+    std::uint32_t gen = 0;
+  };
+  struct Link {
+    int value;
+    int next;
+  };
+  std::vector<Head> heads_;
+  std::vector<Link> links_;
+  std::uint32_t gen_ = 1;
+};
+
+// Facts about registers within one basic block, one slot per vreg. A fact
+// may read one other register (`src`); it is filed under that register too,
+// so redefining a register kills exactly the facts that read it. Lookup,
+// insert and kill are O(1) per fact touched, Clear() is O(1), and size() is
+// the exact number of live facts.
+template <typename T>
+class FactTable {
+ public:
+  explicit FactTable(std::size_t regs) : slots_(regs), readers_(regs) {}
+
+  void Clear() {
+    ++gen_;
+    live_ = 0;
+    readers_.Clear();
+  }
+
+  std::size_t size() const { return live_; }
+
+  const T* Find(int reg) const {
+    const Slot& s = slots_[reg];
+    return s.gen == gen_ ? &s.value : nullptr;
+  }
+
+  // `reg` must hold no fact (callers Kill it first).
+  void Insert(int reg, T value, int src = -1) {
+    slots_[reg] = {value, src, gen_};
+    ++live_;
+    if (src >= 0) readers_.Add(src, reg);
+  }
+
+  // Drops the fact about `reg` and every fact that reads `reg`. A reader
+  // filed under `reg` may since have been killed or redefined to read
+  // another register; only one still reading `reg` goes.
+  void Kill(int reg) {
+    Erase(reg);
+    readers_.Drain(reg, [&](int reader) {
+      if (slots_[reader].gen == gen_ && slots_[reader].src == reg) Erase(reader);
+    });
+  }
+
+ private:
+  void Erase(int reg) {
+    Slot& s = slots_[reg];
+    if (s.gen != gen_) return;
+    s.gen = 0;
+    --live_;
+  }
+
+  struct Slot {
+    T value{};
+    int src = -1;
+    std::uint32_t gen = 0;
+  };
+  std::vector<Slot> slots_;
+  RegLists readers_;
+  std::uint32_t gen_ = 1;
+  std::size_t live_ = 0;
+};
+
+// Reusing a value defined far upstream extends its live range across
+// everything in between; past this distance recomputation is cheaper than
+// the register pressure (the rematerialization heuristic real GPU compilers
+// apply, which keeps heavily unrolled kernels allocatable).
+constexpr int kCseReuseWindow = 96;
+
+bool SameOperand(const Operand& x, const Operand& y) {
+  if (x.kind != y.kind) return false;
+  if (x.is_reg()) return x.reg == y.reg;
+  if (x.is_imm()) return x.imm == y.imm;
+  return true;
+}
+
+bool SameExpr(const Instr& x, const Instr& y) {
+  return x.op == y.op && x.type == y.type && x.type2 == y.type2 && x.cmp == y.cmp &&
+         SameOperand(x.a, y.a) && SameOperand(x.b, y.b) && SameOperand(x.c, y.c);
+}
+
+// One basic block's CSE candidates: the pcs of pure definitions, chained in
+// pc order per hash bucket of their expression, plus a per-register kill
+// list of the entries naming that register as destination or operand. An
+// entry's instruction is read from `code` and does not change while the
+// entry lives (a block pass only rewrites the instruction it is at).
+class CseTable {
+ public:
+  CseTable(const std::vector<Instr>& code, std::size_t regs) : code_(code), kills_(regs) {}
+
+  void Clear() {
+    ++gen_;
+    entries_.clear();
+    kills_.Clear();
+  }
+
+  // The destination of the oldest live entry computing the same expression
+  // as `i` within kCseReuseWindow instructions before `pc`, or -1.
+  int Find(const Instr& i, int pc) {
+    Bucket& b = buckets_[BucketOf(i)];
+    if (b.gen != gen_) return -1;
+    // Entries are chained in pc order: once the head is live and in the
+    // window, every later entry is in the window too.
+    while (b.first >= 0 &&
+           (!entries_[b.first].live || pc - entries_[b.first].pc > kCseReuseWindow)) {
+      b.first = entries_[b.first].next;
+    }
+    for (int e = b.first; e >= 0; e = entries_[e].next) {
+      const Entry& entry = entries_[e];
+      if (entry.live && SameExpr(code_[entry.pc], i)) return code_[entry.pc].dst;
+    }
+    return -1;
+  }
+
+  // Records the definition at `pc`.
+  void Insert(int pc) {
+    const Instr& i = code_[pc];
+    const int e = static_cast<int>(entries_.size());
+    entries_.push_back({pc, -1, true});
+    Bucket& b = buckets_[BucketOf(i)];
+    if (b.gen != gen_ || b.first < 0) {
+      b = {e, e, gen_};
+    } else {
+      entries_[b.last].next = e;
+      b.last = e;
+    }
+    kills_.Add(i.dst, e);
+    for (const Operand* o : {&i.a, &i.b, &i.c}) {
+      if (o->is_reg()) kills_.Add(o->reg, e);
+    }
+  }
+
+  // Kills every entry that defines or reads `reg`.
+  void Kill(int reg) {
+    kills_.Drain(reg, [&](int e) { entries_[e].live = false; });
+  }
+
+ private:
+  static constexpr int kBucketBits = 8;
+
+  // Hashes exactly what SameExpr compares.
+  static std::size_t BucketOf(const Instr& i) {
+    std::uint64_t h = static_cast<std::uint64_t>(i.op) | static_cast<std::uint64_t>(i.type) << 8 |
+                      static_cast<std::uint64_t>(i.type2) << 16 |
+                      static_cast<std::uint64_t>(i.cmp) << 24;
+    for (const Operand* o : {&i.a, &i.b, &i.c}) {
+      std::uint64_t key = static_cast<std::uint64_t>(o->kind);
+      if (o->is_reg()) key |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(o->reg)) << 8;
+      if (o->is_imm()) key ^= o->imm * 0x9e3779b97f4a7c15ull;
+      h = (h ^ key) * 0xff51afd7ed558ccdull;
+      h ^= h >> 32;
+    }
+    return static_cast<std::size_t>((h * 0x9e3779b97f4a7c15ull) >> (64 - kBucketBits));
+  }
+
+  struct Entry {
+    int pc;
+    int next;  // next entry in the same bucket, or -1
+    bool live;
+  };
+  struct Bucket {
+    int first = -1, last = -1;
+    std::uint32_t gen = 0;
+  };
+
+  const std::vector<Instr>& code_;
+  std::vector<Entry> entries_;
+  Bucket buckets_[1 << kBucketBits];
+  RegLists kills_;
+  std::uint32_t gen_ = 1;
+};
 
 class Optimizer {
  public:
   Optimizer(std::vector<Instr>& code, const std::vector<Type>& vreg_types,
             const PassOptions& options)
-      : code_(code), types_(vreg_types), options_(options) {}
+      : code_(code),
+        types_(vreg_types),
+        options_(options),
+        consts_(vreg_types.size() + 1),
+        copies_(vreg_types.size() + 1),
+        addrs_(vreg_types.size() + 1),
+        cvts_(vreg_types.size() + 1),
+        cse_(code, vreg_types.size() + 1) {}
 
   PassStats Run() {
     for (int round = 0; round < 3; ++round) {
@@ -308,94 +525,36 @@ class Optimizer {
     }
   }
 
-  struct CseEntry {
-    Opcode op;
-    Type type;
-    Type type2;
-    CmpOp cmp;
-    Operand a, b, c;
-    int dst;
-    int pc;  // where the value was defined
-  };
-
-  // Reusing a value defined far upstream extends its live range across
-  // everything in between; past this distance recomputation is cheaper than
-  // the register pressure (the rematerialization heuristic real GPU
-  // compilers apply, which keeps heavily unrolled kernels allocatable).
-  static constexpr int kCseReuseWindow = 96;
-
-  static bool SameOperand(const Operand& x, const Operand& y) {
-    if (x.kind != y.kind) return false;
-    if (x.is_reg()) return x.reg == y.reg;
-    if (x.is_imm()) return x.imm == y.imm;
-    return true;
-  }
-
+  // Per-block local optimization: constant and copy propagation, folding,
+  // address-offset and conversion-chain folding, strength reduction and CSE.
   void BlockPass(int begin, int end) {
-    std::map<int, std::uint64_t> consts;  // vreg -> immediate
-    std::map<int, int> copies;            // vreg -> source vreg
-    // vreg -> (base reg, byte offset) for u64 `add dst, base, imm` defs;
-    // folded into ld/st address immediates.
-    std::map<int, std::pair<int, std::uint64_t>> addrs;
-    // vreg -> defining cvt (for conversion-chain collapsing).
-    std::map<int, Instr> cvts;
-    std::vector<CseEntry> cse;
-
-    auto invalidate = [&](int reg) {
-      consts.erase(reg);
-      copies.erase(reg);
-      addrs.erase(reg);
-      cvts.erase(reg);
-      for (auto it = copies.begin(); it != copies.end();) {
-        if (it->second == reg) it = copies.erase(it);
-        else ++it;
-      }
-      for (auto it = addrs.begin(); it != addrs.end();) {
-        if (it->second.first == reg) it = addrs.erase(it);
-        else ++it;
-      }
-      for (auto it = cvts.begin(); it != cvts.end();) {
-        if (it->second.a.is_reg() && it->second.a.reg == reg) it = cvts.erase(it);
-        else ++it;
-      }
-      for (auto it = cse.begin(); it != cse.end();) {
-        bool kill = it->dst == reg || (it->a.is_reg() && it->a.reg == reg) ||
-                    (it->b.is_reg() && it->b.reg == reg) ||
-                    (it->c.is_reg() && it->c.reg == reg);
-        if (kill) it = cse.erase(it);
-        else ++it;
-      }
-    };
+    consts_.Clear();
+    copies_.Clear();
+    addrs_.Clear();
+    cvts_.Clear();
+    cse_.Clear();
 
     auto subst = [&](Operand& o) {
       if (!o.is_reg()) return;
-      auto cp = copies.find(o.reg);
-      if (cp != copies.end()) o.reg = cp->second;
-      auto ct = consts.find(o.reg);
-      if (ct != consts.end()) o = Operand::Imm(ct->second);
+      if (const int* src = copies_.Find(o.reg)) o.reg = *src;
+      if (const std::uint64_t* imm = consts_.Find(o.reg)) o = Operand::Imm(*imm);
     };
 
     for (int pc = begin; pc < end; ++pc) {
       Instr& i = code_[pc];
       if (i.op == Opcode::kNop) continue;
 
-      // Entries past the reuse window can never match again; pruning keeps
-      // the CSE scan linear in huge unrolled blocks. (Entries are appended in
-      // pc order, so expired ones sit at the front.)
-      std::size_t expired = 0;
-      while (expired < cse.size() && pc - cse[expired].pc > kCseReuseWindow) ++expired;
-      if (expired) cse.erase(cse.begin(), cse.begin() + static_cast<std::ptrdiff_t>(expired));
-
-      // The other fact maps are iterated by invalidate(); capping them keeps
-      // the whole pass linear on multi-thousand-instruction unrolled blocks.
-      // Dropping facts only forgoes optimization opportunities, never
-      // correctness (straight-line temps are single-def, so stale entries are
-      // rare anyway).
+      // The caps bound no work (a kill touches only the facts that read the
+      // killed register). They exist because the emitted MiniPTX depends on
+      // which facts survive, and that output is pinned byte for byte (the
+      // listing goldens in test_kcc_optimizer): these clears must fire at
+      // exactly these instructions. Dropping facts only forgoes
+      // optimization opportunities, never correctness.
       constexpr std::size_t kFactCap = 768;
-      if (copies.size() > kFactCap) copies.clear();
-      if (addrs.size() > kFactCap) addrs.clear();
-      if (cvts.size() > kFactCap) cvts.clear();
-      if (consts.size() > 4 * kFactCap) consts.clear();
+      if (copies_.size() > kFactCap) copies_.Clear();
+      if (addrs_.size() > kFactCap) addrs_.Clear();
+      if (cvts_.size() > kFactCap) cvts_.Clear();
+      if (consts_.size() > 4 * kFactCap) consts_.Clear();
 
       subst(i.a);
       if (i.op != Opcode::kSreg) {
@@ -410,10 +569,9 @@ class Optimizer {
       // Fold `add.u64 r, base, imm` address arithmetic into the ld/st byte
       // offset (what PTX's [reg+imm] addressing mode exists for).
       if ((i.op == Opcode::kLd || i.op == Opcode::kSt) && i.a.is_reg()) {
-        auto it = addrs.find(i.a.reg);
-        if (it != addrs.end()) {
-          i.a = Operand::Reg(it->second.first);
-          i.b = Operand::Imm(i.b.imm + it->second.second);
+        if (const Addr* addr = addrs_.Find(i.a.reg)) {
+          i.a = Operand::Reg(addr->base);
+          i.b = Operand::Imm(i.b.imm + addr->offset);
         }
       }
 
@@ -421,9 +579,8 @@ class Optimizer {
       // followed by cvt.u64.s64) into a single conversion; both orders of
       // extension agree with the direct conversion.
       if (i.op == Opcode::kCvt && i.a.is_reg()) {
-        auto it = cvts.find(i.a.reg);
-        if (it != cvts.end()) {
-          const Instr& inner = it->second;
+        if (const int* def = cvts_.Find(i.a.reg)) {
+          const Instr& inner = code_[*def];
           bool outer64 = i.type == Type::kI64 || i.type == Type::kU64;
           bool mid64 = inner.type == Type::kI64 || inner.type == Type::kU64;
           bool src32 = inner.type2 == Type::kI32 || inner.type2 == Type::kU32;
@@ -465,14 +622,10 @@ class Optimizer {
 
       // CSE lookup (pure, non-load, non-mov), bounded by reuse distance.
       if (options_.cse && IsConstEvaluable(i.op) && i.op != Opcode::kMov) {
-        for (const auto& e : cse) {
-          if (pc - e.pc <= kCseReuseWindow && e.op == i.op && e.type == i.type &&
-              e.type2 == i.type2 && e.cmp == i.cmp && SameOperand(e.a, i.a) &&
-              SameOperand(e.b, i.b) && SameOperand(e.c, i.c)) {
-            i = Instr::Make(Opcode::kMov, i.type, i.dst, Operand::Reg(e.dst));
-            ++stats_.cse_hits;
-            break;
-          }
+        const int reuse = cse_.Find(i, pc);
+        if (reuse >= 0) {
+          i = Instr::Make(Opcode::kMov, i.type, i.dst, Operand::Reg(reuse));
+          ++stats_.cse_hits;
         }
       }
 
@@ -480,33 +633,33 @@ class Optimizer {
       // ones. A definition whose operands include its own dst (e.g. the loop
       // `add r, r, 1`) is never a valid CSE source: the recorded operands
       // would name the post-update value.
-      int dst = i.dst;
-      invalidate(dst);
+      const int dst = i.dst;
+      consts_.Kill(dst);
+      copies_.Kill(dst);
+      addrs_.Kill(dst);
+      cvts_.Kill(dst);
+      cse_.Kill(dst);
       bool self_ref = (i.a.is_reg() && i.a.reg == dst) || (i.b.is_reg() && i.b.reg == dst) ||
                       (i.c.is_reg() && i.c.reg == dst);
-      if (IsConstEvaluable(i.op) && i.op != Opcode::kMov && !self_ref) {
-        cse.push_back({i.op, i.type, i.type2, i.cmp, i.a, i.b, i.c, dst, pc});
-      }
+      if (IsConstEvaluable(i.op) && i.op != Opcode::kMov && !self_ref) cse_.Insert(pc);
       if (i.op == Opcode::kMov) {
         if (i.a.is_imm()) {
-          consts[dst] = i.a.imm;
+          consts_.Insert(dst, i.a.imm);
         } else if (i.a.is_reg() && i.a.reg != dst) {
-          copies[dst] = i.a.reg;
+          copies_.Insert(dst, i.a.reg, i.a.reg);
         }
       }
       if (i.op == Opcode::kAdd && i.type == Type::kU64 && i.a.is_reg() && i.b.is_imm() &&
           !self_ref) {
         // Resolve transitively so chained adds fold to one base.
-        int base = i.a.reg;
-        std::uint64_t off = i.b.imm;
-        auto it = addrs.find(base);
-        if (it != addrs.end()) {
-          off += it->second.second;
-          base = it->second.first;
+        Addr addr{i.a.reg, i.b.imm};
+        if (const Addr* inner = addrs_.Find(addr.base)) {
+          addr.offset += inner->offset;
+          addr.base = inner->base;
         }
-        addrs[dst] = {base, off};
+        addrs_.Insert(dst, addr, addr.base);
       }
-      if (i.op == Opcode::kCvt && !self_ref) cvts[dst] = i;
+      if (i.op == Opcode::kCvt && !self_ref) cvts_.Insert(dst, pc, i.a.is_reg() ? i.a.reg : -1);
     }
   }
 
@@ -670,10 +823,24 @@ class Optimizer {
     code_ = std::move(out);
   }
 
+  // A u64 register known to equal `base + offset`.
+  struct Addr {
+    int base;
+    std::uint64_t offset;
+  };
+
   std::vector<Instr>& code_;
   const std::vector<Type>& types_;
   PassOptions options_;
   PassStats stats_;
+  // BlockPass state, sized once for every register and reset per block.
+  FactTable<std::uint64_t> consts_;  // vreg -> immediate
+  FactTable<int> copies_;            // vreg -> source vreg
+  // vreg -> (base reg, byte offset) for u64 `add dst, base, imm` defs;
+  // folded into ld/st address immediates.
+  FactTable<Addr> addrs_;
+  FactTable<int> cvts_;  // vreg -> pc of its defining cvt (chain collapsing)
+  CseTable cse_;
 };
 
 }  // namespace

@@ -29,7 +29,9 @@ struct PassOptions {
   bool cse = true;
 };
 
-// Optimizes `code` in place. `vreg_types` gives each virtual register's type.
+// Optimizes `code` in place. `vreg_types` gives each virtual register's type
+// and must have an entry for every register `code` names (it sizes the
+// optimizer's per-register tables).
 PassStats Optimize(std::vector<vgpu::Instr>& code,
                    const std::vector<vgpu::Type>& vreg_types,
                    const PassOptions& options = {});

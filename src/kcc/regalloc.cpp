@@ -1,8 +1,7 @@
 #include "kcc/regalloc.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <iterator>
 
 #include "support/status.hpp"
 
@@ -14,49 +13,53 @@ using vgpu::Instr;
 using vgpu::Opcode;
 using vgpu::Type;
 
+// Register sets are sorted vectors of distinct vregs.
+using RegSet = std::vector<int>;
+
 struct Block {
   int begin = 0;
   int end = 0;  // exclusive
   std::vector<int> succs;
-  std::set<int> use, def;
-  std::set<int> live_in, live_out;
+  RegSet use, def;
+  RegSet live_in, live_out;
 };
 
 std::vector<Block> BuildBlocks(const std::vector<Instr>& code) {
-  std::set<int> leaders{0};
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
+  const int n = static_cast<int>(code.size());
+  std::vector<bool> leader(code.size() + 1, false);
+  auto mark = [&](int pc) {
+    if (pc >= 0 && pc <= n) leader[pc] = true;
+  };
+  mark(0);
+  for (int pc = 0; pc < n; ++pc) {
     const Instr& i = code[pc];
     if (i.op == Opcode::kBra || i.op == Opcode::kBraPred || i.op == Opcode::kExit) {
-      leaders.insert(static_cast<int>(pc) + 1);
+      mark(pc + 1);
     }
     if (i.op == Opcode::kBra || i.op == Opcode::kBraPred) {
-      leaders.insert(i.target);
-      if (i.reconv >= 0) leaders.insert(i.reconv);
+      mark(i.target);
+      if (i.reconv >= 0) mark(i.reconv);
     }
   }
-  leaders.insert(static_cast<int>(code.size()));
+  mark(n);
 
   std::vector<Block> blocks;
-  std::map<int, int> block_of_pc;
-  int prev = -1;
-  for (int l : leaders) {
-    if (l < 0 || l > static_cast<int>(code.size())) continue;
-    if (prev >= 0 && l > prev) {
-      Block b;
-      b.begin = prev;
-      b.end = l;
-      block_of_pc[prev] = static_cast<int>(blocks.size());
-      blocks.push_back(b);
-    }
+  std::vector<int> block_of_pc(code.size() + 1, -1);
+  int prev = 0;
+  for (int l = 1; l <= n; ++l) {
+    if (!leader[l]) continue;
+    Block b;
+    b.begin = prev;
+    b.end = l;
+    block_of_pc[prev] = static_cast<int>(blocks.size());
+    blocks.push_back(b);
     prev = l;
   }
   // Successors.
   for (auto& b : blocks) {
-    if (b.begin >= b.end) continue;
     const Instr& last = code[b.end - 1];
     auto add = [&](int pc) {
-      auto it = block_of_pc.find(pc);
-      if (it != block_of_pc.end()) b.succs.push_back(it->second);
+      if (pc >= 0 && pc <= n && block_of_pc[pc] >= 0) b.succs.push_back(block_of_pc[pc]);
     };
     switch (last.op) {
       case Opcode::kExit:
@@ -76,19 +79,30 @@ std::vector<Block> BuildBlocks(const std::vector<Instr>& code) {
   return blocks;
 }
 
-void CollectUseDef(const std::vector<Instr>& code, Block& b) {
+// Fills block `bi`'s use set (registers read before any def in the block)
+// and def set. `mark` is scratch, one slot per vreg, never holding `bi` or
+// `~bi` on entry.
+void CollectUseDef(const std::vector<Instr>& code, int bi, Block& b, std::vector<int>& mark) {
+  const int defined = bi, used = ~bi;
   for (int pc = b.begin; pc < b.end; ++pc) {
     const Instr& i = code[pc];
     auto use = [&](const vgpu::Operand& o) {
-      if (o.is_reg() && !b.def.count(o.reg)) b.use.insert(o.reg);
+      if (!o.is_reg() || mark[o.reg] == defined || mark[o.reg] == used) return;
+      mark[o.reg] = used;
+      b.use.push_back(o.reg);
     };
     if (i.op != Opcode::kSreg) {
       use(i.a);
       use(i.b);
       use(i.c);
     }
-    if (i.dst >= 0) b.def.insert(i.dst);
+    if (i.dst >= 0 && mark[i.dst] != defined) {
+      mark[i.dst] = defined;
+      b.def.push_back(i.dst);
+    }
   }
+  std::sort(b.use.begin(), b.use.end());
+  std::sort(b.def.begin(), b.def.end());
 }
 
 }  // namespace
@@ -100,25 +114,35 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
   if (code.empty()) return out;
 
   std::vector<Block> blocks = BuildBlocks(code);
-  for (auto& b : blocks) CollectUseDef(code, b);
+  std::vector<int> mark(vreg_types.size(), static_cast<int>(blocks.size()));
+  for (int bi = 0; bi < static_cast<int>(blocks.size()); ++bi) {
+    CollectUseDef(code, bi, blocks[bi], mark);
+  }
 
   // Iterative backward liveness.
+  RegSet new_out, new_in, scratch;
   bool changed = true;
   while (changed) {
     changed = false;
     for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
       Block& b = *it;
-      std::set<int> new_out;
+      new_out.clear();
       for (int s : b.succs) {
-        new_out.insert(blocks[s].live_in.begin(), blocks[s].live_in.end());
+        const RegSet& in = blocks[s].live_in;
+        scratch.clear();
+        std::set_union(new_out.begin(), new_out.end(), in.begin(), in.end(),
+                       std::back_inserter(scratch));
+        new_out.swap(scratch);
       }
-      std::set<int> new_in = b.use;
-      for (int r : new_out) {
-        if (!b.def.count(r)) new_in.insert(r);
-      }
+      scratch.clear();
+      std::set_difference(new_out.begin(), new_out.end(), b.def.begin(), b.def.end(),
+                          std::back_inserter(scratch));
+      new_in.clear();
+      std::set_union(b.use.begin(), b.use.end(), scratch.begin(), scratch.end(),
+                     std::back_inserter(new_in));
       if (new_out != b.live_out || new_in != b.live_in) {
-        b.live_out = std::move(new_out);
-        b.live_in = std::move(new_in);
+        b.live_out = new_out;
+        b.live_in = new_in;
         changed = true;
       }
     }
@@ -134,26 +158,39 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
     return vreg_types[static_cast<std::size_t>(reg)] == Type::kPred ? 1 : 0;
   };
 
+  // `live_in_walk[r] == b` while register r is live in block b's walk; the
+  // walk keeps the live set's total width and predicate count as registers
+  // enter and leave it.
   int peak = 0, peak_pred = 0;
-  for (const auto& b : blocks) {
-    std::set<int> live = b.live_out;
+  std::vector<int> live_in_walk(vreg_types.size(), -1);
+  for (int bi = 0; bi < static_cast<int>(blocks.size()); ++bi) {
+    const Block& b = blocks[bi];
+    int w = 0, p = 0;
+    auto enter = [&](int reg) {
+      if (live_in_walk[reg] == bi) return;
+      live_in_walk[reg] = bi;
+      w += width(reg);
+      p += pred_width(reg);
+    };
+    auto leave = [&](int reg) {
+      if (live_in_walk[reg] != bi) return;
+      live_in_walk[reg] = -1;
+      w -= width(reg);
+      p -= pred_width(reg);
+    };
     auto measure = [&]() {
-      int w = 0, p = 0;
-      for (int r : live) {
-        w += width(r);
-        p += pred_width(r);
-      }
       peak = std::max(peak, w);
       peak_pred = std::max(peak_pred, p);
     };
+    for (int r : b.live_out) enter(r);
     measure();
     for (int pc = b.end - 1; pc >= b.begin; --pc) {
       const Instr& i = code[pc];
-      if (i.dst >= 0) live.erase(i.dst);
+      if (i.dst >= 0) leave(i.dst);
       if (i.op != Opcode::kSreg) {
-        if (i.a.is_reg()) live.insert(i.a.reg);
-        if (i.b.is_reg()) live.insert(i.b.reg);
-        if (i.c.is_reg()) live.insert(i.c.reg);
+        if (i.a.is_reg()) enter(i.a.reg);
+        if (i.b.is_reg()) enter(i.b.reg);
+        if (i.c.is_reg()) enter(i.c.reg);
       }
       measure();
     }
@@ -166,18 +203,19 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
   // def->use within the block; loads depend on their address, stores on both
   // operands. Memory is not serialized for the estimate (GPUs overlap
   // independent accesses aggressively).
-  for (const auto& b : blocks) {
+  // depth[r] is register r's chain depth at its last def in block
+  // def_block[r] (a stale block index means no def in this block yet).
+  std::vector<int> depth(vreg_types.size(), 0), def_block(vreg_types.size(), -1);
+  for (int bi = 0; bi < static_cast<int>(blocks.size()); ++bi) {
+    const Block& b = blocks[bi];
     int n = b.end - b.begin;
     if (n <= 0) continue;
-    std::map<int, int> depth_of_def;  // vreg -> chain depth at its last def
     int cp = 1;
     for (int pc = b.begin; pc < b.end; ++pc) {
       const Instr& i = code[pc];
       int d = 0;
       auto dep = [&](const vgpu::Operand& o) {
-        if (!o.is_reg()) return;
-        auto it = depth_of_def.find(o.reg);
-        if (it != depth_of_def.end()) d = std::max(d, it->second);
+        if (o.is_reg() && def_block[o.reg] == bi) d = std::max(d, depth[o.reg]);
       };
       if (i.op != Opcode::kSreg) {
         dep(i.a);
@@ -185,7 +223,10 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
         dep(i.c);
       }
       int my_depth = d + 1;
-      if (i.dst >= 0) depth_of_def[i.dst] = my_depth;
+      if (i.dst >= 0) {
+        def_block[i.dst] = bi;
+        depth[i.dst] = my_depth;
+      }
       cp = std::max(cp, my_depth);
     }
     float ilp = static_cast<float>(n) / static_cast<float>(cp);

@@ -26,6 +26,7 @@ struct AllocResult {
   std::vector<float> ilp_at_pc;      // per-pc block ILP estimate
 };
 
+// `vreg_types` must have an entry for every register `code` names.
 AllocResult AllocateRegisters(const std::vector<vgpu::Instr>& code,
                               const std::vector<vgpu::Type>& vreg_types);
 

@@ -1,5 +1,8 @@
 #include "vgpu/isa.hpp"
 
+#include <charconv>
+#include <cstdio>
+
 #include "support/str.hpp"
 
 namespace kspec::vgpu {
@@ -133,104 +136,164 @@ const char* SpecialRegName(SpecialReg r) {
 
 namespace {
 
-std::string OperandStr(const Operand& op, Type type) {
+// Disassembly appends every piece straight into one output string: a
+// listing of a multi-thousand-instruction kernel is built without a
+// temporary per instruction or operand. Put(out, pieces...) appends each
+// piece in turn; the wrappers below select how a number is rendered.
+struct Int {  // decimal
+  long long v;
+};
+struct Reg {  // "%r<n>"
+  int reg;
+};
+struct Pred {  // "%p<n>"
+  int reg;
+};
+struct Opnd {  // an operand read as `type`
+  const Operand& op;
+  Type type;
+};
+struct Offset {  // a byte offset with its sign always printed
+  std::uint64_t imm;
+};
+
+void Put1(std::string& out, const char* s) { out += s; }
+void Put1(std::string& out, char c) { out += c; }
+
+void Put1(std::string& out, Int n) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, n.v).ptr);
+}
+
+void Put1(std::string& out, Reg r) {
+  out += "%r";
+  Put1(out, Int{r.reg});
+}
+
+void Put1(std::string& out, Pred p) {
+  out += "%p";
+  Put1(out, Int{p.reg});
+}
+
+void Put1(std::string& out, Offset o) {
+  const auto v = static_cast<long long>(static_cast<std::int64_t>(o.imm));
+  if (v >= 0) out += '+';
+  Put1(out, Int{v});
+}
+
+void Put1(std::string& out, Opnd o) {
+  const Operand& op = o.op;
   switch (op.kind) {
-    case Operand::Kind::kNone: return "_";
-    case Operand::Kind::kReg: return Format("%%r%d", op.reg);
+    case Operand::Kind::kNone:
+      out += '_';
+      return;
+    case Operand::Kind::kReg:
+      Put1(out, Reg{op.reg});
+      return;
     case Operand::Kind::kImm:
-      if (type == Type::kF32) return Format("0f%08X /*%g*/", static_cast<unsigned>(op.imm), DecodeF32(op.imm));
-      if (type == Type::kF64) return Format("0d%016llX /*%g*/", static_cast<unsigned long long>(op.imm), DecodeF64(op.imm));
-      if (IsSignedInt(type)) return Format("%lld", static_cast<long long>(static_cast<std::int64_t>(op.imm)));
-      return Format("%llu", static_cast<unsigned long long>(op.imm));
+      if (o.type == Type::kF32 || o.type == Type::kF64) {
+        char buf[64];  // at most 36 characters: "0d", 16 hex digits, " /*", %g, "*/"
+        const int n =
+            o.type == Type::kF32
+                ? std::snprintf(buf, sizeof buf, "0f%08X /*%g*/", static_cast<unsigned>(op.imm),
+                                DecodeF32(op.imm))
+                : std::snprintf(buf, sizeof buf, "0d%016llX /*%g*/",
+                                static_cast<unsigned long long>(op.imm), DecodeF64(op.imm));
+        out.append(buf, static_cast<std::size_t>(n));
+      } else if (IsSignedInt(o.type)) {
+        Put1(out, Int{static_cast<std::int64_t>(op.imm)});
+      } else {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, op.imm).ptr);
+      }
+      return;
   }
-  return "?";
+  out += '?';
+}
+
+template <typename... Pieces>
+void Put(std::string& out, const Pieces&... pieces) {
+  (Put1(out, pieces), ...);
+}
+
+void PutInstr(std::string& out, const Instr& i, std::size_t pc) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof buf, pc).ptr;
+  const auto digits = static_cast<std::size_t>(end - buf);
+  if (digits < 4) out.append(4 - digits, ' ');  // "%4zu"
+  out.append(buf, digits);
+  out += ":  ";
+  const Opnd a{i.a, i.type}, b{i.b, i.type}, c{i.c, i.type};
+  const Opnd addr{i.a, Type::kU64};
+  switch (i.op) {
+    case Opcode::kSreg:
+      return Put(out, "mov.u32 ", Reg{i.dst}, ", ",
+                 SpecialRegName(static_cast<SpecialReg>(i.a.imm)));
+    case Opcode::kSetp:
+      return Put(out, "setp.", CmpOpName(i.cmp), '.', TypeName(i.type), ' ', Pred{i.dst}, ", ", a,
+                 ", ", b);
+    case Opcode::kSel:
+      return Put(out, "selp.", TypeName(i.type), ' ', Reg{i.dst}, ", ", a, ", ", b, ", ",
+                 Pred{i.c.reg});
+    case Opcode::kCvt:
+      return Put(out, "cvt.", TypeName(i.type), '.', TypeName(i.type2), ' ', Reg{i.dst}, ", ",
+                 Opnd{i.a, i.type2});
+    case Opcode::kLd:
+      return Put(out, "ld.", SpaceName(i.space), '.', TypeName(i.type), ' ', Reg{i.dst}, ", [",
+                 addr, Offset{i.b.imm}, ']');
+    case Opcode::kSt:
+      return Put(out, "st.", SpaceName(i.space), '.', TypeName(i.type), " [", addr,
+                 Offset{i.b.imm}, "], ", c);
+    case Opcode::kAtomAdd:
+    case Opcode::kAtomMin:
+    case Opcode::kAtomMax:
+    case Opcode::kAtomExch:
+      return Put(out, OpcodeName(i.op), '.', SpaceName(i.space), '.', TypeName(i.type), ' ',
+                 Reg{i.dst}, ", [", addr, "], ", b);
+    case Opcode::kAtomCas:
+      return Put(out, "atom.cas.", SpaceName(i.space), '.', TypeName(i.type), ' ', Reg{i.dst},
+                 ", [", addr, "], ", b, ", ", c);
+    case Opcode::kTex2D:
+      return Put(out, "tex.2d.f32 ", Reg{i.dst}, ", [tex", Int{i.target}, ", {",
+                 Opnd{i.a, Type::kF32}, ", ", Opnd{i.b, Type::kF32}, "}]");
+    case Opcode::kTex1D:
+      return Put(out, "tex.1d.f32 ", Reg{i.dst}, ", [tex", Int{i.target}, ", ",
+                 Opnd{i.a, Type::kI32}, ']');
+    case Opcode::kBra:
+      return Put(out, "bra L", Int{i.target});
+    case Opcode::kBraPred:
+      return Put(out, i.neg ? "@!" : "@", Pred{i.a.reg}, " bra L", Int{i.target},
+                 "  // reconv L", Int{i.reconv});
+    case Opcode::kBarSync:
+      return Put(out, "bar.sync 0");
+    case Opcode::kExit:
+      return Put(out, "exit");
+    case Opcode::kNop:
+      return Put(out, "nop");
+    default:
+      break;
+  }
+  // Generic ALU form.
+  Put(out, OpcodeName(i.op), '.', TypeName(i.type), ' ', Reg{i.dst});
+  for (const Opnd& o : {a, b, c}) {
+    if (!o.op.is_none()) Put(out, ", ", o);
+  }
 }
 
 }  // namespace
 
 std::string Disassemble(const Instr& i, std::size_t pc) {
-  std::string out = Format("%4zu:  ", pc);
-  switch (i.op) {
-    case Opcode::kSreg:
-      out += Format("mov.u32 %%r%d, %s", i.dst,
-                    SpecialRegName(static_cast<SpecialReg>(i.a.imm)));
-      return out;
-    case Opcode::kSetp:
-      out += Format("setp.%s.%s %%p%d, %s, %s", CmpOpName(i.cmp), TypeName(i.type), i.dst,
-                    OperandStr(i.a, i.type).c_str(), OperandStr(i.b, i.type).c_str());
-      return out;
-    case Opcode::kSel:
-      out += Format("selp.%s %%r%d, %s, %s, %%p%d", TypeName(i.type), i.dst,
-                    OperandStr(i.a, i.type).c_str(), OperandStr(i.b, i.type).c_str(), i.c.reg);
-      return out;
-    case Opcode::kCvt:
-      out += Format("cvt.%s.%s %%r%d, %s", TypeName(i.type), TypeName(i.type2), i.dst,
-                    OperandStr(i.a, i.type2).c_str());
-      return out;
-    case Opcode::kLd:
-      out += Format("ld.%s.%s %%r%d, [%s%+lld]", SpaceName(i.space), TypeName(i.type), i.dst,
-                    OperandStr(i.a, Type::kU64).c_str(),
-                    static_cast<long long>(static_cast<std::int64_t>(i.b.imm)));
-      return out;
-    case Opcode::kSt:
-      out += Format("st.%s.%s [%s%+lld], %s", SpaceName(i.space), TypeName(i.type),
-                    OperandStr(i.a, Type::kU64).c_str(),
-                    static_cast<long long>(static_cast<std::int64_t>(i.b.imm)),
-                    OperandStr(i.c, i.type).c_str());
-      return out;
-    case Opcode::kAtomAdd:
-    case Opcode::kAtomMin:
-    case Opcode::kAtomMax:
-    case Opcode::kAtomExch:
-      out += Format("%s.%s.%s %%r%d, [%s], %s", OpcodeName(i.op), SpaceName(i.space),
-                    TypeName(i.type), i.dst, OperandStr(i.a, Type::kU64).c_str(),
-                    OperandStr(i.b, i.type).c_str());
-      return out;
-    case Opcode::kAtomCas:
-      out += Format("atom.cas.%s.%s %%r%d, [%s], %s, %s", SpaceName(i.space), TypeName(i.type),
-                    i.dst, OperandStr(i.a, Type::kU64).c_str(), OperandStr(i.b, i.type).c_str(),
-                    OperandStr(i.c, i.type).c_str());
-      return out;
-    case Opcode::kTex2D:
-      out += Format("tex.2d.f32 %%r%d, [tex%d, {%s, %s}]", i.dst, i.target,
-                    OperandStr(i.a, Type::kF32).c_str(), OperandStr(i.b, Type::kF32).c_str());
-      return out;
-    case Opcode::kTex1D:
-      out += Format("tex.1d.f32 %%r%d, [tex%d, %s]", i.dst, i.target,
-                    OperandStr(i.a, Type::kI32).c_str());
-      return out;
-    case Opcode::kBra:
-      out += Format("bra L%d", i.target);
-      return out;
-    case Opcode::kBraPred:
-      out += Format("@%s%%p%d bra L%d  // reconv L%d", i.neg ? "!" : "", i.a.reg, i.target,
-                    i.reconv);
-      return out;
-    case Opcode::kBarSync:
-      out += "bar.sync 0";
-      return out;
-    case Opcode::kExit:
-      out += "exit";
-      return out;
-    case Opcode::kNop:
-      out += "nop";
-      return out;
-    default:
-      break;
-  }
-  // Generic ALU form.
-  out += Format("%s.%s %%r%d", OpcodeName(i.op), TypeName(i.type), i.dst);
-  if (!i.a.is_none()) out += ", " + OperandStr(i.a, i.type);
-  if (!i.b.is_none()) out += ", " + OperandStr(i.b, i.type);
-  if (!i.c.is_none()) out += ", " + OperandStr(i.c, i.type);
+  std::string out;
+  PutInstr(out, i, pc);
   return out;
 }
 
 std::string Disassemble(const std::vector<Instr>& code) {
   std::string out;
+  out.reserve(code.size() * 40);
   for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    out += Disassemble(code[pc], pc);
-    out += "\n";
+    PutInstr(out, code[pc], pc);
+    out += '\n';
   }
   return out;
 }

@@ -3,11 +3,28 @@
 // MiniPTX structure of compiled kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <functional>
 #include <set>
 
+#include "apps/backproj/gpu.hpp"
+#include "apps/backproj/problem.hpp"
+#include "apps/matching/gpu.hpp"
+#include "apps/matching/problem.hpp"
+#include "apps/piv/gpu.hpp"
+#include "apps/piv/problem.hpp"
+#include "apps/rowfilter/rowfilter.hpp"
 #include "kcc/compiler.hpp"
+#include "kcc/passes.hpp"
+#include "kcc/serialize.hpp"
+#include "support/serialize.hpp"
 #include "support/status.hpp"
 #include "support/str.hpp"
+#include "support/temp_dir.hpp"
+#include "vcuda/vcuda.hpp"
+#include "vgpu/asm.hpp"
+#include "vgpu/device.hpp"
 #include "vgpu/isa.hpp"
 
 namespace kspec::kcc {
@@ -338,6 +355,388 @@ __kernel void k(float* o) { o[0] = table[3] + (float)wide[1]; }
   EXPECT_EQ(m.constants[0].bytes, 32u);
   EXPECT_EQ(m.constants[1].offset % 8, 0u);
   EXPECT_EQ(m.const_bytes, m.constants[1].offset + 16u);
+}
+
+// ---- Optimizer edge paths, run through Optimize on hand-written MiniPTX ----
+
+// Assembles `text`, optimizes it (every register typed u64: the types only
+// size the optimizer's tables) and returns the optimized listing.
+std::string OptimizeText(const std::string& text, PassStats* stats = nullptr) {
+  std::vector<vgpu::Instr> code = vgpu::Assemble(text);
+  int max_reg = 0;
+  for (const auto& i : code) {
+    max_reg = std::max({max_reg, i.dst, i.a.reg, i.b.reg, i.c.reg});
+  }
+  const std::vector<vgpu::Type> types(static_cast<std::size_t>(max_reg) + 1, vgpu::Type::kU64);
+  const PassStats s = Optimize(code, types);
+  if (stats) *stats = s;
+  return vgpu::Disassemble(code);
+}
+
+TEST(Passes, RedefinitionKillsDependentFacts) {
+  // r0..r9 are live-in values. Each fact below (a copy, an address base, a
+  // cvt source, a CSE operand, a CSE result) loses what it read to a load
+  // before the fact's use, so the use must stay as written. The second half
+  // repeats each pattern without the redefinition, where the fact applies.
+  const std::string listing = OptimizeText(R"(
+    mov.u64 %r10, %r1
+    ld.global.u64 %r1, [%r0+0]
+    st.global.u64 [%r0+8], %r10
+    st.global.u64 [%r0+16], %r1
+    add.u64 %r11, %r2, 16
+    ld.global.u64 %r2, [%r0+24]
+    ld.global.u32 %r12, [%r11+0]
+    st.global.u32 [%r2+0], %r12
+    cvt.s64.s32 %r13, %r3
+    ld.global.s32 %r3, [%r0+32]
+    cvt.u64.s64 %r14, %r13
+    st.global.u64 [%r0+40], %r14
+    st.global.s32 [%r0+48], %r3
+    mul.u32 %r15, %r4, %r5
+    ld.global.u32 %r4, [%r0+56]
+    mul.u32 %r16, %r4, %r5
+    st.global.u32 [%r0+64], %r15
+    st.global.u32 [%r0+68], %r16
+    mul.u32 %r17, %r8, %r5
+    ld.global.u32 %r17, [%r0+72]
+    mul.u32 %r18, %r8, %r5
+    st.global.u32 [%r0+76], %r17
+    st.global.u32 [%r0+80], %r18
+    mov.u64 %r20, %r6
+    st.global.u64 [%r0+88], %r20
+    add.u64 %r21, %r6, 16
+    ld.global.u32 %r22, [%r21+0]
+    st.global.u32 [%r0+96], %r22
+    cvt.s64.s32 %r23, %r7
+    cvt.u64.s64 %r24, %r23
+    st.global.u64 [%r0+104], %r24
+    mul.u32 %r25, %r8, %r9
+    mul.u32 %r26, %r8, %r9
+    st.global.u32 [%r0+112], %r25
+    st.global.u32 [%r0+116], %r26
+    exit
+)");
+  // Stale facts are not applied in the first half; every fact applies in
+  // the second (recorded from the optimizer before its fact tables were
+  // made vreg-indexed).
+  EXPECT_EQ(listing,
+            "   0:  mov.u64 %r10, %r1\n"
+            "   1:  ld.global.u64 %r1, [%r0+0]\n"
+            "   2:  st.global.u64 [%r0+8], %r10\n"
+            "   3:  st.global.u64 [%r0+16], %r1\n"
+            "   4:  add.u64 %r11, %r2, 16\n"
+            "   5:  ld.global.u64 %r2, [%r0+24]\n"
+            "   6:  ld.global.u32 %r12, [%r11+0]\n"
+            "   7:  st.global.u32 [%r2+0], %r12\n"
+            "   8:  cvt.s64.s32 %r13, %r3\n"
+            "   9:  ld.global.s32 %r3, [%r0+32]\n"
+            "  10:  cvt.u64.s64 %r14, %r13\n"
+            "  11:  st.global.u64 [%r0+40], %r14\n"
+            "  12:  st.global.s32 [%r0+48], %r3\n"
+            "  13:  mul.u32 %r15, %r4, %r5\n"
+            "  14:  ld.global.u32 %r4, [%r0+56]\n"
+            "  15:  mul.u32 %r16, %r4, %r5\n"
+            "  16:  st.global.u32 [%r0+64], %r15\n"
+            "  17:  st.global.u32 [%r0+68], %r16\n"
+            "  18:  mul.u32 %r17, %r8, %r5\n"
+            "  19:  ld.global.u32 %r17, [%r0+72]\n"
+            "  20:  mul.u32 %r18, %r8, %r5\n"
+            "  21:  st.global.u32 [%r0+76], %r17\n"
+            "  22:  st.global.u32 [%r0+80], %r18\n"
+            "  23:  st.global.u64 [%r0+88], %r6\n"
+            "  24:  ld.global.u32 %r22, [%r6+16]\n"
+            "  25:  st.global.u32 [%r0+96], %r22\n"
+            "  26:  cvt.u64.s32 %r24, %r7\n"
+            "  27:  st.global.u64 [%r0+104], %r24\n"
+            "  28:  mul.u32 %r25, %r8, %r9\n"
+            "  29:  st.global.u32 [%r0+112], %r25\n"
+            "  30:  st.global.u32 [%r0+116], %r25\n"
+            "  31:  exit\n");
+}
+
+// A straight-line block that overflows every fact table's cap (kFactCap
+// copies, address bases and cvts; 4 * kFactCap constants), reads the facts
+// back after the clear, then repeats three expressions 95, 96 and 97
+// instructions after their first computation (the CSE reuse window is 96).
+std::string FactCapProgram() {
+  std::string text;
+  int pc = 0;
+  auto emit = [&](const std::string& line) {
+    text += line;
+    text += "\n";
+    ++pc;
+  };
+  int next = 100;  // r0..r9 are live-in values; r100 up are fresh
+  auto fresh = [&](int n) {
+    std::vector<int> regs;
+    for (int k = 0; k < n; ++k) regs.push_back(next++);
+    return regs;
+  };
+  int slot = 0;  // distinct store offsets
+  auto store = [&](const char* type, int reg) {
+    emit(Format("st.global.%s [%%r0+%d], %%r%d", type, 8 * slot++, reg));
+  };
+
+  const std::vector<int> consts = fresh(3100);
+  for (std::size_t k = 0; k < consts.size(); ++k) emit(Format("mov.u32 %%r%d, %zu", consts[k], k));
+  for (int r : consts) store("u32", r);
+
+  const std::vector<int> copies = fresh(800);
+  for (int r : copies) emit(Format("mov.u64 %%r%d, %%r1", r));
+  for (int r : copies) store("u64", r);
+
+  const std::vector<int> addrs = fresh(800), loaded = fresh(800);
+  for (std::size_t k = 0; k < addrs.size(); ++k) {
+    emit(Format("add.u64 %%r%d, %%r2, %zu", addrs[k], 16 * k));
+  }
+  for (std::size_t k = 0; k < addrs.size(); ++k) {
+    emit(Format("ld.global.u32 %%r%d, [%%r%d+0]", loaded[k], addrs[k]));
+  }
+  for (int r : loaded) store("u32", r);
+
+  const std::vector<int> narrow = fresh(800), wide = fresh(800), widest = fresh(800);
+  for (std::size_t k = 0; k < narrow.size(); ++k) {
+    emit(Format("ld.global.s32 %%r%d, [%%r3+%zu]", narrow[k], 4 * k));
+  }
+  for (std::size_t k = 0; k < wide.size(); ++k) {
+    emit(Format("cvt.s64.s32 %%r%d, %%r%d", wide[k], narrow[k]));
+  }
+  // Collapsing a chain records a cvt fact too, so only a sample is read back
+  // (too few to reach the cap again): the first ten, whose facts the clear
+  // dropped, and the last forty, which straddle the clear. Storing every
+  // widened value keeps all 800 cvts alive, so each optimizer round clears
+  // at the same instruction.
+  auto sampled = [&](std::size_t k) { return k < 10 || k + 40 >= wide.size(); };
+  for (std::size_t k = 0; k < widest.size(); ++k) {
+    if (sampled(k)) emit(Format("cvt.u64.s64 %%r%d, %%r%d", widest[k], wide[k]));
+  }
+  for (std::size_t k = 0; k < widest.size(); ++k) {
+    if (sampled(k)) store("u64", widest[k]);
+  }
+  for (int r : wide) store("s64", r);
+
+  const int window_start = pc;
+  const std::vector<int> first = fresh(3), again = fresh(3);
+  for (int k = 0; k < 3; ++k) emit(Format("mul.u32 %%r%d, %%r4, %d", first[k], 3 + 2 * k));
+  // The k-th repeat lands 95 + k instructions after the k-th first
+  // computation, i.e. at window_start + 95 + 2k.
+  for (int k = 0; k < 3; ++k) {
+    while (pc < window_start + 95 + 2 * k) store("u32", 5);
+    emit(Format("mul.u32 %%r%d, %%r4, %d", again[k], 3 + 2 * k));
+  }
+  for (int k = 0; k < 3; ++k) {
+    store("u32", first[k]);
+    store("u32", again[k]);
+  }
+  emit("exit");
+  return text;
+}
+
+TEST(Passes, FactCapsAndReuseWindowMatchGolden) {
+  PassStats stats;
+  const std::string listing = OptimizeText(FactCapProgram(), &stats);
+  // The first two repeats (%r8003 95 apart, %r8004 96 apart) reuse the
+  // earlier value and are propagated away; the third (%r8005, 97 apart)
+  // recomputes.
+  EXPECT_EQ(listing.find("%r8003"), std::string::npos);
+  EXPECT_EQ(listing.find("%r8004"), std::string::npos);
+  EXPECT_NE(listing.find("mul.u32 %r8005, %r4, 7"), std::string::npos);
+  EXPECT_EQ(stats.cse_hits, 2);
+  // Which facts each cap clear dropped shows in the listing; the golden was
+  // recorded before the fact tables were made vreg-indexed.
+  EXPECT_EQ(stats.dce_removed, 91);
+  EXPECT_EQ(std::count(listing.begin(), listing.end(), '\n'), 12716);
+  EXPECT_EQ(Format("%016llx", static_cast<unsigned long long>(Fnv1a(listing))), "825795c6c24c825a");
+}
+
+// ---- Listing goldens over every application kernel ----
+
+// "<kernel> <instrs> <FNV-1a-64 of the listing>" for every kernel of every
+// module `run` compiles on a fresh context, sorted.
+std::vector<std::string> CompiledListings(const std::function<void(vcuda::Context&)>& run) {
+  ScopedTempDir dir("kspec_listing_golden_");
+  KSPEC_CHECK(dir.valid());
+  {
+    vcuda::Context ctx(vgpu::TeslaC2070());
+    ctx.set_cache_dir(dir.path());
+    run(ctx);
+  }
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    if (entry.path().extension() != ".kmod") continue;
+    std::vector<std::uint8_t> bytes;
+    KSPEC_CHECK(ReadFileBytes(entry.path().string(), &bytes));
+    for (const auto& k : Deserialize(bytes).kernels) {
+      out.push_back(Format("%s %zu %016llx", k.name.c_str(), k.code.size(),
+                           static_cast<unsigned long long>(Fnv1a(k.listing))));
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+struct ListingCase {
+  std::string name;
+  std::function<void(vcuda::Context&)> run;
+};
+
+const char* SkRe(bool sk) { return sk ? "SK" : "RE"; }
+
+// Every application kernel, RE and SK, at the respecialize benchmark's small
+// sizes and at the bench_native sizes (the steady benchmark's SK modules).
+std::vector<ListingCase> ListingCases() {
+  namespace bp = apps::backproj;
+  namespace mt = apps::matching;
+  namespace pv = apps::piv;
+  namespace rf = apps::rowfilter;
+  std::vector<ListingCase> cases;
+  for (bool sk : {true, false}) {
+    cases.push_back({Format("matching/small/%s", SkRe(sk)), [sk](vcuda::Context& ctx) {
+                       mt::MatcherConfig cfg;
+                       cfg.tile_h = 4;
+                       cfg.tile_w = 8;
+                       cfg.threads = 32;
+                       cfg.specialize = sk;
+                       GpuMatch(ctx, mt::Generate("small", 16, 16, 9, 7, 11), cfg);
+                     }});
+  }
+  for (pv::Variant v : {pv::Variant::kBasic, pv::Variant::kRegBlock, pv::Variant::kWarpSpec,
+                        pv::Variant::kMultiMask}) {
+    for (bool sk : {true, false}) {
+      if (v == pv::Variant::kRegBlock && !sk) continue;  // register blocking needs SK
+      cases.push_back({Format("piv/small/%s/%s", pv::VariantName(v), SkRe(sk)),
+                       [v, sk](vcuda::Context& ctx) {
+                         pv::PivConfig cfg;
+                         cfg.variant = v;
+                         cfg.threads = 128;
+                         cfg.specialize = sk;
+                         GpuPiv(ctx, pv::Generate("small", 96, 13, 2, 13, 12), cfg);
+                       }});
+    }
+  }
+  bp::Geometry small;
+  small.vol_n = 32;
+  small.vol_z = 8;
+  small.det_u = 48;
+  small.det_v = 32;
+  small.n_angles = 9;
+  for (int zpt : {1, 2, 4}) {
+    for (bool tex : {false, true}) {
+      cases.push_back({Format("backproj/small/zpt%d%s/SK", zpt, tex ? "/tex" : ""),
+                       [=](vcuda::Context& ctx) {
+                         bp::BackprojConfig cfg;
+                         cfg.threads = 96;
+                         cfg.zpt = zpt;
+                         cfg.use_texture = tex;
+                         GpuBackproject(ctx, bp::Generate("small", small, 2, 13), cfg);
+                       }});
+    }
+  }
+  cases.push_back({"backproj/small/RE", [=](vcuda::Context& ctx) {
+                     bp::BackprojConfig cfg;
+                     cfg.specialize = false;
+                     GpuBackproject(ctx, bp::Generate("small", small, 2, 13), cfg);
+                   }});
+  for (int border = 0; border < 3; ++border) {
+    for (bool sk : {true, false}) {
+      const auto b = static_cast<rf::Border>(border);
+      cases.push_back({Format("rowfilter/small/%s/%s", rf::BorderName(b), SkRe(sk)),
+                       [=](vcuda::Context& ctx) {
+                         rf::FilterSpec spec = rf::BoxFilter(11, b);
+                         spec.anchor = 2;
+                         rf::RowFilterConfig cfg;
+                         cfg.threads = 128;
+                         cfg.specialize = sk;
+                         GpuRowFilter(ctx, rf::MakeTestImage(512, 128, 14), spec, cfg);
+                       }});
+    }
+  }
+  for (bool sk : {true, false}) {
+    cases.push_back({Format("matching/bench/%s", SkRe(sk)), [sk](vcuda::Context& ctx) {
+                       mt::MatcherConfig cfg;
+                       cfg.specialize = sk;
+                       GpuMatch(ctx, mt::Generate("bench", 32, 24, 32, 32, 7), cfg);
+                     }});
+    cases.push_back({Format("piv/bench/%s", SkRe(sk)), [sk](vcuda::Context& ctx) {
+                       pv::PivConfig cfg;
+                       cfg.specialize = sk;
+                       GpuPiv(ctx, pv::Generate("bench", 192, 16, 4, 12, 11), cfg);
+                     }});
+    cases.push_back({Format("backproj/bench/%s", SkRe(sk)), [sk](vcuda::Context& ctx) {
+                       bp::Geometry g;
+                       g.vol_n = 64;
+                       g.vol_z = 12;
+                       g.det_u = 32;
+                       g.det_v = 24;
+                       g.n_angles = 12;
+                       bp::BackprojConfig cfg;
+                       cfg.specialize = sk;
+                       GpuBackproject(ctx, bp::Generate("bench", g, 3, 51), cfg);
+                     }});
+    cases.push_back({Format("rowfilter/bench/%s", SkRe(sk)), [sk](vcuda::Context& ctx) {
+                       rf::RowFilterConfig cfg;
+                       cfg.specialize = sk;
+                       GpuRowFilter(ctx, rf::MakeTestImage(512, 192, 7), rf::BoxFilter(9), cfg);
+                     }});
+  }
+  return cases;
+}
+
+// "<case> <kernel> <instrs> <listing hash>", recorded from the compiler before
+// the optimizer's fact tables were made vreg-indexed: any change to the
+// emitted MiniPTX (or to the register count in its header) shows up here.
+const char* const kListingGoldens[] = {
+    "matching/small/SK numeratorTiles 388 4a9cf4d64c749193",
+    "matching/small/SK scorePeak 155 6dcfd59dfd972196",
+    "matching/small/SK sumPartials 59 93cafe4fd109109a",
+    "matching/small/SK windowStats 2369 86a15a44c27c65e8",
+    "matching/small/RE numeratorTiles 81 daf62ee886a01927",
+    "matching/small/RE scorePeak 80 df7fbd7585754d6d",
+    "matching/small/RE sumPartials 27 4c3a7dd8fe1b96f3",
+    "matching/small/RE windowStats 41 ba4384e6d23c97f6",
+    "piv/small/basic/SK pivBasic 3121 c83239fba36c9ff6",
+    "piv/small/basic/RE pivBasic 88 213c6a4610f1f17d",
+    "piv/small/regblock/SK pivRegBlock 3426 e8aedf003c94387c",
+    "piv/small/warpspec/SK pivWarpSpec 169 94a14aa9957e2736",
+    "piv/small/warpspec/RE pivWarpSpec 172 a1c6af50c9180144",
+    "piv/small/multimask/SK pivMultiMask 2428 6c35cbbe66c847d9",
+    "piv/small/multimask/RE pivMultiMask 133 740f2ba0aa018e90",
+    "backproj/small/zpt1/SK backproject 4906 a2e81e7a7ce440aa",
+    "backproj/small/zpt1/tex/SK backprojectTex 2166 c9dbad9fd4250dfa",
+    "backproj/small/zpt2/SK backproject 4147 b294d8d0aff11848",
+    "backproj/small/zpt2/tex/SK backprojectTex 1471 9d29a09c9d551421",
+    "backproj/small/zpt4/SK backproject 3729 080b1c99c718f2d0",
+    "backproj/small/zpt4/tex/SK backprojectTex 1151 ab221002012cfd74",
+    "backproj/small/RE backproject 123 ab011f3dab38c499",
+    "rowfilter/small/clamp/SK rowFilter 155 6fba5573bacf73ca",
+    "rowfilter/small/clamp/RE rowFilter 60 3f160aa79b53352b",
+    "rowfilter/small/reflect/SK rowFilter 228 2a74cdbfe8c92234",
+    "rowfilter/small/reflect/RE rowFilter 60 3f160aa79b53352b",
+    "rowfilter/small/wrap/SK rowFilter 175 982fde2a68da8cb3",
+    "rowfilter/small/wrap/RE rowFilter 60 3f160aa79b53352b",
+    "matching/bench/SK numeratorTiles 728 c36e68dcf7c36843",
+    "matching/bench/SK scorePeak 197 d7bc53248827831c",
+    "matching/bench/SK sumPartials 83 c8ee3dc20b5e34ae",
+    "matching/bench/SK windowStats 7088 64f599b356d41604",
+    "piv/bench/SK pivWarpSpec 169 387db37e3a3a1b14",
+    "backproj/bench/SK backproject 9754 ed907682a2a9762a",
+    "rowfilter/bench/SK rowFilter 131 d8d7de67d2fb80ae",
+    "matching/bench/RE numeratorTiles 81 daf62ee886a01927",
+    "matching/bench/RE scorePeak 80 df7fbd7585754d6d",
+    "matching/bench/RE sumPartials 27 4c3a7dd8fe1b96f3",
+    "matching/bench/RE windowStats 41 ba4384e6d23c97f6",
+    "piv/bench/RE pivWarpSpec 172 a1c6af50c9180144",
+    "backproj/bench/RE backproject 123 ab011f3dab38c499",
+    "rowfilter/bench/RE rowFilter 60 3f160aa79b53352b",
+};
+
+TEST(Listing, AppKernelsMatchGoldens) {
+  std::vector<std::string> got;
+  for (const ListingCase& c : ListingCases()) {
+    for (const std::string& line : CompiledListings(c.run)) got.push_back(c.name + " " + line);
+  }
+  const std::vector<std::string> want(std::begin(kListingGoldens), std::end(kListingGoldens));
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace
