@@ -1,11 +1,8 @@
 #include "gpupf/pipeline.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <fstream>
 
-#include "launch/spec_builder.hpp"
-#include "launch/transfer_model.hpp"
 #include "support/log.hpp"
 #include "support/timer.hpp"
 
@@ -59,51 +56,22 @@ ResolvedEndpoint Resolve(const CopyAction::Endpoint& ep, std::uint64_t iter) {
 // ---------------------------------------------------------------------------
 
 bool ModuleRes::Refresh(Pipeline& p) {
-  // Swap in a finished background re-specialization first; Refresh runs every
-  // pipeline iteration, so this is also the polling point.
-  bool swapped = false;
-  if (pending_.valid() &&
-      pending_.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    try {
-      if (auto mod = pending_.get()) {
-        module_ = std::move(mod);
-        swapped = true;
-        KSPEC_LOG_INFO << "gpupf: swapped in background respecialization of '" << name() << "'";
-      }
-    } catch (const std::exception& e) {
-      KSPEC_LOG_WARN << "gpupf: background respecialization of '" << name() << "' failed ("
-                     << e.what() << ") — keeping the previous build";
-    }
-    pending_ = {};
-  }
-
   std::vector<const Param*> deps;
   deps.reserve(bindings_.size());
   for (const auto& [macro, param] : bindings_) deps.push_back(param);
-  if (!DepsChanged(deps)) return swapped;
-
-  launch::SpecBuilder spec;  // gpupf modules always specialize; duplicate
-                             // fixed-define/binding macros are rejected
-  for (const auto& [macro, text] : fixed_defines_) spec.Value(macro, text);
-  for (const auto& [macro, param] : bindings_) BindParamDefine(spec, macro, param);
-  kcc::CompileOptions opts = spec.Build();
-
-  if (async_refresh_ && module_ && p.ctx().async_service()) {
-    vcuda::SubmitResult r = p.ctx().LoadModuleAsync(source_, opts);
-    if (r.ok()) {
-      // Supersedes any older still-running flight; the abandoned result just
-      // lands in the context's cache.
-      pending_ = r.future;
-      KSPEC_LOG_INFO << "gpupf: scheduled respecialization of '" << name() << "' ("
-                     << kcc::DefinesToString(opts.defines) << ") — serving previous build";
-      return swapped;
-    }
-    // Rejected (service saturated): fall through to the blocking path rather
-    // than run the stale build for an unbounded number of refreshes.
+  if (DepsChanged(deps)) {
+    spec_ = launch::SpecBuilder();  // gpupf modules always specialize; duplicate
+                                    // fixed-define/binding macros are rejected
+    for (const auto& [macro, text] : fixed_defines_) spec_.Value(macro, text);
+    for (const auto& [macro, param] : bindings_) BindParamDefine(spec_, macro, param);
+  } else if (p.runner_.options().policy == launch::LoadPolicy::kInline) {
+    return false;
   }
-  module_ = p.ctx().LoadModule(source_, opts);
+  std::shared_ptr<vcuda::Module> mod = p.runner_.LoadStage(name(), source_, spec_);
+  if (mod == module_) return false;  // tiered: the same build keeps serving
+  module_ = std::move(mod);
   KSPEC_LOG_INFO << "gpupf: refreshed module '" << name() << "' ("
-                 << kcc::DefinesToString(opts.defines) << ")";
+                 << kcc::DefinesToString(spec_.defines()) << ")";
   return true;
 }
 
@@ -154,23 +122,24 @@ void CopyAction::Execute(Pipeline& p, std::uint64_t iter) {
   std::uint64_t bytes = std::min(src.bytes, dst.bytes);
   using Loc = MemoryRes::Loc;
   Loc sl = src.mem->loc(), dl = dst.mem->loc();
+  const launch::TransferModel& model = p.runner().transfer_model();
 
   if (sl == Loc::kHost && dl == Loc::kGlobal) {
     p.ctx().MemcpyHtoD(dst.mem->dev_ptr() + dst.offset, src.mem->host().data() + src.offset,
                        bytes);
-    timing_.sim_millis += p.HtoDMillis(bytes);
+    timing_.sim_millis += model.HtoDMillis(bytes);
   } else if (sl == Loc::kGlobal && dl == Loc::kHost) {
     p.ctx().MemcpyDtoH(dst.mem->host().data() + dst.offset, src.mem->dev_ptr() + src.offset,
                        bytes);
-    timing_.sim_millis += p.HtoDMillis(bytes);
+    timing_.sim_millis += model.DtoHMillis(bytes);
   } else if (sl == Loc::kGlobal && dl == Loc::kGlobal) {
     auto& mem = p.ctx().memory();
     std::memmove(mem.Access(dst.mem->dev_ptr() + dst.offset, bytes),
                  mem.Access(src.mem->dev_ptr() + src.offset, bytes), bytes);
-    timing_.sim_millis += launch::TransferModel{}.DtoDMillis(bytes);
+    timing_.sim_millis += model.DtoDMillis(bytes);
   } else if (sl == Loc::kHost && dl == Loc::kHost) {
     std::memmove(dst.mem->host().data() + dst.offset, src.mem->host().data() + src.offset, bytes);
-  } else if (dl == Loc::kConstant) {
+  } else if (dl == Loc::kConstant && sl != Loc::kConstant) {
     std::vector<unsigned char> staging(bytes);
     if (sl == Loc::kHost) {
       std::memcpy(staging.data(), src.mem->host().data() + src.offset, bytes);
@@ -178,7 +147,7 @@ void CopyAction::Execute(Pipeline& p, std::uint64_t iter) {
       p.ctx().MemcpyDtoH(staging.data(), src.mem->dev_ptr() + src.offset, bytes);
     }
     dst.mem->module_res()->module().SetConstant(dst.mem->constant_name(), staging.data(), bytes);
-    timing_.sim_millis += p.HtoDMillis(bytes);
+    timing_.sim_millis += model.HtoDMillis(bytes);
   } else {
     throw PipelineError("unsupported copy endpoints in action '" + name() + "'");
   }
@@ -223,8 +192,8 @@ void KernelExecAction::Execute(Pipeline& p, std::uint64_t iter) {
     }
   }
   unsigned dyn_smem = dynamic_smem_ ? static_cast<unsigned>(dynamic_smem_->value()) : 0;
-  last_stats_ = p.ctx().Launch(kernel_->module_res()->module(), kernel_->kernel_name(),
-                               grid_->value(), block_->value(), pack, dyn_smem);
+  last_stats_ = p.runner_.Launch(name(), kernel_->module_res()->module(), kernel_->kernel_name(),
+                                grid_->value(), block_->value(), pack, dyn_smem);
   timing_.sim_millis += last_stats_.sim_millis;
   ++timing_.invocations;
   timing_.wall_millis += wall.ElapsedMillis();
@@ -410,6 +379,7 @@ double Pipeline::TotalSimMillis() const {
 
 void Pipeline::ResetTiming() {
   for (auto& a : actions_) a->ResetTiming();
+  runner_.TakeBreakdown();
 }
 
 std::string Pipeline::TimingReport() const {
@@ -421,11 +391,6 @@ std::string Pipeline::TimingReport() const {
   }
   out += Format("  %-28s sim=%9.4f ms\n", "TOTAL", TotalSimMillis());
   return out;
-}
-
-double Pipeline::HtoDMillis(std::uint64_t bytes) const {
-  // The shared analytic transfer model (launch/transfer_model.hpp).
-  return launch::TransferModel{}.HtoDMillis(bytes);
 }
 
 }  // namespace kspec::gpupf

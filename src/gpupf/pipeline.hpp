@@ -10,19 +10,23 @@
 // reallocated. The *execution* phase runs the scheduled actions per pipeline
 // iteration and accumulates per-action timing, printable in the style of the
 // dissertation's Appendix G.
+//
+// Module loads, kernel launches and the copy cost model all go through one
+// launch::StageRunner, the shell every app driver uses: a module's compile
+// time is charged to its stage once per binary, each launch is attributed to
+// the tier that served it, and a kTiered pipeline re-specializes through the
+// runner's TieredLoader.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "gpupf/params.hpp"
-#include "kcc/compiler.hpp"
-#include "vcuda/vcuda.hpp"
+#include "launch/stage_runner.hpp"
 
 namespace kspec::gpupf {
 
@@ -82,18 +86,10 @@ class ModuleRes : public Resource {
     fixed_defines_[macro] = std::move(value);
   }
 
-  // Opt-in non-blocking re-specialization. After the first (always blocking)
-  // build, a parameter change schedules the recompile on the Context's
-  // AsyncCompileService and keeps serving the previous build until the new
-  // one is ready; the swap bumps the generation, so dependent resources
-  // (texture bindings) re-derive then. Only enable this when running a few
-  // iterations on the stale specialization is acceptable — i.e. the bound
-  // defines are performance parameters, or the kernel also reads the values
-  // from its run-time arguments (the Appendix B single-source pattern).
-  void set_async_refresh(bool on) { async_refresh_ = on; }
-  // True while a scheduled re-specialization has not been swapped in yet.
-  bool respecialization_pending() const { return pending_.valid(); }
-
+  // Loads through the pipeline's StageRunner under the module's name. Under
+  // kInline only a bound-parameter change reloads; under kTiered every
+  // refresh asks the loader, so heat counts pipeline iterations, and a newly
+  // served build (RE to SK) reports work so dependent textures rebind.
   bool Refresh(Pipeline& p) override;
 
   vcuda::Module& module() const {
@@ -105,9 +101,8 @@ class ModuleRes : public Resource {
   std::string source_;
   std::vector<std::pair<std::string, const Param*>> bindings_;
   std::map<std::string, std::string> fixed_defines_;
+  launch::SpecBuilder spec_;  // the define set of the current parameter values
   std::shared_ptr<vcuda::Module> module_;
-  bool async_refresh_ = false;
-  vcuda::ModuleFuture pending_;
 };
 
 // A kernel within a module (Table 4.2).
@@ -347,13 +342,23 @@ class FileIOAction : public Action {
 
 class Pipeline {
  public:
-  explicit Pipeline(vcuda::Context* ctx) : ctx_(ctx) {}
+  // kInline compiles each module's specialization when its bound parameters
+  // change. kTiered serves a changed parameter set from the module's
+  // run-time-evaluated build until the set turns hot and its specialized
+  // build is ready (compiled in the background when the context has an
+  // AsyncCompileService attached); every module source must then compile
+  // with no defines at all (the Appendix B single-source pattern).
+  explicit Pipeline(vcuda::Context* ctx, launch::LoadPolicy policy = launch::LoadPolicy::kInline)
+      : runner_(*ctx, {.policy = policy}) {}
   ~Pipeline();
 
   Pipeline(const Pipeline&) = delete;
   Pipeline& operator=(const Pipeline&) = delete;
 
-  vcuda::Context& ctx() { return *ctx_; }
+  vcuda::Context& ctx() { return runner_.ctx(); }
+  // The launch shell: per-stage compile ms (one stage per module), launches
+  // per kernel action with the tier that served them, and the tiered stats.
+  const launch::StageRunner& runner() const { return runner_; }
 
   // ---- specification phase: parameters ----
   IntParam* AddInt(std::string name, std::int64_t v);
@@ -406,6 +411,7 @@ class Pipeline {
 
   // Total simulated milliseconds across all actions since the last reset.
   double TotalSimMillis() const;
+  // Clears every action's timing and starts a fresh runner breakdown.
   void ResetTiming();
 
   // Appendix-G-style per-operation timing report.
@@ -413,17 +419,11 @@ class Pipeline {
 
   const std::vector<std::unique_ptr<Action>>& actions() const { return actions_; }
 
-  // Transfer model (host<->device copies are simulated, Section 6.1 reports
-  // include transfer time).
-  double HtoDMillis(std::uint64_t bytes) const;
-
  private:
   friend class ModuleRes;
-  friend class MemoryRes;
-  friend class CopyAction;
   friend class KernelExecAction;
 
-  vcuda::Context* ctx_;
+  launch::StageRunner runner_;
   std::vector<std::unique_ptr<Param>> params_;
   std::vector<std::unique_ptr<Resource>> resources_;
   std::vector<std::unique_ptr<Action>> actions_;

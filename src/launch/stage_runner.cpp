@@ -37,12 +37,7 @@ vcuda::TieredLoader& StageRunner::LoaderFor(const std::string& source) {
 std::shared_ptr<vcuda::Module> StageRunner::LoadStage(const std::string& stage,
                                                       const std::string& source,
                                                       const SpecBuilder& spec) {
-  return LoadStage(stage, source, spec.Build());
-}
-
-std::shared_ptr<vcuda::Module> StageRunner::LoadStage(const std::string& stage,
-                                                      const std::string& source,
-                                                      const kcc::CompileOptions& opts) {
+  const kcc::CompileOptions opts = spec.Build();
   std::shared_ptr<vcuda::Module> mod;
   if (opts_.policy == LoadPolicy::kInline) {
     mod = ctx_->LoadModule(source, opts);
@@ -130,22 +125,9 @@ vcuda::TieredLoader::Stats StageRunner::tiered_stats() const {
 }
 
 bool StageRunner::IsSpecialized(const std::string& source, const SpecBuilder& spec) const {
-  return IsSpecialized(source, spec.Build());
-}
-
-bool StageRunner::IsSpecialized(const std::string& source,
-                                const kcc::CompileOptions& opts) const {
   if (opts_.policy == LoadPolicy::kInline) return true;
   auto it = loaders_.find(source);
-  return it != loaders_.end() && it->second->IsSpecialized(opts);
-}
-
-bool StageRunner::IsResident(const std::string& source, const kcc::CompileOptions& opts) const {
-  if (opts_.policy != LoadPolicy::kInline) {
-    auto it = loaders_.find(source);
-    if (it != loaders_.end() && it->second->IsSpecialized(opts)) return true;
-  }
-  return ctx_->HasCachedModule(source, opts);
+  return it != loaders_.end() && it->second->IsSpecialized(spec.Build());
 }
 
 }  // namespace kspec::launch

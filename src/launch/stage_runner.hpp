@@ -76,7 +76,7 @@ enum class LoadPolicy {
 struct RunnerOptions {
   LoadPolicy policy = LoadPolicy::kInline;
   int hot_threshold = 3;  // tiered policies: promote after this many requests
-  TransferModel transfer;
+  TransferModel transfer{};
   // Execution-tier request forwarded with every launch (still subject to the
   // test override and VGPU_TIER; see vgpu::ResolveTier). kAuto lets the
   // context pick decoded-or-native by artifact readiness.
@@ -97,14 +97,6 @@ class StageRunner {
   // parameter set is answered with the shared RE build of `source`.
   std::shared_ptr<vcuda::Module> LoadStage(const std::string& stage, const std::string& source,
                                            const SpecBuilder& spec);
-
-  // The fleet entry point: identical contract, but takes the canonical
-  // CompileOptions directly — a sched::LaunchRequest carries its
-  // specialization as options (built once, client-side, from a SpecBuilder)
-  // so whichever shard the request lands on can load it without re-deriving
-  // the define set.
-  std::shared_ptr<vcuda::Module> LoadStage(const std::string& stage, const std::string& source,
-                                           const kcc::CompileOptions& opts);
 
   // Launches and folds the statistics into the stage record.
   vgpu::LaunchStats Launch(const std::string& stage, const vcuda::Module& module,
@@ -151,14 +143,6 @@ class StageRunner {
   // True when the given (source, parameter set) is currently served by its
   // specialized build. Always true under kInline (loads always specialize).
   bool IsSpecialized(const std::string& source, const SpecBuilder& spec) const;
-  bool IsSpecialized(const std::string& source, const kcc::CompileOptions& opts) const;
-
-  // Cache-affinity probe for fleet routing: true when loading this
-  // (source, parameter set) here would be served specialized without a fresh
-  // compile — either the tiered loader already promoted it (a finished
-  // background promotion counts) or the context's module cache holds the
-  // specialized binary.
-  bool IsResident(const std::string& source, const kcc::CompileOptions& opts) const;
 
  private:
   StageRecord& StageFor(const std::string& name);

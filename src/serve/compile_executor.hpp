@@ -73,9 +73,9 @@ class CompileExecutor : public vcuda::AsyncCompileService {
   vcuda::SubmitResult SubmitLoad(vcuda::Context& ctx,
                                  const vcuda::CompileRequest& req) override;
 
-  // Scheduler-driven warm-up: submits `req` so the specialization lands in
-  // `ctx`'s module cache before traffic needs it (sched::FleetScheduler uses
-  // this to seed cache affinity on a chosen shard). Identical semantics to
+  // Ahead-of-traffic warm-up: submits `req` so the specialization lands in
+  // `ctx`'s module cache before traffic needs it (kspecd uses this to
+  // recompile its persisted hot keys after a restart). Identical semantics to
   // SubmitLoad — coalescing, backpressure, deadlines — plus a `prewarmed`
   // tally in ServeStats. Returns the submit result so callers can observe
   // rejection and retry or fall back to a blocking load.

@@ -36,8 +36,8 @@ struct ServeStats {
   std::uint64_t failed = 0;     // compile or task threw; waiters rethrow on get()
   std::uint64_t expired = 0;    // deadline passed while queued; null result
   std::uint64_t rejected = 0;   // bounded queue full at submit time
-  // Submissions that came in through Prewarm (scheduler-driven warm-up of a
-  // shard's cache ahead of traffic). A side tally: every prewarm is also
+  // Submissions that came in through Prewarm (warm-up of a context's cache
+  // ahead of traffic). A side tally: every prewarm is also
   // counted in submitted/coalesced/rejected, so the invariant above holds
   // unchanged.
   std::uint64_t prewarmed = 0;

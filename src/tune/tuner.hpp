@@ -131,9 +131,9 @@ TuneResult PredictiveSearch(const std::vector<ParamRange>& space, const EvalFn& 
 // of the backing file runs outside that mutex (file I/O never blocks lookups)
 // but is serialized against other in-process flushes so interleaved
 // read-merge-write cycles cannot drop a concurrent Store's entry from disk.
-// This is what lets N scheduler shards (sched::FleetScheduler) share one
-// fleet-wide cache: same-device shards reuse each other's tuned entries with
-// no external locking. Cross-process sharing remains safe through the atomic
+// This is what lets several contexts (one per simulated device) share one
+// cache: same-device contexts reuse each other's tuned entries with no
+// external locking. Cross-process sharing remains safe through the atomic
 // file protocol, exactly as before.
 class TuningCache {
  public:
@@ -155,8 +155,8 @@ class TuningCache {
   // `key`, or runs `compute` (outside every cache lock — it is typically a
   // full tuning search), stores its result, and returns it. Concurrent
   // callers racing on the same cold key run `compute` exactly once and share
-  // the winner — the fleet-sharing primitive: the first shard to need a
-  // (kernel, device, signature) pays the search, every other shard hits.
+  // the winner — the sharing primitive: the first caller to need a
+  // (kernel, device, signature) pays the search, every other caller hits.
   // `compute` exceptions propagate to every waiter and nothing is stored.
   Config LookupOrCompute(const std::string& key, const std::function<Config()>& compute);
 

@@ -35,9 +35,8 @@ class ModuleCache {
                                                  const kcc::ModuleCacheKey& key);
 
   // True when an entry with this exact key is resident, WITHOUT bumping its
-  // LRU recency — a scheduler's affinity probe must be able to ask "is this
-  // specialization here?" across every shard without distorting the eviction
-  // order of the shards it does not pick.
+  // LRU recency — a probe asking "is this specialization here?" must not
+  // distort the eviction order of the entries it only looks at.
   bool Contains(std::uint64_t hash, const kcc::ModuleCacheKey& key) const;
 
   // Inserts `module` under `key`, evicting LRU entries beyond the byte

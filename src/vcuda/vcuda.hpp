@@ -180,11 +180,11 @@ class Context {
       const kcc::ModuleCacheKey& key,
       std::shared_ptr<const kcc::CompiledModule> compiled);
 
-  // Shard-visible cache residency probe: true when the specialization for
-  // (source, opts, this device) is resident in the in-memory tier right now.
-  // No compile, no disk probe, no LRU bump — safe and cheap to call from a
-  // scheduler's routing loop against every shard. A true answer means a
-  // LoadModule for the same key will be a ~microseconds cache hit.
+  // Cache residency probe: true when the specialization for (source, opts,
+  // this device) is resident in the in-memory tier right now. No compile, no
+  // disk probe, no LRU bump (netd's remote service asks it before any store
+  // read or RPC). A true answer means a LoadModule for the same key will be a
+  // ~microseconds cache hit.
   bool HasCachedModule(const std::string& source,
                        const kcc::CompileOptions& opts = {}) const;
 

@@ -1,6 +1,7 @@
 // GPU-PF framework tests: parameter semantics, the refresh phase's selective
 // re-derivation (including kernel re-specialization on parameter change),
-// copy/kernel/user/file actions, subset windows, schedules, and timing.
+// copy/kernel/user/file actions, subset windows, schedules, timing, and the
+// StageRunner accounting behind module loads and kernel launches.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -150,6 +151,64 @@ TEST(Pipeline, EndToEndScalePipeline) {
   EXPECT_NE(report.find("TOTAL"), std::string::npos);
 }
 
+// Kernel actions launch through the pipeline's StageRunner: its launch counts
+// equal the actions' invocations, each action's stage folds the same sim ms as
+// its timing row, and a module's compile ms is charged to the module's stage
+// once per binary per breakdown.
+TEST(Pipeline, KernelActionsReportThroughRunner) {
+  Context ctx(vgpu::TeslaC1060());
+  Pipeline pipe(&ctx);
+  auto* scale_const = pipe.AddInt("scale_const", 3);
+  auto* mod = pipe.AddModule("mod", kScaleKernel);
+  mod->BindDefine("SCALE", scale_const);
+  auto* kernel = pipe.AddKernel("k", mod, "scaleBuf");
+  auto* ext = pipe.AddExtent("ext", sizeof(float), 64);
+  auto* dev = pipe.AddGlobalMemory("dev", ext);
+  auto* scale = pipe.AddFloat("scale", 3.0);
+  auto* n = pipe.AddInt("n", 64);
+  auto* grid = pipe.AddTriplet("grid", Dim3(1));
+  auto* block = pipe.AddTriplet("block", Dim3(64));
+  auto* every = pipe.AddSchedule("every", 1);
+  auto* second = pipe.AddSchedule("second", 2);
+  auto* a = pipe.AddKernelExec("scale-a", every, kernel, grid, block, {dev, scale, n});
+  auto* b = pipe.AddKernelExec("scale-b", second, kernel, grid, block, {dev, scale, n});
+
+  auto expect_launches_match = [&] {
+    const launch::LaunchBreakdown& bd = pipe.runner().breakdown();
+    EXPECT_EQ(bd.launches_interp + bd.launches_decoded + bd.launches_native,
+              a->timing().invocations + b->timing().invocations);
+    EXPECT_DOUBLE_EQ(bd.Stage("scale-a")->sim_millis, a->timing().sim_millis);
+    EXPECT_DOUBLE_EQ(bd.Stage("scale-b")->sim_millis, b->timing().sim_millis);
+  };
+  auto module_compile = [&] { return pipe.runner().breakdown().Stage("mod")->compile_millis; };
+
+  pipe.Run(4);
+  EXPECT_EQ(a->timing().invocations, 4u);
+  EXPECT_EQ(b->timing().invocations, 2u);
+  expect_launches_match();
+  const double sk3 = mod->module().compiled().compile_millis;
+  EXPECT_GT(sk3, 0.0);
+  EXPECT_DOUBLE_EQ(module_compile(), sk3);  // four iterations, one charge
+
+  scale_const->Set(5);  // a new binary: charged
+  pipe.Run(1);
+  const double sk5 = mod->module().compiled().compile_millis;
+  EXPECT_DOUBLE_EQ(module_compile(), sk3 + sk5);
+  scale_const->Set(3);  // back to the cached SCALE=3 binary: already charged
+  pipe.Run(1);
+  EXPECT_DOUBLE_EQ(module_compile(), sk3 + sk5);
+  EXPECT_DOUBLE_EQ(pipe.runner().breakdown().compile_millis, sk3 + sk5);
+  expect_launches_match();
+
+  // ResetTiming starts a fresh breakdown: the SCALE=5 binary is charged anew.
+  pipe.ResetTiming();
+  EXPECT_TRUE(pipe.runner().breakdown().stages.empty());
+  scale_const->Set(5);
+  pipe.Run(1);
+  EXPECT_DOUBLE_EQ(module_compile(), sk5);
+  expect_launches_match();
+}
+
 TEST(Pipeline, SubsetWindowAdvancesPerIteration) {
   Context ctx(vgpu::TeslaC1060());
   Pipeline pipe(&ctx);
@@ -229,6 +288,17 @@ __kernel void apply(float* out) {
   pipe.Run(1);
   auto ospan = ohost->host_span<float>();
   for (int t = 0; t < 32; ++t) EXPECT_FLOAT_EQ(ospan[t], 2.0f * (t % 4 + 1));
+
+  // Constant memory is a destination only: a constant source is diagnosed
+  // against the action, whatever the destination.
+  auto* cmem2 = pipe.AddConstantMemory("coeffs-2", cext, mod, "coeffs");
+  pipe.AddCopy("const-to-const", every, cmem, cmem2);
+  try {
+    pipe.Run(1);
+    ADD_FAILURE() << "a constant-memory copy source must be rejected";
+  } catch (const PipelineError& e) {
+    EXPECT_NE(std::string(e.what()).find("const-to-const"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Pipeline, FileIoRoundTrip) {

@@ -1,7 +1,7 @@
 // Launch-layer tests: SpecBuilder stringification and validation, RAII device
-// buffers, StageRunner accounting, MakeRegions tiling edge cases, and tiered /
-// async promotion through a shared runner (the PR 2-3 stack exercised by an
-// actual app driver).
+// buffers, StageRunner accounting, bit-identical statistics across contexts of
+// one device profile, MakeRegions tiling edge cases, and tiered / async
+// promotion through a shared runner (exercised by an actual app driver).
 #include <gtest/gtest.h>
 
 #include <span>
@@ -253,6 +253,59 @@ TEST(StageRunner, TieredPolicyPromotesAtThreshold) {
   EXPECT_EQ(runner.tiered_stats().sk_served, 1u);
   EXPECT_EQ(runner.tiered_stats().specializations, 1u);
   EXPECT_EQ(runner.Download(d_out), std::vector<float>(64, 6.0f));
+}
+
+// A launch the device rejects (VC1060 caps blocks at 512 threads) throws from
+// that launch alone, after the load succeeded: it is not counted, and the
+// runner and its context keep serving.
+TEST(StageRunner, RejectedLaunchLeavesTheRunnerServing) {
+  vcuda::Context ctx(vgpu::TeslaC1060());
+  StageRunner runner(ctx);
+  std::vector<float> host(1024, 2.0f);
+  auto d_in = runner.Upload<float>(std::span<const float>(host));
+  auto d_out = runner.Alloc<float>(host.size());
+  SpecBuilder spec;
+  spec.Value("K_SCALE", 3.0f);
+  vcuda::ArgPack args;
+  args.Ptr(d_in.get()).Ptr(d_out.get()).Float(3.0f).Int(1024);
+
+  EXPECT_THROW(runner.Run("scale", kScaleKernel, spec, "scaleK", vgpu::Dim3(1),
+                          vgpu::Dim3(1024), args),
+               Error);
+  runner.Run("scale", kScaleKernel, spec, "scaleK", vgpu::Dim3(2), vgpu::Dim3(512), args);
+  const launch::LaunchBreakdown& bd = runner.breakdown();
+  EXPECT_EQ(bd.launches_interp + bd.launches_decoded + bd.launches_native, 1u);
+  EXPECT_EQ(runner.Download(d_out), std::vector<float>(1024, 6.0f));
+}
+
+// The same specialization on two contexts of one device profile simulates
+// bit-identically; a different profile changes the simulated execution. Each
+// context loads through a tiered runner at threshold 1, which specializes on
+// first use.
+TEST(StageRunner, SameProfileContextsProduceBitIdenticalLaunchStats) {
+  auto run = [](const vgpu::DeviceProfile& profile) {
+    vcuda::Context ctx(profile);
+    StageRunner runner(ctx, {.policy = LoadPolicy::kTiered, .hot_threshold = 1});
+    std::vector<float> host(64, 2.0f);
+    auto d_in = runner.Upload<float>(std::span<const float>(host));
+    auto d_out = runner.Alloc<float>(host.size());
+    SpecBuilder spec;
+    spec.Value("K_SCALE", 3.0f);
+    vcuda::ArgPack args;
+    args.Ptr(d_in.get()).Ptr(d_out.get()).Float(3.0f).Int(64);
+    const vgpu::LaunchStats st = runner.Run("scale", kScaleKernel, spec, "scaleK",
+                                            vgpu::Dim3(1), vgpu::Dim3(64), args);
+    EXPECT_TRUE(runner.IsSpecialized(kScaleKernel, spec));
+    EXPECT_EQ(runner.Download(d_out), std::vector<float>(64, 6.0f));
+    return st;
+  };
+  const vgpu::LaunchStats first = run(vgpu::TeslaC1060());
+  const vgpu::LaunchStats mirror = run(vgpu::TeslaC1060());
+  const vgpu::LaunchStats other = run(vgpu::TeslaC2070());
+  EXPECT_TRUE(vgpu::StatsBitIdentical(first, mirror))
+      << "the same launch on two same-profile contexts must simulate identically";
+  EXPECT_FALSE(vgpu::StatsBitIdentical(first, other))
+      << "a different device profile must change the simulated execution";
 }
 
 // The acceptance-criterion demo as a test: a repeated-problem app run under

@@ -1,6 +1,6 @@
 // The asynchronous specialization service: single-flight coalescing, bounded
 // queue backpressure, per-request deadlines, failure propagation, the
-// non-blocking tiered promotion built on top of it, GPU-PF background
+// non-blocking tiered promotion built on top of it, GPU-PF tiered
 // re-specialization, and a multi-threaded stress run asserting
 // exactly-one-compile-per-key and the ServeStats invariant
 //   submitted == coalesced + completed + rejected   (after Drain).
@@ -430,7 +430,7 @@ TEST(TieredBlocking, ConcurrentHotPromotionCompilesExactlyOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// Prewarm: fleet-style cache seeding through the executor.
+// Prewarm: ahead-of-traffic cache seeding through the executor.
 // ---------------------------------------------------------------------------
 
 TEST(CompileExecutor, PrewarmSeedsTheTargetContextCache) {
@@ -526,50 +526,57 @@ TEST(Stress, TieredAndExecutorExactlyOneCompilePerKey) {
 }
 
 // ---------------------------------------------------------------------------
-// GPU-PF: background re-specialization on parameter change
+// GPU-PF: tiered re-specialization on parameter change
 // ---------------------------------------------------------------------------
 
+// A kTiered pipeline answers a changed parameter set with the module's RE
+// build, which reads n at run time and so computes the right value, while the
+// set's specialized build compiles on the service; the SK build then swaps in
+// and bumps the module's generation.
 TEST(GpupfAsync, ParameterChangeRespecializesWithoutStallingExecution) {
   vcuda::Context ctx(vgpu::TeslaC1060());
   CompileExecutor ex({.workers = 1, .max_queue = 16});
   ctx.set_async_service(&ex);
 
-  gpupf::Pipeline pipe(&ctx);
+  gpupf::Pipeline pipe(&ctx, launch::LoadPolicy::kTiered);
   auto* n = pipe.AddInt("n", 5);
   auto* extent = pipe.AddExtent("out", sizeof(float), 32);
   auto* grid = pipe.AddTriplet("grid", vgpu::Dim3(1));
   auto* block = pipe.AddTriplet("block", vgpu::Dim3(32));
   auto* mod = pipe.AddModule("mod", kKernel);
   mod->BindDefine("N", n);
-  mod->set_async_refresh(true);
   auto* kernel = pipe.AddKernel("k", mod, "f");
   auto* out = pipe.AddGlobalMemory("buf", extent);
   auto* host = pipe.AddHostMemory("host", extent);
   pipe.AddKernelExec("run", nullptr, kernel, grid, block, {out, n});
   pipe.AddCopy("readback", nullptr, out, host);
 
-  // First build is always blocking: the pipeline cannot execute without it.
-  pipe.Run(1);
+  pipe.Run(1);  // cold set: the RE build (compiled inline once) answers
   EXPECT_FLOAT_EQ(host->host_span<float>()[0], 5.0f);
-  EXPECT_FALSE(mod->respecialization_pending());
 
-  // Pin the worker, then change the parameter: the next iteration schedules
-  // the recompile and keeps serving the previous build (stale N) instead of
-  // stalling for the compile.
+  // Pin the worker, then change the parameter. Refresh loads every
+  // iteration, so the third makes N=9 hot and queues its specialized build;
+  // all three run the RE build with the new value instead of stalling.
   auto blocker = OccupyWorker(ex, ctx);
   n->Set(9);
-  pipe.Run(1);
-  EXPECT_TRUE(mod->respecialization_pending());
-  EXPECT_FLOAT_EQ(host->host_span<float>()[0], 5.0f);  // previous specialization
+  pipe.Run(3);
+  EXPECT_FLOAT_EQ(host->host_span<float>()[0], 9.0f);
+  vcuda::TieredLoader::Stats s = pipe.runner().tiered_stats();
+  EXPECT_EQ(s.background_compiles, 1u);
+  EXPECT_EQ(s.promotions_pending, 1u);
+  EXPECT_EQ(s.sk_served, 0u);
 
   ex.Drain();
-  pipe.Run(1);  // swap-in happens in this iteration's refresh
-  EXPECT_FALSE(mod->respecialization_pending());
+  const std::uint64_t generation = mod->generation();
+  pipe.Run(1);  // this iteration's refresh swaps the specialized build in
+  s = pipe.runner().tiered_stats();
+  EXPECT_EQ(s.sk_served, 1u);
+  EXPECT_EQ(s.specializations, 1u);
+  EXPECT_EQ(s.promotions_pending, 0u);
+  EXPECT_GT(mod->generation(), generation);
+  EXPECT_TRUE(pipe.runner().IsSpecialized(kKernel, launch::SpecBuilder().Value("N", 9)));
   EXPECT_FLOAT_EQ(host->host_span<float>()[0], 9.0f);
-
-  // Without async_refresh the same change would have recompiled inline; with
-  // it, the compile ran on the service.
-  EXPECT_GE(ex.stats().succeeded, 1u);
+  EXPECT_GE(ex.stats().succeeded, 2u);  // the blocker and the SK build
 }
 
 }  // namespace

@@ -286,9 +286,9 @@ TEST(TuningCache, StoreMergesOtherWritersEntries) {
   EXPECT_TRUE(c.Lookup("beta").has_value());
 }
 
-// Regression: TuningCache is shared by every shard of a fleet, but Store and
-// Lookup used to touch the entries map with no synchronization at all — a
-// data race TSan flags the moment two schedulers' shards tune concurrently.
+// Regression: one TuningCache may be shared by several contexts, but Store
+// and Lookup used to touch the entries map with no synchronization at all — a
+// data race TSan flags the moment two threads tune concurrently.
 // This test is in the TSan CI job; it also checks nothing is lost or torn.
 TEST(TuningCache, ConcurrentStoreLookupFlushIsSafe) {
   constexpr int kThreads = 8;
@@ -336,9 +336,9 @@ TEST(TuningCache, ConcurrentStoreLookupFlushIsSafe) {
   EXPECT_EQ(reread.size(), static_cast<std::size_t>(kKeys));
 }
 
-// LookupOrCompute is the fleet's single-search guarantee: N shards asking for
-// the same (kernel, device, signature) key concurrently run the search once
-// and share the result.
+// LookupOrCompute is the single-search guarantee: N threads asking for the
+// same (kernel, device, signature) key concurrently run the search once and
+// share the result.
 TEST(TuningCache, LookupOrComputeRunsComputeOncePerKey) {
   constexpr int kThreads = 8;
   tune::TuningCache cache;  // in-memory is enough: the contract is per-process
@@ -367,6 +367,30 @@ TEST(TuningCache, LookupOrComputeRunsComputeOncePerKey) {
   }
   EXPECT_TRUE(cache.Lookup("piv|VC1060|n=8").has_value());
   EXPECT_EQ(cache.size(), 1u);
+}
+
+// Keyed through MakeKey, one cache searches once per (kernel, device kind,
+// signature): a second context of the same device kind hits, another device
+// kind or another signature searches anew.
+TEST(TuningCache, SharedTuningCacheSearchesOncePerDeviceKind) {
+  tune::TuningCache cache;
+  int searches = 0;
+  auto tuned = [&](const vgpu::DeviceProfile& dev, const std::string& signature) {
+    return cache.LookupOrCompute(tune::TuningCache::MakeKey("f", dev.name, signature), [&] {
+      ++searches;
+      return tune::Config{{"threads", 64}};
+    });
+  };
+
+  tune::Config a = tuned(vgpu::TeslaC1060(), "n=8");  // search
+  tune::Config b = tuned(vgpu::TeslaC1060(), "n=8");  // same device kind: hit
+  EXPECT_EQ(searches, 1);
+  EXPECT_EQ(a.at("threads"), b.at("threads"));
+
+  tuned(vgpu::TeslaC2070(), "n=8");  // another device kind: its own key
+  EXPECT_EQ(searches, 2);
+  tuned(vgpu::TeslaC1060(), "n=16");  // new signature: new search
+  EXPECT_EQ(searches, 3);
 }
 
 // A failed compute must propagate to every waiter and leave nothing cached —

@@ -5,9 +5,12 @@
 // Usage: bench_report [-o out.json] [--append] session1.json [session2.json ...]
 //
 // Without -o the output name is derived from the first session's "bench"
-// field — bench_fleet -> BENCH_fleet.json, bench_autotune -> BENCH_tune.json,
-// anything else -> BENCH_interp.json — so each bench family lands in its own
-// artifact by default.
+// field — bench_interp and bench_fig_6_1_6_2 -> BENCH_interp.json,
+// bench_compile_overhead -> BENCH_compile.json, bench_autotune ->
+// BENCH_tune.json, bench_native -> BENCH_native.json, bench_netd ->
+// BENCH_netd.json — so each bench family lands in its own artifact by
+// default. Any other bench needs -o: the tool exits non-zero rather than
+// overwrite another family's report.
 //
 // Each input is a bench Session file ({"bench": ..., "records": [...]}); the
 // output wraps them in {"benches": [...]}. Inputs are embedded verbatim, so
@@ -78,13 +81,15 @@ std::string BenchName(const std::string& body) {
 }
 
 // Default report path for a session family: each bench binary's sessions
-// aggregate into their own BENCH_*.json artifact.
+// aggregate into their own BENCH_*.json artifact. Empty for a bench with no
+// artifact of its own.
 std::string DefaultOutPath(const std::string& bench) {
-  if (bench == "bench_fleet") return "BENCH_fleet.json";
+  if (bench == "bench_interp" || bench == "bench_fig_6_1_6_2") return "BENCH_interp.json";
+  if (bench == "bench_compile_overhead") return "BENCH_compile.json";
   if (bench == "bench_netd") return "BENCH_netd.json";
   if (bench == "bench_autotune") return "BENCH_tune.json";
   if (bench == "bench_native") return "BENCH_native.json";
-  return "BENCH_interp.json";
+  return "";
 }
 
 // Light field scans over one record object ({"name": ..., "wall_ms": ...}).
@@ -178,7 +183,15 @@ int main(int argc, char** argv) {
     }
     session_bodies.push_back(std::move(body));
   }
-  if (out_path.empty()) out_path = DefaultOutPath(BenchName(session_bodies.front()));
+  if (out_path.empty()) {
+    const std::string bench = BenchName(session_bodies.front());
+    out_path = DefaultOutPath(bench);
+    if (out_path.empty()) {
+      std::cerr << "bench_report: no default report for bench '" << bench
+                << "'; name one with -o\n";
+      return 1;
+    }
+  }
 
   std::vector<std::string> bodies;
   if (append) {
