@@ -95,9 +95,12 @@ ExprPtr FoldBinary(const Expr& e) {
     case BinOp::kMul: return IntResult(ua * ub, rs, e.line);
     case BinOp::kDiv:
       if (ub == 0) return nullptr;  // leave the runtime to decide
+      // x / -1 is -x, wrapping: INT_MIN / -1 is INT_MIN, as at run time.
+      if (sgn && sb == -1) return IntResult(0 - ua, rs, e.line);
       return IntResult(sgn ? static_cast<std::uint64_t>(sa / sb) : ua / ub, rs, e.line);
     case BinOp::kRem:
       if (ub == 0) return nullptr;
+      if (sgn && sb == -1) return IntResult(0, rs, e.line);
       return IntResult(sgn ? static_cast<std::uint64_t>(sa % sb) : ua % ub, rs, e.line);
     case BinOp::kAnd: return IntResult(ua & ub, rs, e.line);
     case BinOp::kOr: return IntResult(ua | ub, rs, e.line);

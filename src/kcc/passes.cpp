@@ -213,11 +213,14 @@ bool EvalConstInstr(const Instr& i, std::uint64_t a, std::uint64_t b, std::uint6
     case Opcode::kMad: *out = norm(a * b + c); return true;
     case Opcode::kDiv:
       if (uval(b) == 0) return false;
-      *out = norm(sgn ? static_cast<std::uint64_t>(sval(a) / sval(b)) : uval(a) / uval(b));
+      // x / -1 is -x, wrapping: INT_MIN / -1 is INT_MIN, as at run time.
+      if (sgn && sval(b) == -1) *out = norm(0 - a);
+      else *out = norm(sgn ? static_cast<std::uint64_t>(sval(a) / sval(b)) : uval(a) / uval(b));
       return true;
     case Opcode::kRem:
       if (uval(b) == 0) return false;
-      *out = norm(sgn ? static_cast<std::uint64_t>(sval(a) % sval(b)) : uval(a) % uval(b));
+      if (sgn && sval(b) == -1) *out = 0;
+      else *out = norm(sgn ? static_cast<std::uint64_t>(sval(a) % sval(b)) : uval(a) % uval(b));
       return true;
     case Opcode::kMin:
       *out = norm(sgn ? static_cast<std::uint64_t>(std::min(sval(a), sval(b)))
@@ -229,8 +232,8 @@ bool EvalConstInstr(const Instr& i, std::uint64_t a, std::uint64_t b, std::uint6
       return true;
     case Opcode::kNeg: *out = norm(~a + 1); return true;
     case Opcode::kAbs: {
-      std::int64_t v = sval(a);
-      *out = norm(static_cast<std::uint64_t>(v < 0 ? -v : v));
+      const std::int64_t v = sval(a);
+      *out = norm(v < 0 ? 0 - static_cast<std::uint64_t>(v) : static_cast<std::uint64_t>(v));
       return true;
     }
     case Opcode::kAnd: *out = norm(a & b); return true;

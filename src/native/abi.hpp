@@ -1,19 +1,22 @@
 // The C ABI between the host engine and a dlopen'd native-tier shared object.
 //
-// A generated translation unit (codegen.cpp) embeds a textual copy of these
-// structs — the SO must stay loadable by toolchains that never saw this
-// header. Any layout or semantic change here MUST bump kNativeAbiVersion; the
-// engine refuses (and rebuilds) artifacts whose kspec_native_abi_version()
-// disagrees, so stale shared objects degrade to the decoded tier instead of
-// corrupting memory.
+// Every generated translation unit embeds this header's text, after the
+// text of vgpu/simt.hpp (the build strips comments and the kspec #include
+// below; see src/native/CMakeLists.txt), so the host and the SO compile the
+// same struct definitions. Any layout or semantic change here MUST bump
+// kNativeAbiVersion; the engine refuses (and rebuilds) artifacts whose
+// kspec_native_abi_version() disagrees, so stale shared objects degrade to
+// the decoded tier instead of corrupting memory. The ABI also covers the
+// vgpu types it names: BlockStats, TextureBinding, DeviceConsts and the Fault
+// codes.
 //
 // Device cost constants travel in the launch struct at run time rather than
-// being baked into the generated code: a ModuleCacheKey names only the device
-// *profile* (by name), but tests tweak individual DeviceProfile fields — a
-// baked constant would silently diverge from the interpreter's charges.
+// being baked into the generated code (see vgpu::DeviceConsts).
 #pragma once
 
 #include <cstdint>
+
+#include "vgpu/simt.hpp"
 
 namespace kspec::native {
 
@@ -23,46 +26,6 @@ namespace kspec::native {
 // shape-variant dispatch contract, so they are invalidated wholesale.
 inline constexpr int kNativeAbiVersion = 2;
 
-// Mirrors vgpu::BlockStats field-for-field; the engine copies it across.
-struct KspecNativeStats {
-  std::uint64_t warp_instrs = 0;
-  std::uint64_t lane_instrs = 0;
-  std::uint64_t global_instrs = 0;
-  std::uint64_t mem_transactions = 0;
-  std::uint64_t texture_fetches = 0;
-  std::uint64_t shared_conflict_cycles = 0;
-  std::uint64_t barriers = 0;
-  double issue_cycles = 0;
-  double memory_cycles = 0;
-  double ilp_sum = 0;
-};
-
-struct KspecNativeTexture {
-  std::uint64_t base = 0;
-  int w = 0, h = 1;
-};
-
-// Diagnostic codes raised by generated code through KspecNativeCallbacks::fail.
-// The host formats the exact interpreter error text (it has the kernel and
-// launch context; the SO only reports what went wrong where).
-enum KspecNativeFail : int {
-  kFailSharedOob = 0,       // a = addr, b = access bytes
-  kFailConstOob,            // a = addr, b = access bytes
-  kFailConstStore,          //
-  kFailBadSpace,            //
-  kFailMisalignedAtomic,    // a = element size, b = addr
-  kFailTexUnbound,          // a = slot
-  kFailTexInvalid,          // a = slot
-  kFailDivergentBarrier,    //
-  kFailWatchdog,            //
-  kFailBarrierDeadlock,     //
-  kFailNoProgress,          //
-  kFailBadOp,               // a = pc (invalid opcode/type pair reached exec)
-  kFailBadDispatch,         // a = pc (branch to a non-leader pc: codegen bug)
-  kFailBadAtomic,           //
-  kFailNoReconv,            // a = pc (divergent branch without reconvergence)
-};
-
 struct KspecNativeCallbacks {
   // Opaque vgpu::GlobalMemory*. try_access returns nullptr when the range is
   // not inside one live allocation; access throws the interpreter's precise
@@ -70,19 +33,21 @@ struct KspecNativeCallbacks {
   void* gmem = nullptr;
   const unsigned char* (*try_access)(void* gmem, std::uint64_t addr, std::uint64_t len) = nullptr;
   unsigned char* (*access)(void* gmem, std::uint64_t addr, std::uint64_t len) = nullptr;
-  // Throws host-side; never returns.
+  // vgpu::RaiseFault: throws host-side; never returns.
   void* fail_ctx = nullptr;
   void (*fail)(void* fail_ctx, int code, std::uint64_t a, std::uint64_t b) = nullptr;
+
+  // The global-memory policy of vgpu::simt::Env.
+  const unsigned char* TryAccess(std::uint64_t addr, std::uint64_t len) const {
+    return try_access(gmem, addr, len);
+  }
+  unsigned char* Access(std::uint64_t addr, std::uint64_t len) const {
+    return access(gmem, addr, len);
+  }
 };
 
 struct KspecNativeLaunch {
-  // Device cost constants (see file comment for why they are runtime values).
-  int is_fermi = 0;
-  unsigned warp_size = 32;
-  unsigned shared_mem_banks = 16;
-  double cycles_per_global_tx = 36.0;
-  double shared_access_cost = 1.0;
-  std::uint64_t watchdog_warp_instrs = 0;
+  vgpu::DeviceConsts dev;
 
   unsigned grid_x = 1, grid_y = 1, grid_z = 1;
   unsigned block_x = 1, block_y = 1, block_z = 1;
@@ -91,11 +56,10 @@ struct KspecNativeLaunch {
   std::uint64_t nargs = 0;
   const unsigned char* cmem = nullptr;
   std::uint64_t cmem_bytes = 0;
-  const KspecNativeTexture* textures = nullptr;
+  const vgpu::TextureBinding* textures = nullptr;
   std::uint64_t ntextures = 0;
 
-  // Per-slot thread coordinates, stride entries, precomputed by the host with
-  // the interpreter's exact formula (padding lanes clamp to the last thread).
+  // Per-slot thread coordinates, stride entries (vgpu::BlockLayout).
   const std::uint32_t* tid_x = nullptr;
   const std::uint32_t* tid_y = nullptr;
   const std::uint32_t* tid_z = nullptr;
@@ -108,8 +72,8 @@ struct KspecNativeBlock {
   std::uint64_t* regs = nullptr;  // num_vregs x stride SoA register file
   unsigned char* shared = nullptr;
   std::uint64_t shared_bytes = 0;
-  KspecNativeStats* stats = nullptr;   // accumulated, never reset by the SO
-  std::uint64_t* wd_accum = nullptr;   // per-runner watchdog accumulator
+  vgpu::BlockStats* stats = nullptr;  // accumulated, never reset by the SO
+  std::uint64_t* wd_accum = nullptr;  // per-runner watchdog accumulator
 };
 
 // Entry points every generated shared object exports with default visibility:

@@ -78,7 +78,8 @@ std::vector<std::uint8_t> CompileSharedObject(const std::string& source, std::st
       return {};
     }
   }
-  // -fvisibility=hidden keeps every prelude symbol private to the SO; only
+  // -fvisibility=hidden keeps every runtime and prelude symbol private to the
+  // SO (the embedded simt.hpp code never interposes on the host's); only
   // the extern "C" entry points (emitted with default visibility) export.
   // -O3 so the full-mask lane loops (32 independent scalar ops) vectorize;
   // no -ffast-math or -march flags — results must stay bit-identical to the

@@ -13,9 +13,12 @@
 //     issue-cost and ILP sums are folded into per-block constants at emit
 //     time (exact: every charge is a dyadic rational), so LaunchStats stay
 //     bit-identical to the interpreter;
-//   * each instruction is emitted against function templates in the generated
-//     prelude that transliterate the interpreter's handlers, specialized on
-//     (opcode, type, operand kinds) so immediates constant-fold.
+//   * each instruction is emitted as a call into vgpu/simt.hpp — the lane
+//     rules and cost charges the interpreter's handlers call too, whose text
+//     (with abi.hpp's) opens every TU — specialized on (opcode, type,
+//     operand kinds) so immediates constant-fold. A small TU-only prelude
+//     adds the per-block state, operand accessors, special registers and
+//     entry wiring.
 //
 // The emitted unit embeds the ModuleCacheKey canonical text (served back via
 // kspec_native_build_key) so a loaded artifact can be verified against the
@@ -23,8 +26,9 @@
 //
 // With a ShapeSpec the unit is shape-specialized: launch dimensions become
 // compile-time constants, each kernel gets a full-warp body (driven by the
-// mask-constant-propagation pass in maskprop.hpp) plus a boundary-warp body,
-// and the exported run_block refuses launches whose shape does not match.
+// mask-constant-propagation pass in maskprop.hpp) plus, when the block size
+// is not a multiple of 32, a boundary-warp body, and the exported run_block
+// refuses launches whose shape does not match.
 #pragma once
 
 #include <string>

@@ -2,6 +2,7 @@
 
 #include <dlfcn.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <vector>
 
@@ -15,15 +16,11 @@
 #include "support/status.hpp"
 #include "support/str.hpp"
 #include "vcuda/vcuda.hpp"
-#include "vgpu/exec_pool.hpp"
 #include "vgpu/isa.hpp"
 #include "vgpu/tier.hpp"
 
 namespace kspec::native {
 namespace {
-
-using vgpu::Opcode;
-using vgpu::Space;
 
 // The generic artifact and the shape variants feed separate counters, so the
 // generic ones keep their exact meanings whether or not a variant serves.
@@ -45,19 +42,6 @@ constexpr LadderCounters kShapeCounters = {
     &NativeEngineStats::shape_builds_started, &NativeEngineStats::shape_builds_completed,
     &NativeEngineStats::shape_build_failures};
 
-bool IsGlobalAtomic(const vgpu::Instr& i) {
-  switch (i.op) {
-    case Opcode::kAtomAdd:
-    case Opcode::kAtomMin:
-    case Opcode::kAtomMax:
-    case Opcode::kAtomExch:
-    case Opcode::kAtomCas:
-      return i.space == Space::kGlobal;
-    default:
-      return false;
-  }
-}
-
 // ---- launch callbacks (the SO's only way back into the host) ----
 
 const unsigned char* TryAccessCb(void* gmem, std::uint64_t addr, std::uint64_t len) {
@@ -68,70 +52,37 @@ unsigned char* AccessCb(void* gmem, std::uint64_t addr, std::uint64_t len) {
   return static_cast<vgpu::GlobalMemory*>(gmem)->Access(addr, len);
 }
 
-// Context for formatting the interpreter's exact error text host-side: the
-// SO reports (code, a, b); the host owns the kernel and launch geometry.
-struct FailCtx {
-  const vgpu::CompiledKernel* kernel = nullptr;
-  std::size_t shared_size = 0;
-  std::size_t const_size = 0;
-};
+// The per-worker execution state the SO borrows for each block, like the
+// interpreter's runner: the register file and shared array are reused
+// across blocks and chunks, the watchdog accumulator spans its lifetime.
+class NativeRunner final : public vgpu::BlockExecutor {
+ public:
+  NativeRunner(RunBlockFn run, unsigned kernel_index, const KspecNativeLaunch& launch,
+               std::size_t regs, std::size_t shared_bytes)
+      : run_(run), kernel_index_(kernel_index), launch_(launch), regs_(regs),
+        shared_(shared_bytes) {}
 
-[[noreturn]] void FailCb(void* ctx, int code, std::uint64_t a, std::uint64_t b) {
-  const FailCtx& fc = *static_cast<const FailCtx*>(ctx);
-  switch (static_cast<KspecNativeFail>(code)) {
-    case kFailSharedOob:
-      throw DeviceError(Format("shared-memory access out of bounds: 0x%llx (+%zu) of %zu bytes",
-                               static_cast<unsigned long long>(a),
-                               static_cast<std::size_t>(b), fc.shared_size));
-    case kFailConstOob:
-      throw DeviceError(Format("constant-memory access out of bounds: 0x%llx of %zu bytes",
-                               static_cast<unsigned long long>(a), fc.const_size));
-    case kFailConstStore:
-      throw DeviceError("store to constant memory");
-    case kFailBadSpace:
-      throw DeviceError("unsupported memory space in ld/st");
-    case kFailMisalignedAtomic:
-      throw DeviceError(Format("misaligned %zu-byte atomic at 0x%llx",
-                               static_cast<std::size_t>(a),
-                               static_cast<unsigned long long>(b)));
-    case kFailTexUnbound:
-      throw DeviceError(Format("texture slot %d is not bound at launch",
-                               static_cast<int>(static_cast<std::int64_t>(a))));
-    case kFailTexInvalid:
-      throw DeviceError(Format("texture slot %d has an invalid binding",
-                               static_cast<int>(static_cast<std::int64_t>(a))));
-    case kFailDivergentBarrier:
-      throw DeviceError("__syncthreads() executed in divergent control flow");
-    case kFailWatchdog:
-      throw DeviceError(
-          "kernel exceeded the simulator watchdog limit (likely a non-terminating loop); raise "
-          "DeviceProfile::watchdog_warp_instrs if the workload is legitimately huge");
-    case kFailBarrierDeadlock:
-      throw DeviceError("__syncthreads deadlock: a warp retired or diverged past the barrier");
-    case kFailNoProgress:
-      throw DeviceError("block made no progress (scheduler deadlock)");
-    case kFailBadOp: {
-      // a = pc of the invalid (opcode, type) pair; mirror BlockRunner::BadOp.
-      const vgpu::Instr& i = fc.kernel->code[static_cast<std::size_t>(a)];
-      if (i.type == vgpu::Type::kF32) {
-        throw InternalError(Format("op %s invalid for f32", vgpu::OpcodeName(i.op)));
-      }
-      if (i.type == vgpu::Type::kF64) {
-        throw InternalError(Format("op %s invalid for f64", vgpu::OpcodeName(i.op)));
-      }
-      throw InternalError(Format("unhandled opcode %s for type %s", vgpu::OpcodeName(i.op),
-                                 vgpu::TypeName(i.type)));
-    }
-    case kFailBadDispatch:
-      throw InternalError(Format("native tier: branch to non-leader pc %llu",
-                                 static_cast<unsigned long long>(a)));
-    case kFailBadAtomic:
-      throw InternalError("bad atomic opcode");
-    case kFailNoReconv:
-      throw InternalError("divergent branch without reconvergence point");
+  void RunBlock(const vgpu::Dim3& ctaid, vgpu::BlockStats& stats) override {
+    KspecNativeBlock blk;
+    blk.ctaid_x = ctaid.x;
+    blk.ctaid_y = ctaid.y;
+    blk.ctaid_z = ctaid.z;
+    blk.regs = regs_.data();
+    blk.shared = shared_.data();
+    blk.shared_bytes = shared_.size();
+    blk.stats = &stats;
+    blk.wd_accum = &wd_accum_;
+    run_(kernel_index_, &launch_, &blk);
   }
-  throw InternalError(Format("native tier: unknown failure code %d", code));
-}
+
+ private:
+  RunBlockFn run_;
+  unsigned kernel_index_;
+  const KspecNativeLaunch& launch_;
+  std::vector<std::uint64_t> regs_;
+  std::vector<unsigned char> shared_;
+  std::uint64_t wd_accum_ = 0;
+};
 
 }  // namespace
 
@@ -534,55 +485,21 @@ vgpu::LaunchStats NativeEngine::RunNative(vcuda::Context& ctx, const LoadedModul
   const vgpu::LaunchConfig& cfg = *req.cfg;
   const vgpu::DeviceProfile& dev = ctx.device();
 
-  bool has_global_atomic = false;
-  for (const vgpu::Instr& i : k.code) {
-    if (IsGlobalAtomic(i)) {
-      has_global_atomic = true;
-      break;
-    }
-  }
-
+  const bool has_global_atomic = std::any_of(k.code.begin(), k.code.end(), [](const auto& i) {
+    return vgpu::IsAtomicOp(i.op) && i.space == vgpu::Space::kGlobal;
+  });
   // The shared launch shell — the same validation, spill clamping, policy
-  // resolution, and chunk plan the interpreter runs (vgpu/tier.hpp).
+  // resolution, block layout and chunk driver the interpreter runs.
   vgpu::LaunchShell shell =
       vgpu::PrepareLaunch(dev, cfg, k.stats.reg_count, k.static_smem_bytes, has_global_atomic);
   KSPEC_CHECK_MSG(cfg.args.size() == k.params.size(), "argument count mismatch");
 
-  const unsigned nthreads = static_cast<unsigned>(cfg.block.Count());
-  const unsigned nwarps = CeilDiv(nthreads, dev.warp_size);
-  const unsigned stride = nwarps * dev.warp_size;
-
-  // Per-lane thread coordinates, the interpreter's exact formula (padding
-  // lanes clamp to the last thread).
-  std::vector<std::uint32_t> tid_x(stride), tid_y(stride), tid_z(stride);
-  for (unsigned t = 0; t < stride; ++t) {
-    const unsigned lin = std::min(t, nthreads - 1);
-    tid_x[t] = lin % cfg.block.x;
-    tid_y[t] = (lin / cfg.block.x) % cfg.block.y;
-    tid_z[t] = lin / (cfg.block.x * cfg.block.y);
-  }
-
-  std::vector<KspecNativeTexture> textures(cfg.textures.size());
-  for (std::size_t i = 0; i < cfg.textures.size(); ++i) {
-    textures[i].base = cfg.textures[i].base;
-    textures[i].w = cfg.textures[i].w;
-    textures[i].h = cfg.textures[i].h;
-  }
-
   const std::size_t shared_bytes =
       static_cast<std::size_t>(k.static_smem_bytes) + cfg.dynamic_smem_bytes;
-  FailCtx fctx;
-  fctx.kernel = &k;
-  fctx.shared_size = shared_bytes;
-  fctx.const_size = req.const_mem.size();
+  vgpu::FaultSite site{&k.code, shared_bytes, req.const_mem.size()};
 
   KspecNativeLaunch L;
-  L.is_fermi = dev.IsFermi() ? 1 : 0;
-  L.warp_size = dev.warp_size;
-  L.shared_mem_banks = dev.shared_mem_banks;
-  L.cycles_per_global_tx = dev.cycles_per_global_tx;
-  L.shared_access_cost = dev.shared_access_cost;
-  L.watchdog_warp_instrs = dev.watchdog_warp_instrs;
+  L.dev = shell.consts;
   L.grid_x = cfg.grid.x;
   L.grid_y = cfg.grid.y;
   L.grid_z = cfg.grid.z;
@@ -593,88 +510,21 @@ vgpu::LaunchStats NativeEngine::RunNative(vcuda::Context& ctx, const LoadedModul
   L.nargs = cfg.args.size();
   L.cmem = req.const_mem.data();
   L.cmem_bytes = req.const_mem.size();
-  L.textures = textures.data();
-  L.ntextures = textures.size();
-  L.tid_x = tid_x.data();
-  L.tid_y = tid_y.data();
-  L.tid_z = tid_z.data();
+  L.textures = cfg.textures.data();
+  L.ntextures = cfg.textures.size();
+  L.tid_x = shell.layout.tid_x.data();
+  L.tid_y = shell.layout.tid_y.data();
+  L.tid_z = shell.layout.tid_z.data();
   L.cb.gmem = &ctx.memory();
   L.cb.try_access = &TryAccessCb;
   L.cb.access = &AccessCb;
-  L.cb.fail_ctx = &fctx;
-  L.cb.fail = &FailCb;
+  L.cb.fail_ctx = &site;
+  L.cb.fail = &vgpu::RaiseFault;
 
-  // The per-worker execution state the SO borrows for each block. Mirrors
-  // BlockRunner: the register file and shared array are reused across blocks
-  // and chunks, the watchdog accumulator spans the runner's lifetime.
-  struct Runner {
-    std::vector<std::uint64_t> regs;
-    std::vector<unsigned char> shared;
-    std::uint64_t wd_accum = 0;
-  };
-  auto make_runner = [&] {
-    auto r = std::make_unique<Runner>();
-    r->regs.resize(static_cast<std::size_t>(k.num_vregs) * stride);
-    r->shared.resize(shared_bytes);
-    return r;
-  };
-
-  std::vector<vgpu::BlockStats> parts(shell.nparts);
-  auto run_chunk = [&](Runner& r, std::size_t ci) {
-    KspecNativeStats ns;  // zero-initialized; the SO only accumulates
-    const std::uint64_t b0 = static_cast<std::uint64_t>(ci) * shell.chunk;
-    const std::uint64_t b1 = std::min<std::uint64_t>(shell.nblocks, b0 + shell.chunk);
-    for (std::uint64_t b = b0; b < b1; ++b) {
-      const vgpu::Dim3 cta = vgpu::LinearToCta(cfg.grid, b);
-      KspecNativeBlock blk;
-      blk.ctaid_x = cta.x;
-      blk.ctaid_y = cta.y;
-      blk.ctaid_z = cta.z;
-      blk.regs = r.regs.data();
-      blk.shared = r.shared.data();
-      blk.shared_bytes = shared_bytes;
-      blk.stats = &ns;
-      blk.wd_accum = &r.wd_accum;
-      lm.run_block(kernel_index, &L, &blk);
-    }
-    vgpu::BlockStats& p = parts[ci];
-    p.warp_instrs = ns.warp_instrs;
-    p.lane_instrs = ns.lane_instrs;
-    p.global_instrs = ns.global_instrs;
-    p.mem_transactions = ns.mem_transactions;
-    p.texture_fetches = ns.texture_fetches;
-    p.shared_conflict_cycles = ns.shared_conflict_cycles;
-    p.barriers = ns.barriers;
-    p.issue_cycles = ns.issue_cycles;
-    p.memory_cycles = ns.memory_cycles;
-    p.ilp_sum = ns.ilp_sum;
-  };
-
-  if (!shell.parallel) {
-    std::unique_ptr<Runner> runner = make_runner();
-    for (std::size_t ci = 0; ci < shell.nparts; ++ci) run_chunk(*runner, ci);
-  } else {
-    std::mutex mu;
-    std::vector<std::unique_ptr<Runner>> idle;
-    std::function<void(std::size_t)> fn = [&](std::size_t ci) {
-      std::unique_ptr<Runner> runner;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (!idle.empty()) {
-          runner = std::move(idle.back());
-          idle.pop_back();
-        }
-      }
-      if (!runner) runner = make_runner();
-      run_chunk(*runner, ci);
-      std::lock_guard<std::mutex> lk(mu);
-      idle.push_back(std::move(runner));
-    };
-    vgpu::ExecPool::Instance().ParallelFor(shell.workers, shell.nparts, fn);
-  }
-
-  vgpu::FinalizeLaunchStats(dev, shell, parts);
-  return shell.stats;
+  const std::size_t regs = static_cast<std::size_t>(k.num_vregs) * shell.layout.stride;
+  return vgpu::ExecuteLaunch(dev, shell, cfg.grid, [&] {
+    return std::make_unique<NativeRunner>(lm.run_block, kernel_index, L, regs, shared_bytes);
+  });
 }
 
 }  // namespace kspec::native

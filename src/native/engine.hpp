@@ -38,10 +38,10 @@
 // thread_local state, an evicted variant's shared object really is dlclosed
 // once its last in-flight launch completes.
 //
-// The launch itself mirrors the interpreter's shell exactly: the shared
-// vgpu::PrepareLaunch / FinalizeLaunchStats bracket per-chunk runs, per-worker
-// register files come from the same free-list idiom, and the chunk partials
-// fold in chunk order — which is why the native tier's LaunchStats are
+// The launch itself runs the interpreter's shell: vgpu::PrepareLaunch and
+// vgpu::ExecuteLaunch (the one chunk driver, per-worker runners from its
+// free list, chunk partials folded in chunk order), and the SO executes the
+// same simt.hpp rules — which is why the native tier's LaunchStats are
 // bit-identical to the decoded tier's.
 #pragma once
 

@@ -115,103 +115,31 @@ AV JoinUniform(const AV& a, const AV& b, u64 join_uid) {
   return r;
 }
 
-// ---- Bit-exact integer folding, mirroring the emitted alu<>() templates. ----
-
-u64 INorm(bool is64, u64 v) { return is64 ? v : static_cast<u64>(static_cast<u32>(v)); }
-i64 AsSigned(bool is64, u64 v) {
-  return is64 ? static_cast<i64>(v) : static_cast<i64>(static_cast<i32>(static_cast<u32>(v)));
-}
+// ---- Bit-exact integer folding: the simt lane rule the emitted Alu<> runs. ----
 
 bool FoldInt(Opcode op, Type ty, u64 a, u64 b, u64 c, u64* out) {
-  if (ty == Type::kPred) ty = Type::kU32;  // emission maps pred to u32 ALU semantics
-  if (ty == Type::kF32 || ty == Type::kF64) return false;
+  ty = vgpu::simt::AluType(ty);
+  if (!vgpu::IsIntType(ty) || !vgpu::simt::AluValid(op, ty)) return false;
+  // Sound punts (an unfolded value is Top): the overflowing 64-bit quotient
+  // INT64_MIN / -1 and abs(INT64_MIN).
   const bool is64 = ty == Type::kI64 || ty == Type::kU64;
-  const bool sg = ty == Type::kI32 || ty == Type::kI64;
-  switch (op) {
-    case Opcode::kAdd: *out = INorm(is64, a + b); return true;
-    case Opcode::kSub: *out = INorm(is64, a - b); return true;
-    case Opcode::kMul: *out = INorm(is64, a * b); return true;
-    case Opcode::kMad: *out = INorm(is64, a * b + c); return true;
-    case Opcode::kMul24: {
-      const u64 x = a & 0xffffffu, y = b & 0xffffffu;
-      if (sg) {
-        const i64 sx = static_cast<i64>(x << 40) >> 40;
-        const i64 sy = static_cast<i64>(y << 40) >> 40;
-        *out = INorm(is64, static_cast<u64>(sx * sy));
-      } else {
-        *out = INorm(is64, x * y);
-      }
-      return true;
-    }
-    case Opcode::kDiv:
-      if (sg) {
-        const i64 d = AsSigned(is64, b);
-        if (d == 0) { *out = 0; return true; }
-        const i64 n = AsSigned(is64, a);
-        if (n == INT64_MIN && d == -1) return false;  // UB in host C++; punt
-        *out = INorm(is64, static_cast<u64>(n / d));
-      } else {
-        const u64 d = is64 ? b : static_cast<u32>(b);
-        const u64 n = is64 ? a : static_cast<u32>(a);
-        *out = d == 0 ? 0 : INorm(is64, n / d);
-      }
-      return true;
-    case Opcode::kRem:
-      if (sg) {
-        const i64 d = AsSigned(is64, b);
-        if (d == 0) { *out = 0; return true; }
-        const i64 n = AsSigned(is64, a);
-        if (n == INT64_MIN && d == -1) return false;
-        *out = INorm(is64, static_cast<u64>(n % d));
-      } else {
-        const u64 d = is64 ? b : static_cast<u32>(b);
-        const u64 n = is64 ? a : static_cast<u32>(a);
-        *out = d == 0 ? 0 : INorm(is64, n % d);
-      }
-      return true;
-    case Opcode::kMin:
-    case Opcode::kMax:
-      if (sg) {
-        const i64 x = AsSigned(is64, a), y = AsSigned(is64, b);
-        const i64 r = op == Opcode::kMin ? std::min(x, y) : std::max(x, y);
-        *out = INorm(is64, static_cast<u64>(r));
-      } else {
-        const u64 x = is64 ? a : static_cast<u32>(a);
-        const u64 y = is64 ? b : static_cast<u32>(b);
-        *out = INorm(is64, op == Opcode::kMin ? std::min(x, y) : std::max(x, y));
-      }
-      return true;
-    case Opcode::kNeg: *out = INorm(is64, ~a + 1); return true;
-    case Opcode::kAbs: {
-      const i64 v = AsSigned(is64, a);
-      if (v == INT64_MIN) return false;
-      *out = INorm(is64, static_cast<u64>(v < 0 ? -v : v));
-      return true;
-    }
-    case Opcode::kAnd: *out = INorm(is64, a & b); return true;
-    case Opcode::kOr: *out = INorm(is64, a | b); return true;
-    case Opcode::kXor: *out = INorm(is64, a ^ b); return true;
-    case Opcode::kNot: *out = INorm(is64, ~a); return true;
-    case Opcode::kShl: {
-      const unsigned width = is64 ? 64 : 32;
-      *out = b >= width ? 0 : INorm(is64, a << b);
-      return true;
-    }
-    case Opcode::kShr: {
-      const unsigned width = is64 ? 64 : 32;
-      if (sg) {
-        const i64 v = AsSigned(is64, a);
-        if (b >= width) { *out = INorm(is64, static_cast<u64>(v < 0 ? -1 : 0)); return true; }
-        *out = INorm(is64, static_cast<u64>(v >> b));
-      } else {
-        if (b >= width) { *out = 0; return true; }
-        const u64 v = is64 ? a : static_cast<u32>(a);
-        *out = INorm(is64, v >> b);
-      }
-      return true;
-    }
-    default: return false;
+  const i64 sa = is64 ? static_cast<i64>(a) : vgpu::DecodeI32(a);
+  const i64 sb = is64 ? static_cast<i64>(b) : vgpu::DecodeI32(b);
+  if (vgpu::IsSignedInt(ty) && (op == Opcode::kDiv || op == Opcode::kRem) && sa == INT64_MIN &&
+      sb == -1) {
+    return false;
   }
+  if (op == Opcode::kAbs && sa == INT64_MIN) return false;
+  *out = vgpu::WithType(ty, [&]<Type TY>() {
+    return vgpu::WithOpcode(op, [&]<Opcode OP>() -> u64 {
+      if constexpr (vgpu::IsIntType(TY) && vgpu::simt::AluValid(OP, TY)) {
+        return vgpu::simt::IntLane<OP, TY>(a, b, c);
+      } else {
+        return 0;
+      }
+    });
+  });
+  return true;
 }
 
 // Interval arithmetic for monotone ops over the nonnegative domain. Both

@@ -20,25 +20,6 @@ const char* TypeName(Type t) {
   return "?";
 }
 
-std::size_t TypeSize(Type t) {
-  switch (t) {
-    case Type::kPred: return 1;
-    case Type::kI32:
-    case Type::kU32:
-    case Type::kF32: return 4;
-    case Type::kI64:
-    case Type::kU64:
-    case Type::kF64: return 8;
-  }
-  return 0;
-}
-
-bool IsFloatType(Type t) { return t == Type::kF32 || t == Type::kF64; }
-bool IsSignedInt(Type t) { return t == Type::kI32 || t == Type::kI64; }
-bool IsIntType(Type t) {
-  return t == Type::kI32 || t == Type::kU32 || t == Type::kI64 || t == Type::kU64;
-}
-
 std::string Dim3::ToString() const { return Format("(%u,%u,%u)", x, y, z); }
 
 const char* SpaceName(Space s) {

@@ -10,61 +10,16 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vgpu/types.hpp"
 
 namespace kspec::vgpu {
 
-enum class Opcode : std::uint8_t {
-  kNop,
-  // Data movement.
-  kMov,       // dst = a
-  kSreg,      // dst = special register (a.imm selects SpecialReg)
-  // Integer / float arithmetic. Operand types given by Instr::type.
-  kAdd, kSub, kMul, kDiv, kRem,
-  kMul24,     // 24-bit integer multiply intrinsic (__[u]mul24)
-  kMad,       // dst = a * b + c (integer MAD or float FMA)
-  kMin, kMax,
-  kNeg, kAbs,
-  kAnd, kOr, kXor, kNot,
-  kShl, kShr,  // shift; kShr is arithmetic for signed types, logical otherwise
-  // Float-only unary math.
-  kSqrt, kRsqrt, kFloor, kCeil, kExp, kLog, kSin, kCos,
-  // Comparison -> predicate register. CmpOp in Instr::cmp.
-  kSetp,
-  // dst = pred ? a : b
-  kSel,
-  // Type conversion: dst type = Instr::type, source type = Instr::type2.
-  kCvt,
-  // Memory. Address operand a (+ b immediate byte offset). Space in Instr::space.
-  kLd, kSt,
-  // Control flow.
-  kBra,       // unconditional branch to Instr::target
-  kBraPred,   // branch to target if pred (negated when Instr::neg); carries
-              // the structured reconvergence pc in Instr::reconv
-  kBarSync,   // __syncthreads()
-  kExit,      // thread retires (also used for early return)
-  // Atomics on global/shared memory (returns old value).
-  kAtomAdd, kAtomMin, kAtomMax, kAtomExch, kAtomCas,
-  // Texture sampling: dst = tex2D(texture[target], a, b) with bilinear
-  // filtering and clamp addressing; kTex1D fetches element a of the bound
-  // buffer (no filtering). The texture slot index lives in Instr::target.
-  kTex2D, kTex1D,
-};
-
+// Opcode, CmpOp and SpecialReg are defined in simt.hpp.
 const char* OpcodeName(Opcode op);
-
-enum class CmpOp : std::uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 const char* CmpOpName(CmpOp op);
-
-enum class SpecialReg : std::uint8_t {
-  kTidX, kTidY, kTidZ,
-  kNtidX, kNtidY, kNtidZ,
-  kCtaidX, kCtaidY, kCtaidZ,
-  kNctaidX, kNctaidY, kNctaidZ,
-  kLaneId, kWarpId,
-};
 const char* SpecialRegName(SpecialReg r);
 
 // An operand is either a virtual register index or an immediate value encoded
@@ -117,5 +72,29 @@ std::string Disassemble(const Instr& instr, std::size_t pc);
 
 // Renders a whole instruction stream with pc labels.
 std::string Disassemble(const std::vector<Instr>& code);
+
+// Calls fn.template operator()<V>() with V == v, for an enum E whose values
+// are 0..N-1, and returns its result (value-initialized when v is out of
+// range): the bridge from a run-time opcode or type to a template
+// instantiation of the simt lane rules.
+template <class E, std::size_t N, class Fn>
+auto WithEnum(E v, Fn&& fn) {
+  using R = decltype(fn.template operator()<E{}>());
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    R r{};
+    (void)((static_cast<std::size_t>(v) == I &&
+            ((r = fn.template operator()<static_cast<E>(I)>()), true)) ||
+           ...);
+    return r;
+  }(std::make_index_sequence<N>{});
+}
+template <class Fn>
+auto WithType(Type t, Fn&& fn) {
+  return WithEnum<Type, static_cast<std::size_t>(Type::kF64) + 1>(t, fn);
+}
+template <class Fn>
+auto WithOpcode(Opcode op, Fn&& fn) {
+  return WithEnum<Opcode, static_cast<std::size_t>(Opcode::kTex1D) + 1>(op, fn);
+}
 
 }  // namespace kspec::vgpu

@@ -11,12 +11,6 @@
 
 namespace kspec::vgpu {
 
-// A 2D (or 1D when h == 1) float texture bound to linear global memory.
-struct TextureBinding {
-  std::uint64_t base = 0;  // device pointer to float data
-  int w = 0, h = 1;        // texels
-};
-
 // How the interpreter maps thread blocks onto host threads.
 //
 //   kAuto      — parallel when the grid is large enough and the kernel has no
@@ -81,22 +75,6 @@ struct LaunchStats {
   double sim_millis = 0;
 
   std::string ToString() const;
-};
-
-// Partial dynamic counters for one chunk of thread blocks. Workers accumulate
-// into their chunk's BlockStats; FoldBlockStats combines the partials in chunk
-// order so the result does not depend on which host thread ran which chunk.
-struct BlockStats {
-  std::uint64_t warp_instrs = 0;
-  std::uint64_t lane_instrs = 0;
-  std::uint64_t global_instrs = 0;
-  std::uint64_t mem_transactions = 0;
-  std::uint64_t texture_fetches = 0;
-  std::uint64_t shared_conflict_cycles = 0;
-  std::uint64_t barriers = 0;
-  double issue_cycles = 0;
-  double memory_cycles = 0;
-  double ilp_sum = 0;  // sum over warp issues of the static ILP at each pc
 };
 
 // Folds chunk partials (in index order) into `into`. avg_ilp is the

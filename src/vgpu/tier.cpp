@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 
 #include "support/math.hpp"
 #include "support/status.hpp"
 #include "support/str.hpp"
 #include "vgpu/cost.hpp"
+#include "vgpu/exec_pool.hpp"
 
 namespace kspec::vgpu {
 
@@ -184,6 +186,27 @@ LaunchShell PrepareLaunch(const DeviceProfile& dev, const LaunchConfig& cfg,
                              shell.stats.occupancy.limiter));
   }
 
+  shell.consts.is_fermi = dev.IsFermi() ? 1 : 0;
+  shell.consts.warp_size = dev.warp_size;
+  shell.consts.shared_mem_banks = dev.shared_mem_banks;
+  shell.consts.cycles_per_global_tx = dev.cycles_per_global_tx;
+  shell.consts.shared_access_cost = dev.shared_access_cost;
+  shell.consts.watchdog_warp_instrs = dev.watchdog_warp_instrs;
+
+  BlockLayout& lay = shell.layout;
+  lay.nthreads = static_cast<unsigned>(cfg.block.Count());
+  lay.nwarps = CeilDiv(lay.nthreads, dev.warp_size);
+  lay.stride = lay.nwarps * dev.warp_size;
+  lay.tid_x.resize(lay.stride);
+  lay.tid_y.resize(lay.stride);
+  lay.tid_z.resize(lay.stride);
+  for (unsigned t = 0; t < lay.stride; ++t) {
+    const unsigned lin = std::min(t, lay.nthreads - 1);
+    lay.tid_x[t] = lin % cfg.block.x;
+    lay.tid_y[t] = (lin / cfg.block.x) % cfg.block.y;
+    lay.tid_z[t] = lin / (cfg.block.x * cfg.block.y);
+  }
+
   const ExecPolicy pol = ResolveExecPolicy(cfg.exec);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   shell.workers = pol.workers > 0 ? pol.workers : hw;
@@ -210,8 +233,55 @@ LaunchShell PrepareLaunch(const DeviceProfile& dev, const LaunchConfig& cfg,
   return shell;
 }
 
-void FinalizeLaunchStats(const DeviceProfile& dev, LaunchShell& shell,
-                         std::span<const BlockStats> parts) {
+namespace {
+
+// Linear block index -> CTA coordinates, row-major in x then y then z.
+Dim3 LinearToCta(const Dim3& grid, std::uint64_t b) {
+  return Dim3(static_cast<unsigned>(b % grid.x),
+              static_cast<unsigned>((b / grid.x) % grid.y),
+              static_cast<unsigned>(b / (static_cast<std::uint64_t>(grid.x) * grid.y)));
+}
+
+}  // namespace
+
+LaunchStats ExecuteLaunch(const DeviceProfile& dev, LaunchShell& shell, const Dim3& grid,
+                          const std::function<std::unique_ptr<BlockExecutor>()>& make_executor) {
+  std::vector<BlockStats> parts(shell.nparts);
+  auto run_chunk = [&](BlockExecutor& ex, std::size_t ci) {
+    // Accumulate on the running thread's stack: neighbouring partials share
+    // cache lines, and the memory charges update the partial per instruction.
+    BlockStats part;
+    const std::uint64_t b0 = static_cast<std::uint64_t>(ci) * shell.chunk;
+    const std::uint64_t b1 = std::min<std::uint64_t>(shell.nblocks, b0 + shell.chunk);
+    for (std::uint64_t b = b0; b < b1; ++b) ex.RunBlock(LinearToCta(grid, b), part);
+    parts[ci] = part;
+  };
+
+  if (!shell.parallel) {
+    std::unique_ptr<BlockExecutor> ex = make_executor();
+    for (std::size_t ci = 0; ci < shell.nparts; ++ci) run_chunk(*ex, ci);
+  } else {
+    // Per-worker executors come from a free list so the pool reuses their
+    // register files and shared-memory arrays across chunks.
+    std::mutex mu;
+    std::vector<std::unique_ptr<BlockExecutor>> idle;
+    std::function<void(std::size_t)> fn = [&](std::size_t ci) {
+      std::unique_ptr<BlockExecutor> ex;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        if (!idle.empty()) {
+          ex = std::move(idle.back());
+          idle.pop_back();
+        }
+      }
+      if (!ex) ex = make_executor();
+      run_chunk(*ex, ci);
+      std::lock_guard<std::mutex> lk(mu);
+      idle.push_back(std::move(ex));
+    };
+    ExecPool::Instance().ParallelFor(shell.workers, shell.nparts, fn);
+  }
+
   FoldBlockStats(parts, shell.stats);
   if (shell.spilled > 0) {
     // Approximate spill traffic: the fraction of values living in local
@@ -223,12 +293,60 @@ void FinalizeLaunchStats(const DeviceProfile& dev, LaunchShell& shell,
                                  0.5 * dev.cycles_per_global_tx;
   }
   ApplyCostModel(dev, shell.stats);
+  return shell.stats;
 }
 
-Dim3 LinearToCta(const Dim3& grid, std::uint64_t b) {
-  return Dim3(static_cast<unsigned>(b % grid.x),
-              static_cast<unsigned>((b / grid.x) % grid.y),
-              static_cast<unsigned>(b / (static_cast<std::uint64_t>(grid.x) * grid.y)));
+void RaiseFault(void* site, int code, std::uint64_t a, std::uint64_t b) {
+  const FaultSite& fs = *static_cast<const FaultSite*>(site);
+  switch (static_cast<Fault>(code)) {
+    case Fault::kSharedOob:
+      throw DeviceError(Format("shared-memory access out of bounds: 0x%llx (+%zu) of %zu bytes",
+                               static_cast<unsigned long long>(a),
+                               static_cast<std::size_t>(b), fs.shared_bytes));
+    case Fault::kConstOob:
+      throw DeviceError(Format("constant-memory access out of bounds: 0x%llx of %zu bytes",
+                               static_cast<unsigned long long>(a), fs.const_bytes));
+    case Fault::kConstStore:
+      throw DeviceError("store to constant memory");
+    case Fault::kBadSpace:
+      throw DeviceError("unsupported memory space in ld/st");
+    case Fault::kMisalignedAtomic:
+      throw DeviceError(Format("misaligned %zu-byte atomic at 0x%llx",
+                               static_cast<std::size_t>(a),
+                               static_cast<unsigned long long>(b)));
+    case Fault::kTexUnbound:
+      throw DeviceError(Format("texture slot %d is not bound at launch",
+                               static_cast<int>(static_cast<std::int64_t>(a))));
+    case Fault::kTexInvalid:
+      throw DeviceError(Format("texture slot %d has an invalid binding",
+                               static_cast<int>(static_cast<std::int64_t>(a))));
+    case Fault::kDivergentBarrier:
+      throw DeviceError("__syncthreads() executed in divergent control flow");
+    case Fault::kWatchdog:
+      throw DeviceError(
+          "kernel exceeded the simulator watchdog limit (likely a non-terminating loop); raise "
+          "DeviceProfile::watchdog_warp_instrs if the workload is legitimately huge");
+    case Fault::kBarrierDeadlock:
+      throw DeviceError("__syncthreads deadlock: a warp retired or diverged past the barrier");
+    case Fault::kNoProgress:
+      throw DeviceError("block made no progress (scheduler deadlock)");
+    case Fault::kBadOp: {
+      const Instr& i = (*fs.code)[static_cast<std::size_t>(a)];
+      if (IsFloatType(i.type)) {
+        throw InternalError(Format("op %s invalid for %s", OpcodeName(i.op), TypeName(i.type)));
+      }
+      throw InternalError(
+          Format("unhandled opcode %s for type %s", OpcodeName(i.op), TypeName(i.type)));
+    }
+    case Fault::kBadDispatch:
+      throw InternalError(Format("native tier: branch to non-leader pc %llu",
+                                 static_cast<unsigned long long>(a)));
+    case Fault::kBadAtomic:
+      throw InternalError("bad atomic opcode");
+    case Fault::kNoReconv:
+      throw InternalError("divergent branch without reconvergence point");
+  }
+  throw InternalError(Format("unknown kernel fault code %d", code));
 }
 
 }  // namespace kspec::vgpu

@@ -17,18 +17,23 @@
 // are defined by the instruction stream, never by how it is executed. This
 // header also hosts the launch shell that guarantees it — validation,
 // occupancy, register-spill clamping, execution-policy resolution, the
-// grid-chunking rule, and the final fold/spill/cost-model steps are shared
-// code, so the interpreter and the native backend cannot drift apart.
+// block layout, the grid-chunking rule and chunk driver, the final
+// fold/spill/cost-model steps and the fault texts are shared code, and the
+// lane-level rules are one header (simt.hpp), so the interpreter and the
+// native backend cannot drift apart.
 //
 // Tier selection mirrors the VGPU_WORKERS precedence chain: test override >
 // VGPU_TIER environment variable > per-launch request > context default.
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <functional>
+#include <memory>
 #include <string_view>
+#include <vector>
 
 #include "vgpu/device.hpp"
+#include "vgpu/isa.hpp"
 #include "vgpu/launch.hpp"
 
 namespace kspec::vgpu {
@@ -99,13 +104,25 @@ ExecutionTier ResolveTier(ExecutionTier request,
 // (SetExecPolicyOverride) > VGPU_WORKERS > `requested` (LaunchConfig::exec).
 ExecPolicy ResolveExecPolicy(const ExecPolicy& requested);
 
+// Where a block's threads sit: the warps that hold them, the register-row
+// length, and each lane slot's thread coordinates (padding lanes of a
+// partial last warp clamp to the last thread). One table per launch, read by
+// the interpreter's special-register handler and by a native TU.
+struct BlockLayout {
+  unsigned nthreads = 0;
+  unsigned nwarps = 0;
+  unsigned stride = 0;  // nwarps * warp_size: register-row length
+  std::vector<std::uint32_t> tid_x, tid_y, tid_z;
+};
+
 // Everything a tier backend needs to run a launch the standard way, computed
 // by PrepareLaunch before any block executes. The stats member arrives with
-// the configuration echo and occupancy filled in; the backend executes
-// `nparts` chunks of `chunk` blocks into a BlockStats array and hands the
-// shell to FinalizeLaunchStats.
+// the configuration echo and occupancy filled in; ExecuteLaunch runs the
+// `nparts` chunks of `chunk` blocks and folds them into it.
 struct LaunchShell {
   LaunchStats stats;
+  DeviceConsts consts;       // what the lane rules read of the device
+  BlockLayout layout;
   unsigned wanted_regs = 1;  // pre-clamp register demand (spill accounting)
   unsigned spilled = 0;
   std::uint64_t nblocks = 0;
@@ -118,20 +135,43 @@ struct LaunchShell {
 // Validates the configuration (empty launch, block size, shared-memory and
 // occupancy limits — throws DeviceError exactly like the interpreter always
 // did), clamps register demand to the device limit, resolves the execution
-// policy, and fixes the grid-chunking plan. `has_global_atomic` keeps kAuto
-// launches of schedule-dependent kernels on the serial reference schedule.
+// policy, lays out the block, and fixes the grid-chunking plan.
+// `has_global_atomic` keeps kAuto launches of schedule-dependent kernels on
+// the serial reference schedule.
 LaunchShell PrepareLaunch(const DeviceProfile& dev, const LaunchConfig& cfg,
                           int reg_count, unsigned static_smem_bytes,
                           bool has_global_atomic);
 
-// Folds the per-chunk partials (in chunk order — this is what makes the
-// result independent of which worker ran which chunk), applies the register
-// spill charge, and runs the cost model. Leaves the final LaunchStats in
-// shell.stats.
-void FinalizeLaunchStats(const DeviceProfile& dev, LaunchShell& shell,
-                         std::span<const BlockStats> parts);
+// One host thread's block executor: it owns the per-block state (register
+// file, shared memory, watchdog budget) and reuses it across the blocks and
+// chunks it runs, so the per-block cost is a reset, not an allocation.
+class BlockExecutor {
+ public:
+  virtual ~BlockExecutor() = default;
+  // Runs block `ctaid` to completion, accumulating into `stats`.
+  virtual void RunBlock(const Dim3& ctaid, BlockStats& stats) = 0;
+};
 
-// Linear block index -> CTA coordinates, row-major in x then y then z.
-Dim3 LinearToCta(const Dim3& grid, std::uint64_t b);
+// The chunk driver every tier runs: executes the shell's chunks serially on
+// one executor, or on the worker pool with per-worker executors from a free
+// list; each chunk accumulates its own BlockStats in block order. Then it
+// folds the partials in chunk order (what makes the result independent of
+// which worker ran which chunk), applies the register-spill charge and runs
+// the cost model.
+LaunchStats ExecuteLaunch(const DeviceProfile& dev, LaunchShell& shell, const Dim3& grid,
+                          const std::function<std::unique_ptr<BlockExecutor>()>& make_executor);
+
+// What a fault's text needs beyond (code, a, b): the kernel (for kBadOp)
+// and the launch's memory sizes.
+struct FaultSite {
+  const std::vector<Instr>* code = nullptr;
+  std::size_t shared_bytes = 0;
+  std::size_t const_bytes = 0;
+};
+
+// The fault hook of both tiers (simt::Env::fail, KspecNativeCallbacks::fail):
+// throws the DeviceError — or InternalError, for faults that mean a decoder
+// or emitter bug — carrying the fault's one text. `site` is a FaultSite*.
+[[noreturn]] void RaiseFault(void* site, int code, std::uint64_t a, std::uint64_t b);
 
 }  // namespace kspec::vgpu

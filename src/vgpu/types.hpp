@@ -1,68 +1,25 @@
 // Core value and geometry types shared by the vgpu simulator and the kcc
 // compiler. Registers are 64-bit slots reinterpreted according to the static
 // type carried by each instruction (as in PTX, where virtual registers are
-// typed by the instruction that uses them).
+// typed by the instruction that uses them). The value types, spaces and
+// codecs themselves live in simt.hpp, the semantics both tiers share.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string>
+
+#include "vgpu/simt.hpp"
 
 namespace kspec::vgpu {
 
-enum class Type : std::uint8_t {
-  kPred,  // boolean predicate
-  kI32,
-  kU32,
-  kI64,
-  kU64,  // also pointer type
-  kF32,
-  kF64,
-};
-
 const char* TypeName(Type t);
 
-// Size in bytes of a value of type `t` in memory.
-std::size_t TypeSize(Type t);
-
-bool IsFloatType(Type t);
-bool IsSignedInt(Type t);
-bool IsIntType(Type t);
-
-// A 64-bit register slot. Helpers encode/decode typed values.
+// A 64-bit register slot. Helpers encode/decode typed values (simt.hpp).
 union Slot {
   std::uint64_t raw;
   struct {
   } _;
 };
-
-inline std::uint64_t EncodeF32(float v) {
-  std::uint32_t bits;
-  std::memcpy(&bits, &v, 4);
-  return bits;
-}
-inline float DecodeF32(std::uint64_t raw) {
-  std::uint32_t bits = static_cast<std::uint32_t>(raw);
-  float v;
-  std::memcpy(&v, &bits, 4);
-  return v;
-}
-inline std::uint64_t EncodeF64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  return bits;
-}
-inline double DecodeF64(std::uint64_t raw) {
-  double v;
-  std::memcpy(&v, &raw, 8);
-  return v;
-}
-inline std::uint64_t EncodeI32(std::int32_t v) {
-  return static_cast<std::uint32_t>(v);
-}
-inline std::int32_t DecodeI32(std::uint64_t raw) {
-  return static_cast<std::int32_t>(static_cast<std::uint32_t>(raw));
-}
 
 struct Dim3 {
   unsigned x = 1, y = 1, z = 1;
@@ -77,10 +34,6 @@ struct Dim3 {
 
   std::string ToString() const;
 };
-
-// Memory address spaces, mirroring the CUDA memory hierarchy relevant to the
-// dissertation (Section 2.1).
-enum class Space : std::uint8_t { kGlobal, kShared, kConst, kLocal, kParam };
 
 const char* SpaceName(Space s);
 

@@ -323,6 +323,48 @@ __kernel void f(float* o, float x) {
   EXPECT_GT(avg_ilp(parallel), avg_ilp(serial));
 }
 
+// INT64_MIN / -1 overflows the quotient. Folded from -D values at compile
+// time (where the host's idiv would trap and kill the compiler) it must give
+// what the run time gives: the quotient wraps to INT64_MIN, the remainder is 0.
+TEST(Passes, SignedDivisionOverflowFoldsLikeRuntime) {
+  const char* src = R"(
+#ifndef A
+#define A a
+#endif
+#ifndef B
+#define B b
+#endif
+__kernel void f(long long* out, long long a, long long b) {
+  long long x = A, y = B;
+  out[0] = x / y;
+  out[1] = x % y;
+}
+)";
+  CompileOptions folded;
+  folded.defines["A"] = "(-9223372036854775807LL-1LL)";
+  folded.defines["B"] = "-1";
+  CompiledModule storage;
+  const vgpu::CompiledKernel& k = CompileOne(storage, src, folded);
+  for (const vgpu::Instr& i : k.code) {
+    EXPECT_NE(i.op, Opcode::kDiv) << "the quotient should fold";
+    EXPECT_NE(i.op, Opcode::kRem) << "the remainder should fold";
+  }
+  auto run = [&](const CompileOptions& opts) {
+    vcuda::Context ctx(vgpu::TeslaC2070());
+    auto mod = ctx.LoadModule(src, opts);
+    vcuda::DevPtr d_out = ctx.Malloc(2 * sizeof(std::int64_t));
+    vcuda::ArgPack args;
+    args.Ptr(d_out).Long(INT64_MIN).Long(-1);
+    ctx.Launch(*mod, "f", vgpu::Dim3(1), vgpu::Dim3(1), args);
+    std::vector<std::int64_t> out = vcuda::Download<std::int64_t>(ctx, d_out, 2);
+    ctx.Free(d_out);
+    return out;
+  };
+  const std::vector<std::int64_t> at_runtime = run({});
+  EXPECT_EQ(at_runtime, (std::vector<std::int64_t>{INT64_MIN, 0}));
+  EXPECT_EQ(run(folded), at_runtime);
+}
+
 TEST(Listing, ContainsEntryAndDefines) {
   CompileOptions opts;
   opts.defines["N"] = "4";

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "vcuda/vcuda.hpp"
+#include "vgpu/tier.hpp"
 
 namespace kspec {
 namespace {
@@ -105,6 +106,35 @@ __kernel void f(long long* out, long long base) {
   for (int t = 0; t < 8; ++t) {
     std::int64_t v = 5000000000LL + static_cast<std::int64_t>(t) * 1000000000LL;
     EXPECT_EQ(out[t], v * 3 - 7) << t;
+  }
+}
+
+// INT_MIN / -1 overflows the quotient: with run-time operands, every tier
+// wraps it to INT_MIN with remainder 0 (the host's idiv would trap), for
+// 32- and 64-bit operands alike.
+TEST(KernelC, SignedDivisionOverflowWraps) {
+  const char* src = R"(
+__kernel void f(long long* out, int a, int b, long long c, long long d) {
+  out[0] = (long long)(a / b);
+  out[1] = (long long)(a % b);
+  out[2] = c / d;
+  out[3] = c % d;
+}
+)";
+  for (const vgpu::ExecutionTier tier :
+       {vgpu::ExecutionTier::kInterp, vgpu::ExecutionTier::kDecoded}) {
+    SCOPED_TRACE(vgpu::TierName(tier));
+    Gpu g;
+    auto mod = g.ctx.LoadModule(src);
+    auto d_out = g.ctx.Malloc(4 * sizeof(std::int64_t));
+    ArgPack args;
+    args.Ptr(d_out).Int(INT32_MIN).Int(-1).Long(INT64_MIN).Long(-1);
+    vcuda::LaunchExecution exec;
+    exec.request = tier;
+    g.ctx.Launch(*mod, "f", Dim3(1), Dim3(1), args, 0, &exec);
+    auto out = vcuda::Download<std::int64_t>(g.ctx, d_out, 4);
+    g.ctx.Free(d_out);
+    EXPECT_EQ(out, (std::vector<std::int64_t>{INT32_MIN, 0, INT64_MIN, 0}));
   }
 }
 

@@ -33,6 +33,7 @@
 #include "support/serialize.hpp"
 #include "vcuda/vcuda.hpp"
 #include "vgpu/interp.hpp"
+#include "vgpu/simt.hpp"
 #include "vgpu/tier.hpp"
 
 namespace kspec {
@@ -514,7 +515,9 @@ TEST(NativeTier, ArtifactStoreRoundTripWithWriteThrough) {
       auto mod = ctx.LoadModule(kKernel, OptsFor(3));
       key = kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name);
       ASSERT_TRUE(engine.EnsureReady(key, mod->compiled()));
-      if (eager) EXPECT_TRUE(RunReduce(ctx, *mod, ExecutionTier::kNative).exec.native_shape);
+      if (eager) {
+        EXPECT_TRUE(RunReduce(ctx, *mod, ExecutionTier::kNative).exec.native_shape);
+      }
       EXPECT_EQ(store.stats().native_publishes, eager ? 2u : 1u);
       EXPECT_TRUE(store.ContainsNative(native::NativeEngine::ArtifactFileName(key)));
     }
@@ -631,40 +634,232 @@ TEST(NativeTier, RuntimeDeviceTweaksFlowThroughCostConstants) {
 
 TEST(NativeTier, KernelFaultsKeepInterpreterErrorText) {
   SKIP_WITHOUT_TOOLCHAIN();
-  constexpr const char* kDivergentBarrier = R"(
-__kernel void bad(float* out) {
+  // One kernel per fault a Kernel-C kernel can raise, all in one module so
+  // the native tier builds one shared object. (The block scheduler's
+  // deadlock checks cannot fire: a warp stops running only at a barrier or
+  // on retirement. A texture Kernel-C declares always has a slot, so an
+  // unbound one reads as an invalid binding.)
+  constexpr const char* kFaults = R"(
+__constant float lut[4];
+__texture float img;
+__kernel void divergent_barrier(float* out, int k) {
   if (threadIdx.x < 16u) {
     __syncthreads();
   }
-  out[threadIdx.x] = 1.0f;
+  out[threadIdx.x] = (float)k;
+}
+__kernel void shared_oob(float* out, int k) {
+  __shared float s[32];
+  s[(int)threadIdx.x + k] = 1.0f;
+  out[threadIdx.x] = s[threadIdx.x];
+}
+__kernel void const_oob(float* out, int k) {
+  out[threadIdx.x] = lut[(int)threadIdx.x + k];
+}
+__kernel void misaligned_atomic(int* out, int k) {
+  atomicAdd(out, k);
+}
+__kernel void unbound_texture(float* out, int k) {
+  out[threadIdx.x] = tex2D(img, (float)k, 0.0f);
+}
+__kernel void watchdog(float* out, int k) {
+  int i = 0;
+  while (k != 0) {
+    i = i + 1;
+  }
+  out[threadIdx.x] = (float)i;
 }
 )";
   TempCacheDir cache;
   native::NativeEngine::Options nopts;
   nopts.cache_dir = cache.str();
   native::NativeEngine engine(nopts);
-  vcuda::Context ctx(vgpu::TeslaC1060());
+  vgpu::DeviceProfile dev = vgpu::TeslaC1060();
+  dev.watchdog_warp_instrs = 100000;
+  vcuda::Context ctx(dev);
   ctx.set_native_service(&engine);
-  auto mod = ctx.LoadModule(kDivergentBarrier);
-  vcuda::DevPtr d_out = ctx.Malloc(32 * sizeof(float));
-  vcuda::ArgPack args;
-  args.Ptr(d_out);
-  auto run = [&](ExecutionTier request) -> std::string {
+  auto mod = ctx.LoadModule(kFaults);
+  vcuda::DevPtr d_out = ctx.Malloc(64 * sizeof(float));
+  auto run = [&](const char* kernel, vcuda::DevPtr out, int k,
+                 ExecutionTier request) -> std::string {
+    vcuda::ArgPack args;
+    args.Ptr(out).Int(k);
     vcuda::LaunchExecution exec;
     exec.request = request;
     try {
-      ctx.Launch(*mod, "bad", vgpu::Dim3(1), vgpu::Dim3(32), args, 0, &exec);
+      ctx.Launch(*mod, kernel, vgpu::Dim3(1), vgpu::Dim3(32), args, 0, &exec);
     } catch (const DeviceError& e) {
       return e.what();
     }
     return "<no error>";
   };
-  const std::string decoded_msg = run(ExecutionTier::kDecoded);
-  const std::string native_msg = run(ExecutionTier::kNative);
-  EXPECT_NE(decoded_msg, "<no error>");
-  EXPECT_EQ(decoded_msg, native_msg)
-      << "a native-tier kernel fault must raise the interpreter's exact text";
+  const struct {
+    const char* kernel;
+    vcuda::DevPtr out;
+    int k;
+    const char* text;
+  } kCases[] = {
+      {"divergent_barrier", d_out, 1, "__syncthreads() executed in divergent control flow"},
+      {"shared_oob", d_out, 1000, "shared-memory access out of bounds"},
+      {"const_oob", d_out, 1000, "constant-memory access out of bounds"},
+      {"misaligned_atomic", d_out + 2, 1, "misaligned 4-byte atomic"},
+      {"unbound_texture", d_out, 1, "texture slot 0 has an invalid binding"},
+      {"watchdog", d_out, 1, "watchdog limit"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.kernel);
+    const std::string decoded_msg = run(c.kernel, c.out, c.k, ExecutionTier::kDecoded);
+    const std::string native_msg = run(c.kernel, c.out, c.k, ExecutionTier::kNative);
+    EXPECT_NE(decoded_msg.find(c.text), std::string::npos) << decoded_msg;
+    EXPECT_EQ(decoded_msg, native_msg)
+        << "a native-tier kernel fault must raise the interpreter's exact text";
+  }
+  const native::NativeEngineStats es = engine.stats();
+  EXPECT_EQ(es.builds_completed, 1u);
+  EXPECT_EQ(es.fallbacks, 0u) << "every faulting launch must run on the native tier";
   ctx.Free(d_out);
+}
+
+// Every valid ALU / setp / cvt (opcode, type) pair, plus mov and sel, on
+// edge operands: thread (x, block) reads a = E[x], b = E[block] and
+// c = E[(x + block) % n] from memory (run-time values, so no host compiler
+// folds them), and stores each result to its own slot. Decoded and
+// native-generic must agree on every byte and on the stats.
+TEST(NativeTier, AluEdgeOperandsBitIdentical) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  using vgpu::Instr;
+  using vgpu::Opcode;
+  using vgpu::Operand;
+  using vgpu::Type;
+  const std::vector<std::uint64_t> edges = {
+      0, 1, 0xffffffffull, ~0ull,  // 0, 1, i32 -1, all-ones (i64 -1)
+      0x80000000ull,               // INT32_MIN, f32 -0.0
+      0x8000000000000000ull,       // INT64_MIN, f64 -0.0
+      0x7fffffffull, 31, 32, 63, 64,
+      0x7fc00000ull, 0x7ff8000000000000ull,  // NaN
+      0x7f800000ull, 0xff800000ull,          // f32 +-inf
+      0x7ff0000000000000ull, 0xfff0000000000000ull,  // f64 +-inf
+      0x00400000ull, 0x0008000000000000ull,  // denormals
+      0x3f800000ull, 0xbf800000ull,          // f32 +-1
+      0x3ff0000000000000ull, 0xbff0000000000000ull,  // f64 +-1
+      0x4f000000ull, 0x43e0000000000000ull,  // 2^31 (f32), 2^63 (f64)
+  };
+  const unsigned n = static_cast<unsigned>(edges.size());
+  const unsigned nthreads = n * n;
+
+  // Registers: 0 out, 1..3 operand arrays, 4..9 scratch, 10..12 a/b/c,
+  // 13 the result row base, 14 the result.
+  vgpu::CompiledKernel k;
+  k.name = "edges";
+  k.params = {{"out", Type::kU64}, {"a", Type::kU64}, {"b", Type::kU64}, {"c", Type::kU64}};
+  k.num_vregs = 15;
+  k.stats.reg_count = 15;
+  auto sreg = [](vgpu::SpecialReg r) { return Operand::Imm(static_cast<std::uint64_t>(r)); };
+  auto R = [](int r) { return Operand::Reg(r); };
+  k.code = {
+      Instr::Make(Opcode::kSreg, Type::kU32, 4, sreg(vgpu::SpecialReg::kCtaidX)),
+      Instr::Make(Opcode::kSreg, Type::kU32, 5, sreg(vgpu::SpecialReg::kNtidX)),
+      Instr::Make(Opcode::kSreg, Type::kU32, 6, sreg(vgpu::SpecialReg::kTidX)),
+      Instr::Make(Opcode::kMad, Type::kU32, 7, R(4), R(5), R(6)),
+  };
+  Instr widen = Instr::Make(Opcode::kCvt, Type::kU64, 8, R(7));
+  widen.type2 = Type::kU32;
+  k.code.push_back(widen);
+  k.code.push_back(Instr::Make(Opcode::kShl, Type::kU64, 8, R(8), Operand::Imm(3)));
+  for (int p = 1; p <= 3; ++p) {
+    k.code.push_back(Instr::Make(Opcode::kAdd, Type::kU64, 9, R(p), R(8)));
+    k.code.push_back(Instr::Make(Opcode::kLd, Type::kU64, 9 + p, R(9), Operand::Imm(0)));
+  }
+  k.code.push_back(Instr::Make(Opcode::kAdd, Type::kU64, 13, R(0), R(8)));
+  const std::size_t first_op_pc = k.code.size();
+  std::size_t nresults = 0;
+  auto emit = [&](Instr i) {
+    i.dst = 14;
+    i.a = R(10);
+    i.b = R(11);
+    i.c = R(12);
+    k.code.push_back(i);
+    k.code.push_back(Instr::Make(Opcode::kSt, Type::kU64, -1, R(13),
+                                 Operand::Imm(nresults++ * 8ull * nthreads), R(14)));
+  };
+  const Type kTypes[] = {Type::kPred, Type::kI32, Type::kU32, Type::kI64,
+                         Type::kU64,  Type::kF32, Type::kF64};
+  for (Type ty : kTypes) {
+    for (unsigned op = 0; op <= static_cast<unsigned>(Opcode::kTex1D); ++op) {
+      if (vgpu::simt::AluValid(static_cast<Opcode>(op), vgpu::simt::AluType(ty))) {
+        emit(Instr::Make(static_cast<Opcode>(op), ty, 0));
+      }
+    }
+    for (unsigned cmp = 0; cmp <= static_cast<unsigned>(vgpu::CmpOp::kGe); ++cmp) {
+      Instr i = Instr::Make(Opcode::kSetp, ty, 0);
+      i.cmp = static_cast<vgpu::CmpOp>(cmp);
+      emit(i);
+    }
+    for (Type src : kTypes) {
+      Instr i = Instr::Make(Opcode::kCvt, ty, 0);
+      i.type2 = src;
+      emit(i);
+    }
+  }
+  emit(Instr::Make(Opcode::kMov, Type::kU64, 0));
+  emit(Instr::Make(Opcode::kSel, Type::kU64, 0));
+  k.code.push_back(Instr::Make(Opcode::kExit, Type::kU32, -1));
+  auto compiled = std::make_shared<kcc::CompiledModule>();
+  compiled->kernels.push_back(k);
+
+  TempCacheDir cache;
+  native::NativeEngine::Options nopts;
+  nopts.cache_dir = cache.str();
+  native::NativeEngine engine(nopts);
+  vcuda::Context ctx(vgpu::TeslaC2070());
+  ctx.set_native_service(&engine);
+  auto mod = ctx.AdoptCompiledModule(
+      kcc::ModuleCacheKey::Make("// ALU edge operands", {}, ctx.device().name), compiled);
+
+  std::vector<std::uint64_t> av(nthreads), bv(nthreads), cv(nthreads);
+  for (unsigned g = 0; g < nthreads; ++g) {
+    av[g] = edges[g % n];
+    bv[g] = edges[g / n];
+    cv[g] = edges[(g % n + g / n) % n];
+  }
+  vcuda::DevPtr d_a = vcuda::Upload<std::uint64_t>(ctx, av);
+  vcuda::DevPtr d_b = vcuda::Upload<std::uint64_t>(ctx, bv);
+  vcuda::DevPtr d_c = vcuda::Upload<std::uint64_t>(ctx, cv);
+  vcuda::DevPtr d_out = ctx.Malloc(nresults * nthreads * sizeof(std::uint64_t));
+  auto run = [&](ExecutionTier request) {
+    ctx.Memset(d_out, 0, nresults * nthreads * sizeof(std::uint64_t));
+    vcuda::ArgPack args;
+    args.Ptr(d_out).Ptr(d_a).Ptr(d_b).Ptr(d_c);
+    vcuda::LaunchExecution exec;
+    exec.request = request;
+    LaunchOutcome r;
+    r.stats = ctx.Launch(*mod, "edges", vgpu::Dim3(n), vgpu::Dim3(n), args, 0, &exec);
+    r.exec = exec;
+    std::vector<std::uint64_t> out =
+        vcuda::Download<std::uint64_t>(ctx, d_out, nresults * nthreads);
+    return std::make_pair(r, out);
+  };
+  const auto [decoded, decoded_out] = run(ExecutionTier::kDecoded);
+  const auto [native, native_out] = [&] {
+    ShapeGuard s(vgpu::ShapeMode::kOff);  // the generic TU
+    return run(ExecutionTier::kNative);
+  }();
+  ASSERT_EQ(native.exec.served, ExecutionTier::kNative);
+  EXPECT_TRUE(vgpu::StatsBitIdentical(decoded.stats, native.stats));
+  ASSERT_EQ(decoded_out.size(), native_out.size());
+  std::size_t mismatches = 0;
+  for (std::size_t r = 0; r < nresults; ++r) {
+    for (unsigned g = 0; g < nthreads; ++g) {
+      const std::size_t at = r * nthreads + g;
+      if (decoded_out[at] != native_out[at] && ++mismatches <= 10) {
+        ADD_FAILURE() << "result " << r << " " << vgpu::Disassemble(k.code[first_op_pc + 2 * r], 0)
+                      << " with a=" << std::hex << av[g] << " b=" << bv[g] << " c=" << cv[g]
+                      << ": decoded " << decoded_out[at] << ", native " << native_out[at];
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  for (vcuda::DevPtr p : {d_a, d_b, d_c, d_out}) ctx.Free(p);
 }
 
 // ---------------------------------------------------------------------------
