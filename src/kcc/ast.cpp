@@ -1,5 +1,7 @@
 #include "kcc/ast.hpp"
 
+#include <map>
+
 #include "support/status.hpp"
 
 namespace kspec::kcc {
@@ -81,6 +83,57 @@ const char* BinOpName(BinOp op) {
     case BinOp::kLogOr: return "||";
   }
   return "?";
+}
+
+vgpu::Instr BinaryInstr(BinOp op, vgpu::Type t) {
+  using vgpu::CmpOp;
+  using vgpu::Opcode;
+  auto setp = [&](CmpOp cmp) {
+    vgpu::Instr i = vgpu::Instr::Make(Opcode::kSetp, t, -1);
+    i.cmp = cmp;
+    return i;
+  };
+  auto alu = [&](Opcode o) { return vgpu::Instr::Make(o, t, -1); };
+  switch (op) {
+    case BinOp::kAdd: return alu(Opcode::kAdd);
+    case BinOp::kSub: return alu(Opcode::kSub);
+    case BinOp::kMul: return alu(Opcode::kMul);
+    case BinOp::kDiv: return alu(Opcode::kDiv);
+    case BinOp::kRem: return alu(Opcode::kRem);
+    case BinOp::kAnd: return alu(Opcode::kAnd);
+    case BinOp::kOr: return alu(Opcode::kOr);
+    case BinOp::kXor: return alu(Opcode::kXor);
+    case BinOp::kShl: return alu(Opcode::kShl);
+    case BinOp::kShr: return alu(Opcode::kShr);
+    case BinOp::kLt: return setp(CmpOp::kLt);
+    case BinOp::kLe: return setp(CmpOp::kLe);
+    case BinOp::kGt: return setp(CmpOp::kGt);
+    case BinOp::kGe: return setp(CmpOp::kGe);
+    case BinOp::kEq: return setp(CmpOp::kEq);
+    case BinOp::kNe: return setp(CmpOp::kNe);
+    case BinOp::kLogAnd:
+    case BinOp::kLogOr:
+      break;
+  }
+  return alu(Opcode::kNop);
+}
+
+vgpu::Opcode IntrinsicOpcode(const std::string& name) {
+  using vgpu::Opcode;
+  static const std::map<std::string, Opcode> kOps = {
+      {"min", Opcode::kMin},      {"umin", Opcode::kMin},       {"fminf", Opcode::kMin},
+      {"max", Opcode::kMax},      {"umax", Opcode::kMax},       {"fmaxf", Opcode::kMax},
+      {"abs", Opcode::kAbs},      {"fabsf", Opcode::kAbs},      {"fabs", Opcode::kAbs},
+      {"sqrtf", Opcode::kSqrt},   {"sqrt", Opcode::kSqrt},      {"__fsqrt_rn", Opcode::kSqrt},
+      {"rsqrtf", Opcode::kRsqrt}, {"floorf", Opcode::kFloor},   {"floor", Opcode::kFloor},
+      {"ceilf", Opcode::kCeil},   {"ceil", Opcode::kCeil},      {"expf", Opcode::kExp},
+      {"__expf", Opcode::kExp},   {"logf", Opcode::kLog},       {"__logf", Opcode::kLog},
+      {"sinf", Opcode::kSin},     {"__sinf", Opcode::kSin},     {"cosf", Opcode::kCos},
+      {"__cosf", Opcode::kCos},   {"__mul24", Opcode::kMul24},  {"__umul24", Opcode::kMul24},
+      {"fmaf", Opcode::kMad},     {"fma", Opcode::kMad},
+  };
+  const auto it = kOps.find(name);
+  return it == kOps.end() ? Opcode::kNop : it->second;
 }
 
 ExprPtr MakeIntLit(std::int64_t v, Scalar s, int line) {

@@ -69,6 +69,16 @@ enum class BinOp : std::uint8_t {
 };
 const char* BinOpName(BinOp op);
 
+// The MiniPTX instruction binary operator `op` lowers to over operands of IR
+// type `t`: an ALU op for arithmetic, a setp for comparisons, and a nop for
+// && and || (which lower to predicate logic). Lowering and constant folding
+// both take the mapping from here, so a folded operator is the emitted one.
+vgpu::Instr BinaryInstr(BinOp op, vgpu::Type t);
+
+// The ALU opcode a math intrinsic (min, sqrtf, fmaf, ...) lowers to, applied
+// to its arguments in order; kNop for any other name.
+vgpu::Opcode IntrinsicOpcode(const std::string& name);
+
 struct Expr;
 using ExprPtr = std::unique_ptr<Expr>;
 

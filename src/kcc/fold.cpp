@@ -5,8 +5,13 @@
 // This is the front-end half of the paper's "constant folding and
 // propagation" benefit; the IR passes finish the job for values that mix
 // constants with run-time registers.
-#include <cmath>
+//
+// Every fold runs the instruction the node lowers to through
+// vgpu::EvalLane, on the run-time slots lowering emits for its literal
+// operands: a folded value is the value the unfolded code computes at run
+// time (a float expression evaluates in float, x / 0 is 0).
 #include <optional>
+#include <set>
 
 #include "kcc/sema.hpp"
 #include "support/status.hpp"
@@ -15,128 +20,65 @@ namespace kspec::kcc {
 
 namespace {
 
+using vgpu::Instr;
+using vgpu::Opcode;
+
 bool IsLiteral(const Expr& e) {
   return e.kind == ExprKind::kIntLit || e.kind == ExprKind::kFloatLit;
 }
 
-double AsDouble(const Expr& e) {
-  if (e.kind == ExprKind::kFloatLit) return e.float_value;
-  if (IsSignedScalar(e.type.scalar)) return static_cast<double>(static_cast<std::int64_t>(e.int_value));
-  return static_cast<double>(e.int_value);
-}
-
-// Normalizes a 64-bit raw integer to the width/signedness of `s`.
-std::uint64_t NormInt(std::uint64_t v, Scalar s) {
-  switch (s) {
-    case Scalar::kBool: return v ? 1 : 0;
-    case Scalar::kInt: return static_cast<std::uint64_t>(static_cast<std::int64_t>(
-        static_cast<std::int32_t>(static_cast<std::uint32_t>(v))));
-    case Scalar::kUint: return static_cast<std::uint32_t>(v);
-    default: return v;
+// Runs `i` over literal operands; the result is a literal of type `s`, or
+// nullptr when the instruction has no compile-time value.
+ExprPtr Eval(const Instr& i, Scalar s, int line, const Expr& a, const Expr* b = nullptr,
+             const Expr* c = nullptr) {
+  std::uint64_t out;
+  if (!vgpu::EvalLane(i, LiteralSlot(a), b ? LiteralSlot(*b) : 0, c ? LiteralSlot(*c) : 0,
+                      &out)) {
+    return nullptr;
   }
+  return SlotLiteral(out, s, line);
 }
 
-std::int64_t SignedVal(const Expr& e) {
-  return static_cast<std::int64_t>(e.int_value);
+// Literal `e` as a branch condition: lowering tests it with `setp.ne e, 0`.
+bool Truth(const Expr& e) {
+  std::uint64_t out = 0;
+  vgpu::EvalLane(BinaryInstr(BinOp::kNe, ScalarToIr(e.type.scalar)), LiteralSlot(e), 0, 0, &out);
+  return out != 0;
 }
 
-ExprPtr IntResult(std::uint64_t raw, Scalar s, int line) {
-  auto e = MakeIntLit(0, s, line);
-  e->int_value = NormInt(raw, s);
-  return e;
+ExprPtr BoolLiteral(bool v, int line) { return MakeIntLit(v, Scalar::kBool, line); }
+
+// The type `e` evaluates at. Sema types every node; only __constant array
+// sizes fold before it runs, and an untyped node there takes its operand's.
+Scalar ResultType(const Expr& e, const Expr& operand) {
+  return e.type.scalar == Scalar::kVoid ? operand.type.scalar : e.type.scalar;
 }
 
 ExprPtr FoldBinary(const Expr& e) {
   const Expr& a = *e.a;
   const Expr& b = *e.b;
   if (!IsLiteral(a) || !IsLiteral(b)) return nullptr;
-  Scalar rs = e.type.scalar;
-
-  // Comparisons and logicals produce bool.
-  auto make_bool = [&](bool v) { return IntResult(v, Scalar::kBool, e.line); };
-
-  if (e.bin_op == BinOp::kLogAnd) return make_bool(AsDouble(a) != 0 && AsDouble(b) != 0);
-  if (e.bin_op == BinOp::kLogOr) return make_bool(AsDouble(a) != 0 || AsDouble(b) != 0);
-
-  const Scalar os = a.type.scalar;  // operand common type (set by sema)
-  if (IsFloatScalar(os)) {
-    double x = AsDouble(a), y = AsDouble(b);
-    switch (e.bin_op) {
-      case BinOp::kAdd: case BinOp::kSub: case BinOp::kMul: case BinOp::kDiv: case BinOp::kRem: {
-        double r;
-        switch (e.bin_op) {
-          case BinOp::kAdd: r = x + y; break;
-          case BinOp::kSub: r = x - y; break;
-          case BinOp::kMul: r = x * y; break;
-          case BinOp::kDiv: r = x / y; break;
-          default: r = std::fmod(x, y); break;
-        }
-        if (os == Scalar::kFloat) r = static_cast<float>(r);
-        return MakeFloatLit(r, rs, e.line);
-      }
-      case BinOp::kLt: return make_bool(x < y);
-      case BinOp::kLe: return make_bool(x <= y);
-      case BinOp::kGt: return make_bool(x > y);
-      case BinOp::kGe: return make_bool(x >= y);
-      case BinOp::kEq: return make_bool(x == y);
-      case BinOp::kNe: return make_bool(x != y);
-      default: return nullptr;
-    }
-  }
-
-  const bool sgn = IsSignedScalar(os);
-  std::uint64_t ua = a.int_value, ub = b.int_value;
-  std::int64_t sa = SignedVal(a), sb = SignedVal(b);
-  const bool wide = os == Scalar::kLong || os == Scalar::kUlong;
-  const unsigned width = wide ? 64 : 32;
-  switch (e.bin_op) {
-    case BinOp::kAdd: return IntResult(ua + ub, rs, e.line);
-    case BinOp::kSub: return IntResult(ua - ub, rs, e.line);
-    case BinOp::kMul: return IntResult(ua * ub, rs, e.line);
-    case BinOp::kDiv:
-      if (ub == 0) return nullptr;  // leave the runtime to decide
-      // x / -1 is -x, wrapping: INT_MIN / -1 is INT_MIN, as at run time.
-      if (sgn && sb == -1) return IntResult(0 - ua, rs, e.line);
-      return IntResult(sgn ? static_cast<std::uint64_t>(sa / sb) : ua / ub, rs, e.line);
-    case BinOp::kRem:
-      if (ub == 0) return nullptr;
-      if (sgn && sb == -1) return IntResult(0, rs, e.line);
-      return IntResult(sgn ? static_cast<std::uint64_t>(sa % sb) : ua % ub, rs, e.line);
-    case BinOp::kAnd: return IntResult(ua & ub, rs, e.line);
-    case BinOp::kOr: return IntResult(ua | ub, rs, e.line);
-    case BinOp::kXor: return IntResult(ua ^ ub, rs, e.line);
-    case BinOp::kShl:
-      if (ub >= width) return IntResult(0, rs, e.line);
-      return IntResult(ua << ub, rs, e.line);
-    case BinOp::kShr:
-      if (ub >= width) return IntResult(sgn && sa < 0 ? ~0ull : 0, rs, e.line);
-      if (sgn) return IntResult(static_cast<std::uint64_t>(sa >> ub), rs, e.line);
-      if (!wide) ua = static_cast<std::uint32_t>(ua);
-      return IntResult(ua >> ub, rs, e.line);
-    case BinOp::kLt: return make_bool(sgn ? sa < sb : ua < ub);
-    case BinOp::kLe: return make_bool(sgn ? sa <= sb : ua <= ub);
-    case BinOp::kGt: return make_bool(sgn ? sa > sb : ua > ub);
-    case BinOp::kGe: return make_bool(sgn ? sa >= sb : ua >= ub);
-    case BinOp::kEq: return make_bool(ua == ub);
-    case BinOp::kNe: return make_bool(ua != ub);
-    default: return nullptr;
-  }
+  if (e.bin_op == BinOp::kLogAnd) return BoolLiteral(Truth(a) && Truth(b), e.line);
+  if (e.bin_op == BinOp::kLogOr) return BoolLiteral(Truth(a) || Truth(b), e.line);
+  // Sema coerces both operands to one type, which arithmetic also yields.
+  const Instr i = BinaryInstr(e.bin_op, ScalarToIr(a.type.scalar));
+  return Eval(i, i.op == Opcode::kSetp ? Scalar::kBool : ResultType(e, a), e.line, a, &b);
 }
 
 ExprPtr FoldUnary(const Expr& e) {
   const Expr& a = *e.a;
   if (!IsLiteral(a)) return nullptr;
-  Scalar rs = e.type.scalar;
   switch (e.un_op) {
     case UnOp::kPlus:
       return a.Clone();
-    case UnOp::kNeg:
-      if (IsFloatScalar(a.type.scalar)) return MakeFloatLit(-AsDouble(a), rs, e.line);
-      return IntResult(~a.int_value + 1, rs, e.line);
     case UnOp::kNot:
-      return IntResult(AsDouble(a) == 0 ? 1 : 0, Scalar::kBool, e.line);
-    case UnOp::kBitNot:
-      return IntResult(~a.int_value, rs, e.line);
+      return BoolLiteral(!Truth(a), e.line);
+    case UnOp::kNeg:
+    case UnOp::kBitNot: {
+      const Scalar rs = ResultType(e, a);
+      const Opcode op = e.un_op == UnOp::kNeg ? Opcode::kNeg : Opcode::kNot;
+      return Eval(Instr::Make(op, ScalarToIr(rs), -1), rs, e.line, a);
+    }
   }
   return nullptr;
 }
@@ -144,50 +86,46 @@ ExprPtr FoldUnary(const Expr& e) {
 ExprPtr FoldCast(const Expr& e) {
   const Expr& a = *e.a;
   if (!IsLiteral(a) || e.type.is_pointer) return nullptr;
-  Scalar rs = e.type.scalar;
-  if (IsFloatScalar(rs)) {
-    double v = AsDouble(a);
-    if (rs == Scalar::kFloat) v = static_cast<float>(v);
-    return MakeFloatLit(v, rs, e.line);
-  }
-  if (a.kind == ExprKind::kFloatLit) {
-    return IntResult(static_cast<std::uint64_t>(static_cast<std::int64_t>(a.float_value)), rs,
-                     e.line);
-  }
-  return IntResult(a.int_value, rs, e.line);
+  Instr cvt = Instr::Make(Opcode::kCvt, ScalarToIr(e.type.scalar), -1);
+  cvt.type2 = ScalarToIr(a.type.scalar);
+  return Eval(cvt, e.type.scalar, e.line, a);
 }
 
 ExprPtr FoldCall(const Expr& e) {
+  // The intrinsics folded here; the IR passes fold the others once lowered.
+  static const std::set<std::string> kFolded = {"min",   "umin", "fminf",   "max",
+                                                "umax",  "fmaxf", "abs",    "fabsf",
+                                                "sqrtf", "sqrt", "__mul24", "__umul24"};
+  if (!kFolded.count(e.name) || e.args.empty()) return nullptr;
   for (const auto& arg : e.args) {
     if (!IsLiteral(*arg)) return nullptr;
   }
-  Scalar rs = e.type.scalar;
-  auto farg = [&](std::size_t i) { return AsDouble(*e.args[i]); };
-  if (e.name == "min" || e.name == "umin" || e.name == "fminf") {
-    double r = std::min(farg(0), farg(1));
-    return IsFloatScalar(rs) ? MakeFloatLit(static_cast<float>(r), rs, e.line)
-                             : IntResult(static_cast<std::uint64_t>(static_cast<std::int64_t>(r)), rs, e.line);
-  }
-  if (e.name == "max" || e.name == "umax" || e.name == "fmaxf") {
-    double r = std::max(farg(0), farg(1));
-    return IsFloatScalar(rs) ? MakeFloatLit(static_cast<float>(r), rs, e.line)
-                             : IntResult(static_cast<std::uint64_t>(static_cast<std::int64_t>(r)), rs, e.line);
-  }
-  if (e.name == "abs") {
-    std::int64_t v = SignedVal(*e.args[0]);
-    return IntResult(static_cast<std::uint64_t>(v < 0 ? -v : v), rs, e.line);
-  }
-  if (e.name == "fabsf") return MakeFloatLit(std::fabs(farg(0)), rs, e.line);
-  if (e.name == "sqrtf" || e.name == "sqrt") return MakeFloatLit(std::sqrt(farg(0)), rs, e.line);
-  if (e.name == "__mul24" || e.name == "__umul24") {
-    std::uint64_t x = e.args[0]->int_value & 0xffffffu;
-    std::uint64_t y = e.args[1]->int_value & 0xffffffu;
-    return IntResult(x * y, rs, e.line);
-  }
-  return nullptr;
+  const Scalar rs = ResultType(e, *e.args[0]);
+  const Instr i = Instr::Make(IntrinsicOpcode(e.name), ScalarToIr(rs), -1);
+  return Eval(i, rs, e.line, *e.args[0], e.args.size() > 1 ? e.args[1].get() : nullptr);
 }
 
 }  // namespace
+
+std::uint64_t LiteralSlot(const Expr& e) {
+  const vgpu::Type t = ScalarToIr(e.type.scalar);
+  if (e.kind == ExprKind::kFloatLit) {
+    return t == vgpu::Type::kF32 ? vgpu::EncodeF32(static_cast<float>(e.float_value))
+                                 : vgpu::EncodeF64(e.float_value);
+  }
+  if (t == vgpu::Type::kI32) return vgpu::EncodeI32(static_cast<std::int32_t>(e.int_value));
+  if (t == vgpu::Type::kU32) return static_cast<std::uint32_t>(e.int_value);
+  return e.int_value;
+}
+
+ExprPtr SlotLiteral(std::uint64_t raw, Scalar s, int line) {
+  switch (ScalarToIr(s)) {
+    case vgpu::Type::kF32: return MakeFloatLit(vgpu::DecodeF32(raw), s, line);
+    case vgpu::Type::kF64: return MakeFloatLit(vgpu::DecodeF64(raw), s, line);
+    case vgpu::Type::kI32: return MakeIntLit(vgpu::DecodeI32(raw), s, line);
+    default: return MakeIntLit(static_cast<std::int64_t>(raw), s, line);
+  }
+}
 
 ExprPtr TryFold(const Expr& e) {
   switch (e.kind) {
@@ -196,9 +134,7 @@ ExprPtr TryFold(const Expr& e) {
     case ExprKind::kCast: return FoldCast(e);
     case ExprKind::kCall: return FoldCall(e);
     case ExprKind::kTernary:
-      if (IsLiteral(*e.a)) {
-        return AsDouble(*e.a) != 0 ? e.b->Clone() : e.c->Clone();
-      }
+      if (IsLiteral(*e.a)) return Truth(*e.a) ? e.b->Clone() : e.c->Clone();
       return nullptr;
     default:
       return nullptr;

@@ -101,54 +101,18 @@ class Lowerer {
     return r;
   }
 
-  // Emits a conversion of `v` to IR type `to` (no-op when equal).
+  // Emits a conversion of `v` to IR type `to` (no-op when equal). An
+  // immediate converts at compile time, by the rule cvt runs.
   RV Convert(RV v, Type to) {
     if (v.type == to) return v;
-    if (v.op.is_imm()) {
-      // Convert immediates at compile time (constant folding across types).
-      return {Operand::Imm(ConvertImm(v.op.imm, v.type, to)), to, v.is_pointer, v.space};
-    }
-    int r = NewReg(to);
-    Instr i = Instr::Make(Opcode::kCvt, to, r, v.op);
+    Instr i = Instr::Make(Opcode::kCvt, to, -1, v.op);
     i.type2 = v.type;
+    if (std::uint64_t raw; v.op.is_imm() && vgpu::EvalLane(i, v.op.imm, 0, 0, &raw)) {
+      return {Operand::Imm(raw), to, v.is_pointer, v.space};
+    }
+    i.dst = NewReg(to);
     Emit(i);
-    return {Operand::Reg(r), to, v.is_pointer, v.space};
-  }
-
-  static std::uint64_t ConvertImm(std::uint64_t raw, Type from, Type to) {
-    // Decode to the widest faithful representation, then encode.
-    double d = 0;
-    std::int64_t s = 0;
-    bool is_f = vgpu::IsFloatType(from);
-    switch (from) {
-      case Type::kF32: d = vgpu::DecodeF32(raw); break;
-      case Type::kF64: d = vgpu::DecodeF64(raw); break;
-      case Type::kI32: s = vgpu::DecodeI32(raw); break;
-      case Type::kU32: s = static_cast<std::uint32_t>(raw); break;
-      case Type::kPred: s = raw ? 1 : 0; break;
-      default: s = static_cast<std::int64_t>(raw); break;
-    }
-    if (is_f) {
-      switch (to) {
-        case Type::kF32: return vgpu::EncodeF32(static_cast<float>(d));
-        case Type::kF64: return vgpu::EncodeF64(d);
-        case Type::kI32: return vgpu::EncodeI32(static_cast<std::int32_t>(d));
-        case Type::kU32: return static_cast<std::uint32_t>(static_cast<std::int64_t>(d));
-        case Type::kPred: return d != 0;
-        default: return static_cast<std::uint64_t>(static_cast<std::int64_t>(d));
-      }
-    }
-    switch (to) {
-      case Type::kF32: return vgpu::EncodeF32(static_cast<float>(from == Type::kU64
-                                                                     ? static_cast<double>(raw)
-                                                                     : static_cast<double>(s)));
-      case Type::kF64: return vgpu::EncodeF64(from == Type::kU64 ? static_cast<double>(raw)
-                                                                 : static_cast<double>(s));
-      case Type::kI32: return vgpu::EncodeI32(static_cast<std::int32_t>(s));
-      case Type::kU32: return static_cast<std::uint32_t>(s);
-      case Type::kPred: return s != 0;
-      default: return static_cast<std::uint64_t>(s);
-    }
+    return {Operand::Reg(i.dst), to, v.is_pointer, v.space};
   }
 
   // Lowers `e` to a predicate register (0/1) for branching.
@@ -173,19 +137,9 @@ class Lowerer {
   // single instruction, the result is written directly to that register.
   RV LowerExpr(const Expr& e, int into) {
     switch (e.kind) {
-      case ExprKind::kIntLit: {
-        Type t = ScalarToIr(e.type.scalar);
-        std::uint64_t raw = e.int_value;
-        if (t == Type::kI32) raw = vgpu::EncodeI32(static_cast<std::int32_t>(raw));
-        if (t == Type::kU32) raw = static_cast<std::uint32_t>(raw);
-        return {Operand::Imm(raw), t};
-      }
-      case ExprKind::kFloatLit: {
-        Type t = ScalarToIr(e.type.scalar);
-        return {Operand::Imm(t == Type::kF32 ? vgpu::EncodeF32(static_cast<float>(e.float_value))
-                                             : vgpu::EncodeF64(e.float_value)),
-                t};
-      }
+      case ExprKind::kIntLit:
+      case ExprKind::kFloatLit:
+        return {Operand::Imm(LiteralSlot(e)), ScalarToIr(e.type.scalar)};
       case ExprKind::kSreg: {
         int r = into >= 0 ? into : NewReg(Type::kU32);
         Emit(Instr::Make(Opcode::kSreg, Type::kU32, r,
@@ -345,58 +299,27 @@ class Lowerer {
       return {Operand::Reg(r), Type::kU64, true, base.space};
     }
 
-    switch (e.bin_op) {
-      case BinOp::kLogAnd:
-      case BinOp::kLogOr: {
-        // Branch-free logical operators (both sides evaluated).
-        int pa = LowerPred(*e.a);
-        int pb = LowerPred(*e.b);
-        int r = into >= 0 ? into : NewReg(Type::kPred);
-        Emit(Instr::Make(e.bin_op == BinOp::kLogAnd ? Opcode::kAnd : Opcode::kOr, Type::kPred, r,
-                         Operand::Reg(pa), Operand::Reg(pb)));
-        return {Operand::Reg(r), Type::kPred};
-      }
-      case BinOp::kLt: case BinOp::kLe: case BinOp::kGt:
-      case BinOp::kGe: case BinOp::kEq: case BinOp::kNe: {
-        RV a = LowerExpr(*e.a, -1);
-        RV b = LowerExpr(*e.b, -1);
-        int r = into >= 0 ? into : NewReg(Type::kPred);
-        Instr i = Instr::Make(Opcode::kSetp, a.type, r, a.op, b.op);
-        switch (e.bin_op) {
-          case BinOp::kLt: i.cmp = CmpOp::kLt; break;
-          case BinOp::kLe: i.cmp = CmpOp::kLe; break;
-          case BinOp::kGt: i.cmp = CmpOp::kGt; break;
-          case BinOp::kGe: i.cmp = CmpOp::kGe; break;
-          case BinOp::kEq: i.cmp = CmpOp::kEq; break;
-          default: i.cmp = CmpOp::kNe; break;
-        }
-        Emit(i);
-        return {Operand::Reg(r), Type::kPred};
-      }
-      default:
-        break;
+    if (e.bin_op == BinOp::kLogAnd || e.bin_op == BinOp::kLogOr) {
+      // Branch-free logical operators (both sides evaluated).
+      int pa = LowerPred(*e.a);
+      int pb = LowerPred(*e.b);
+      int r = into >= 0 ? into : NewReg(Type::kPred);
+      Emit(Instr::Make(e.bin_op == BinOp::kLogAnd ? Opcode::kAnd : Opcode::kOr, Type::kPred, r,
+                       Operand::Reg(pa), Operand::Reg(pb)));
+      return {Operand::Reg(r), Type::kPred};
     }
 
     RV a = LowerExpr(*e.a, -1);
     RV b = LowerExpr(*e.b, -1);
-    Type t = ScalarToIr(e.type.scalar);
-    Opcode op;
-    switch (e.bin_op) {
-      case BinOp::kAdd: op = Opcode::kAdd; break;
-      case BinOp::kSub: op = Opcode::kSub; break;
-      case BinOp::kMul: op = Opcode::kMul; break;
-      case BinOp::kDiv: op = Opcode::kDiv; break;
-      case BinOp::kRem: op = Opcode::kRem; break;
-      case BinOp::kAnd: op = Opcode::kAnd; break;
-      case BinOp::kOr: op = Opcode::kOr; break;
-      case BinOp::kXor: op = Opcode::kXor; break;
-      case BinOp::kShl: op = Opcode::kShl; break;
-      case BinOp::kShr: op = Opcode::kShr; break;
-      default: Fail(e.line, "unhandled binary operator");
-    }
-    int r = into >= 0 ? into : NewReg(t);
-    Emit(Instr::Make(op, t, r, a.op, b.op));
-    return {Operand::Reg(r), t};
+    // A comparison runs at its operands' type and yields a predicate.
+    Instr i = BinaryInstr(e.bin_op, a.type);
+    const Type t = i.op == Opcode::kSetp ? Type::kPred : ScalarToIr(e.type.scalar);
+    if (i.op != Opcode::kSetp) i.type = t;
+    i.dst = into >= 0 ? into : NewReg(t);
+    i.a = a.op;
+    i.b = b.op;
+    Emit(i);
+    return {Operand::Reg(i.dst), t};
   }
 
   RV LowerCall(const Expr& e, int into) {
@@ -440,42 +363,21 @@ class Lowerer {
       return {Operand::Reg(r), t};
     }
 
+    const Opcode op = IntrinsicOpcode(e.name);
+    if (op == Opcode::kNop) Fail(e.line, "unhandled intrinsic: " + e.name);
+    Operand args[3];
+    for (std::size_t k = 0; k < e.args.size(); ++k) args[k] = LowerExpr(*e.args[k], -1).op;
     Type t = ScalarToIr(e.type.scalar);
-    auto unary = [&](Opcode op) {
-      RV a = LowerExpr(*e.args[0], -1);
-      int r = into >= 0 ? into : NewReg(t);
-      Emit(Instr::Make(op, t, r, a.op));
-      return RV{Operand::Reg(r), t};
-    };
-    auto binary = [&](Opcode op) {
-      RV a = LowerExpr(*e.args[0], -1);
-      RV b = LowerExpr(*e.args[1], -1);
-      int r = into >= 0 ? into : NewReg(t);
-      Emit(Instr::Make(op, t, r, a.op, b.op));
-      return RV{Operand::Reg(r), t};
-    };
+    int r = into >= 0 ? into : NewReg(t);
+    Emit(Instr::Make(op, t, r, args[0], args[1], args[2]));
+    return RV{Operand::Reg(r), t};
+  }
 
-    if (e.name == "min" || e.name == "umin" || e.name == "fminf") return binary(Opcode::kMin);
-    if (e.name == "max" || e.name == "umax" || e.name == "fmaxf") return binary(Opcode::kMax);
-    if (e.name == "abs" || e.name == "fabsf" || e.name == "fabs") return unary(Opcode::kAbs);
-    if (e.name == "sqrtf" || e.name == "sqrt" || e.name == "__fsqrt_rn") return unary(Opcode::kSqrt);
-    if (e.name == "rsqrtf") return unary(Opcode::kRsqrt);
-    if (e.name == "floorf" || e.name == "floor") return unary(Opcode::kFloor);
-    if (e.name == "ceilf" || e.name == "ceil") return unary(Opcode::kCeil);
-    if (e.name == "expf" || e.name == "__expf") return unary(Opcode::kExp);
-    if (e.name == "logf" || e.name == "__logf") return unary(Opcode::kLog);
-    if (e.name == "sinf" || e.name == "__sinf") return unary(Opcode::kSin);
-    if (e.name == "cosf" || e.name == "__cosf") return unary(Opcode::kCos);
-    if (e.name == "__mul24" || e.name == "__umul24") return binary(Opcode::kMul24);
-    if (e.name == "fmaf" || e.name == "fma") {
-      RV a = LowerExpr(*e.args[0], -1);
-      RV b = LowerExpr(*e.args[1], -1);
-      RV c = LowerExpr(*e.args[2], -1);
-      int r = into >= 0 ? into : NewReg(t);
-      Emit(Instr::Make(Opcode::kMad, t, r, a.op, b.op, c.op));
-      return RV{Operand::Reg(r), t};
-    }
-    Fail(e.line, "unhandled intrinsic: " + e.name);
+  // The ALU opcode of compound assignment `e` (x op= v).
+  Opcode CompoundOp(const Expr& e) {
+    const Opcode op = BinaryInstr(e.assign_op, Type::kI32).op;
+    if (op == Opcode::kNop || op == Opcode::kSetp) Fail(e.line, "unhandled compound assignment");
+    return op;
   }
 
   RV LowerAssign(const Expr& e) {
@@ -488,20 +390,7 @@ class Lowerer {
       if (e.is_compound) {
         // dst = dst <op> value
         RV b = LowerExpr(*e.b, -1);
-        Opcode op;
-        switch (e.assign_op) {
-          case BinOp::kAdd: op = Opcode::kAdd; break;
-          case BinOp::kSub: op = Opcode::kSub; break;
-          case BinOp::kMul: op = Opcode::kMul; break;
-          case BinOp::kDiv: op = Opcode::kDiv; break;
-          case BinOp::kRem: op = Opcode::kRem; break;
-          case BinOp::kAnd: op = Opcode::kAnd; break;
-          case BinOp::kOr: op = Opcode::kOr; break;
-          case BinOp::kXor: op = Opcode::kXor; break;
-          case BinOp::kShl: op = Opcode::kShl; break;
-          case BinOp::kShr: op = Opcode::kShr; break;
-          default: Fail(e.line, "unhandled compound assignment");
-        }
+        const Opcode op = CompoundOp(e);
         if (target.type.is_pointer) {
           // ptr += n scales by element size.
           std::size_t esize = ScalarSize(target.type.scalar);
@@ -538,20 +427,7 @@ class Lowerer {
         ld.space = addr.space;
         Emit(ld);
         RV b = Convert(LowerExpr(*e.b, -1), t);
-        Opcode op;
-        switch (e.assign_op) {
-          case BinOp::kAdd: op = Opcode::kAdd; break;
-          case BinOp::kSub: op = Opcode::kSub; break;
-          case BinOp::kMul: op = Opcode::kMul; break;
-          case BinOp::kDiv: op = Opcode::kDiv; break;
-          case BinOp::kAnd: op = Opcode::kAnd; break;
-          case BinOp::kOr: op = Opcode::kOr; break;
-          case BinOp::kXor: op = Opcode::kXor; break;
-          case BinOp::kShl: op = Opcode::kShl; break;
-          case BinOp::kShr: op = Opcode::kShr; break;
-          case BinOp::kRem: op = Opcode::kRem; break;
-          default: Fail(e.line, "unhandled compound assignment");
-        }
+        const Opcode op = CompoundOp(e);
         int res = NewReg(t);
         Emit(Instr::Make(op, t, res, Operand::Reg(loaded), b.op));
         Instr st = Instr::Make(Opcode::kSt, t, -1, addr.op, Operand::Imm(off),

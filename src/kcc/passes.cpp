@@ -1,7 +1,6 @@
 #include "kcc/passes.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/math.hpp"
 #include "support/status.hpp"
@@ -10,7 +9,6 @@ namespace kspec::kcc {
 
 namespace {
 
-using vgpu::CmpOp;
 using vgpu::Instr;
 using vgpu::Opcode;
 using vgpu::Operand;
@@ -44,220 +42,19 @@ bool IsConstEvaluable(Opcode op) {
          op != Opcode::kTex2D && op != Opcode::kTex1D;
 }
 
-bool IsCommutative(Opcode op) {
-  switch (op) {
-    case Opcode::kAdd: case Opcode::kMul: case Opcode::kAnd: case Opcode::kOr:
-    case Opcode::kXor: case Opcode::kMin: case Opcode::kMax: case Opcode::kMul24:
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-bool EvalConstInstr(const Instr& i, std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                    std::uint64_t* out) {
-  using vgpu::DecodeF32;
-  using vgpu::DecodeF64;
-  using vgpu::DecodeI32;
-  using vgpu::EncodeF32;
-  using vgpu::EncodeF64;
-  using vgpu::EncodeI32;
-
-  if (!IsConstEvaluable(i.op)) return false;
-  const Type t = i.type;
-
-  if (i.op == Opcode::kMov) {
-    *out = a;
-    return true;
-  }
-  if (i.op == Opcode::kSel) {
-    *out = c ? a : b;
-    return true;
-  }
-  if (i.op == Opcode::kCvt) {
-    double d = 0;
-    std::int64_t s = 0;
-    bool src_f = vgpu::IsFloatType(i.type2);
-    switch (i.type2) {
-      case Type::kF32: d = DecodeF32(a); break;
-      case Type::kF64: d = DecodeF64(a); break;
-      case Type::kI32: s = DecodeI32(a); break;
-      case Type::kU32: s = static_cast<std::uint32_t>(a); break;
-      case Type::kPred: s = a ? 1 : 0; break;
-      default: s = static_cast<std::int64_t>(a); break;
-    }
-    double v = src_f ? d : (i.type2 == Type::kU64 ? static_cast<double>(a) : static_cast<double>(s));
-    switch (i.type) {
-      case Type::kF32: *out = EncodeF32(static_cast<float>(v)); return true;
-      case Type::kF64: *out = EncodeF64(v); return true;
-      case Type::kPred: *out = src_f ? (d != 0) : (s != 0); return true;
-      case Type::kI32:
-        *out = EncodeI32(src_f ? static_cast<std::int32_t>(d) : static_cast<std::int32_t>(s));
-        return true;
-      case Type::kU32:
-        *out = src_f ? static_cast<std::uint32_t>(static_cast<std::int64_t>(d))
-                     : static_cast<std::uint32_t>(s);
-        return true;
-      default:
-        *out = src_f ? static_cast<std::uint64_t>(static_cast<std::int64_t>(d))
-                     : (i.type2 == Type::kU64 ? a : static_cast<std::uint64_t>(s));
-        return true;
-    }
-  }
-
-  if (t == Type::kF32 || t == Type::kF64) {
-    const bool f32 = t == Type::kF32;
-    double x = f32 ? DecodeF32(a) : DecodeF64(a);
-    double y = f32 ? DecodeF32(b) : DecodeF64(b);
-    double z = f32 ? DecodeF32(c) : DecodeF64(c);
-    if (i.op == Opcode::kSetp) {
-      bool r;
-      switch (i.cmp) {
-        case CmpOp::kEq: r = x == y; break;
-        case CmpOp::kNe: r = x != y; break;
-        case CmpOp::kLt: r = x < y; break;
-        case CmpOp::kLe: r = x <= y; break;
-        case CmpOp::kGt: r = x > y; break;
-        default: r = x >= y; break;
-      }
-      *out = r;
-      return true;
-    }
-    double r;
-    switch (i.op) {
-      case Opcode::kAdd: r = x + y; break;
-      case Opcode::kSub: r = x - y; break;
-      case Opcode::kMul: r = x * y; break;
-      case Opcode::kDiv: r = x / y; break;
-      case Opcode::kRem: r = std::fmod(x, y); break;
-      case Opcode::kMad: r = x * y + z; break;
-      case Opcode::kMin: r = std::min(x, y); break;
-      case Opcode::kMax: r = std::max(x, y); break;
-      case Opcode::kNeg: r = -x; break;
-      case Opcode::kAbs: r = std::fabs(x); break;
-      case Opcode::kSqrt: r = std::sqrt(x); break;
-      case Opcode::kRsqrt: r = 1.0 / std::sqrt(x); break;
-      case Opcode::kFloor: r = std::floor(x); break;
-      case Opcode::kCeil: r = std::ceil(x); break;
-      case Opcode::kExp: r = std::exp(x); break;
-      case Opcode::kLog: r = std::log(x); break;
-      case Opcode::kSin: r = std::sin(x); break;
-      case Opcode::kCos: r = std::cos(x); break;
-      default: return false;
-    }
-    *out = f32 ? EncodeF32(static_cast<float>(r)) : EncodeF64(r);
-    return true;
-  }
-
-  // Integer / predicate.
-  const bool is64 = t == Type::kI64 || t == Type::kU64;
-  const bool sgn = t == Type::kI32 || t == Type::kI64;
-  auto norm = [&](std::uint64_t v) -> std::uint64_t {
-    if (t == Type::kPred) return v ? 1 : 0;
-    if (is64) return v;
-    if (sgn) return EncodeI32(static_cast<std::int32_t>(static_cast<std::uint32_t>(v)));
-    return static_cast<std::uint32_t>(v);
-  };
-  auto sval = [&](std::uint64_t v) -> std::int64_t {
-    return is64 ? static_cast<std::int64_t>(v) : DecodeI32(v);
-  };
-  auto uval = [&](std::uint64_t v) -> std::uint64_t {
-    return is64 ? v : static_cast<std::uint32_t>(v);
-  };
-
-  if (i.op == Opcode::kSetp) {
-    bool r;
-    if (sgn) {
-      std::int64_t x = sval(a), y = sval(b);
-      switch (i.cmp) {
-        case CmpOp::kEq: r = x == y; break;
-        case CmpOp::kNe: r = x != y; break;
-        case CmpOp::kLt: r = x < y; break;
-        case CmpOp::kLe: r = x <= y; break;
-        case CmpOp::kGt: r = x > y; break;
-        default: r = x >= y; break;
-      }
-    } else {
-      std::uint64_t x = uval(a), y = uval(b);
-      switch (i.cmp) {
-        case CmpOp::kEq: r = x == y; break;
-        case CmpOp::kNe: r = x != y; break;
-        case CmpOp::kLt: r = x < y; break;
-        case CmpOp::kLe: r = x <= y; break;
-        case CmpOp::kGt: r = x > y; break;
-        default: r = x >= y; break;
-      }
-    }
-    *out = r;
-    return true;
-  }
-
-  const unsigned width = is64 ? 64 : 32;
+// Float min/max is not commutative: min(a, b) returns a when the two compare
+// unordered (a NaN) or equal (-0 and +0).
+bool IsCommutative(const Instr& i) {
   switch (i.op) {
-    case Opcode::kAdd: *out = norm(a + b); return true;
-    case Opcode::kSub: *out = norm(a - b); return true;
-    case Opcode::kMul: *out = norm(a * b); return true;
-    case Opcode::kMul24: {
-      std::uint64_t x = a & 0xffffffu, y = b & 0xffffffu;
-      if (sgn) {
-        std::int64_t sx = static_cast<std::int64_t>(x << 40) >> 40;
-        std::int64_t sy = static_cast<std::int64_t>(y << 40) >> 40;
-        *out = norm(static_cast<std::uint64_t>(sx * sy));
-      } else {
-        *out = norm(x * y);
-      }
+    case Opcode::kAdd: case Opcode::kMul: case Opcode::kAnd: case Opcode::kOr:
+    case Opcode::kXor: case Opcode::kMul24:
       return true;
-    }
-    case Opcode::kMad: *out = norm(a * b + c); return true;
-    case Opcode::kDiv:
-      if (uval(b) == 0) return false;
-      // x / -1 is -x, wrapping: INT_MIN / -1 is INT_MIN, as at run time.
-      if (sgn && sval(b) == -1) *out = norm(0 - a);
-      else *out = norm(sgn ? static_cast<std::uint64_t>(sval(a) / sval(b)) : uval(a) / uval(b));
-      return true;
-    case Opcode::kRem:
-      if (uval(b) == 0) return false;
-      if (sgn && sval(b) == -1) *out = 0;
-      else *out = norm(sgn ? static_cast<std::uint64_t>(sval(a) % sval(b)) : uval(a) % uval(b));
-      return true;
-    case Opcode::kMin:
-      *out = norm(sgn ? static_cast<std::uint64_t>(std::min(sval(a), sval(b)))
-                      : std::min(uval(a), uval(b)));
-      return true;
-    case Opcode::kMax:
-      *out = norm(sgn ? static_cast<std::uint64_t>(std::max(sval(a), sval(b)))
-                      : std::max(uval(a), uval(b)));
-      return true;
-    case Opcode::kNeg: *out = norm(~a + 1); return true;
-    case Opcode::kAbs: {
-      const std::int64_t v = sval(a);
-      *out = norm(v < 0 ? 0 - static_cast<std::uint64_t>(v) : static_cast<std::uint64_t>(v));
-      return true;
-    }
-    case Opcode::kAnd: *out = norm(a & b); return true;
-    case Opcode::kOr: *out = norm(a | b); return true;
-    case Opcode::kXor: *out = norm(a ^ b); return true;
-    case Opcode::kNot: *out = t == Type::kPred ? (a ? 0 : 1) : norm(~a); return true;
-    case Opcode::kShl:
-      *out = b >= width ? 0 : norm(a << b);
-      return true;
-    case Opcode::kShr:
-      if (sgn) {
-        std::int64_t v = sval(a);
-        *out = b >= width ? norm(static_cast<std::uint64_t>(v < 0 ? -1 : 0))
-                          : norm(static_cast<std::uint64_t>(v >> b));
-      } else {
-        *out = b >= width ? 0 : norm(uval(a) >> b);
-      }
-      return true;
+    case Opcode::kMin: case Opcode::kMax:
+      return !vgpu::IsFloatType(i.type);
     default:
       return false;
   }
 }
-
-namespace {
 
 // Basic-block leader computation.
 std::vector<int> BlockStarts(const std::vector<Instr>& code) {
@@ -567,7 +364,7 @@ class Optimizer {
       // Keep ld/st byte-offset immediates as immediates (b operand).
 
       // Canonicalize commutative ops: immediate to the right.
-      if (IsCommutative(i.op) && i.a.is_imm() && i.b.is_reg()) std::swap(i.a, i.b);
+      if (IsCommutative(i) && i.a.is_imm() && i.b.is_reg()) std::swap(i.a, i.b);
 
       // Fold `add.u64 r, base, imm` address arithmetic into the ld/st byte
       // offset (what PTX's [reg+imm] addressing mode exists for).
@@ -610,15 +407,12 @@ class Optimizer {
 
       if (i.dst < 0) continue;
 
-      // Full constant evaluation.
-      bool all_imm = (!i.a.is_reg()) && (!i.b.is_reg()) && (!i.c.is_reg()) &&
-                     i.op != Opcode::kSreg && i.op != Opcode::kLd;
-      if (all_imm && IsConstEvaluable(i.op) && i.op != Opcode::kMov) {
-        std::uint64_t out;
-        if (EvalConstInstr(i, i.a.imm, i.b.imm, i.c.imm, &out)) {
-          i = Instr::Make(Opcode::kMov, i.type, i.dst, Operand::Imm(out));
-          ++stats_.folded_consts;
-        }
+      // Full constant evaluation, by the lane rule the instruction runs.
+      std::uint64_t out;
+      if (!i.a.is_reg() && !i.b.is_reg() && !i.c.is_reg() && i.op != Opcode::kMov &&
+          vgpu::EvalLane(i, i.a.imm, i.b.imm, i.c.imm, &out)) {
+        i = Instr::Make(Opcode::kMov, i.type, i.dst, Operand::Imm(out));
+        ++stats_.folded_consts;
       }
 
       if (options_.strength_reduction) StrengthReduce(i);

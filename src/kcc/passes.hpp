@@ -36,9 +36,4 @@ PassStats Optimize(std::vector<vgpu::Instr>& code,
                    const std::vector<vgpu::Type>& vreg_types,
                    const PassOptions& options = {});
 
-// Evaluates a pure ALU instruction whose operands are the raw 64-bit values
-// a/b/c. Returns false for non-evaluable opcodes. Shared with tests.
-bool EvalConstInstr(const vgpu::Instr& instr, std::uint64_t a, std::uint64_t b,
-                    std::uint64_t c, std::uint64_t* out);
-
 }  // namespace kspec::kcc

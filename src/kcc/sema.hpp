@@ -22,6 +22,13 @@ void Analyze(ModuleAst& module);
 // `module` provides the constant-array symbols.
 void AnalyzeKernel(ModuleAst& module, KernelDecl& kernel);
 
+// The run-time slot literal `e` lowers to: a float literal rounds to f32, a
+// 32-bit integer takes its run-time encoding.
+std::uint64_t LiteralSlot(const Expr& e);
+
+// The literal of scalar type `s` that holds run-time slot `raw`.
+ExprPtr SlotLiteral(std::uint64_t raw, Scalar s, int line);
+
 // AST-level constant folding. Returns a literal node when `e` folds, or
 // nullptr when it does not; never mutates `e`.
 ExprPtr TryFold(const Expr& e);

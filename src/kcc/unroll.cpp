@@ -115,106 +115,92 @@ bool WritesVar(const Stmt& s, const std::string& name) {
 struct CountedLoop {
   std::string var;
   Scalar var_type = Scalar::kInt;
-  // The induction variable's value at each iteration (already fully
-  // evaluated; supports additive and geometric updates like i >>= 1).
-  std::vector<std::int64_t> values;
+  // The induction variable's run-time slot at each iteration.
+  std::vector<std::uint64_t> values;
 };
+
+// Whether `e` reads variable `name`, possibly through the one conversion
+// sema inserts.
+bool ReadsVar(const Expr& e, const std::string& name) {
+  const Expr* v = e.kind == ExprKind::kCast ? e.a.get() : &e;
+  return v->kind == ExprKind::kVarRef && v->name == name;
+}
+
+// Slot `v` of IR type `from` converted to `to`, by the rule cvt runs.
+std::uint64_t Convert(std::uint64_t v, vgpu::Type from, vgpu::Type to) {
+  vgpu::Instr cvt = vgpu::Instr::Make(vgpu::Opcode::kCvt, to, -1);
+  cvt.type2 = from;
+  vgpu::EvalLane(cvt, v, 0, 0, &v);
+  return v;
+}
 
 std::optional<CountedLoop> Recognize(const Stmt& loop, int max_unroll) {
   if (loop.kind != StmtKind::kFor || !loop.init || !loop.cond || !loop.step) return {};
   CountedLoop out;
-  std::int64_t start = 0;
+  const Expr* start = nullptr;
 
   // init: `int i = <const>` or `i = <const>`.
   if (loop.init->kind == StmtKind::kDecl) {
     if (loop.init->decls.size() != 1) return {};
     const VarDecl& d = loop.init->decls[0];
     if (!d.init || d.type.is_pointer) return {};
-    auto v = EvalConstInt(*d.init);
-    if (!v) return {};
     out.var = d.name;
     out.var_type = d.type.scalar;
-    start = *v;
+    start = d.init.get();
   } else if (loop.init->kind == StmtKind::kExpr && loop.init->expr &&
              loop.init->expr->kind == ExprKind::kAssign && !loop.init->expr->is_compound &&
              loop.init->expr->a->kind == ExprKind::kVarRef) {
-    auto v = EvalConstInt(*loop.init->expr->b);
-    if (!v) return {};
     out.var = loop.init->expr->a->name;
     out.var_type = loop.init->expr->a->type.scalar;
-    start = *v;
+    start = loop.init->expr->b.get();
   } else {
     return {};
   }
+  if (!start->IsIntConst()) return {};
 
-  // cond: `i <op> <const>` (the operand may carry an implicit cast of i).
+  // cond: `i <cmp> <const>`, compared at the operands' common type.
   const Expr* cond = loop.cond.get();
-  if (cond->kind != ExprKind::kBinary) return {};
-  const Expr* lhs = cond->a.get();
-  while (lhs->kind == ExprKind::kCast) lhs = lhs->a.get();
-  if (lhs->kind != ExprKind::kVarRef || lhs->name != out.var) return {};
-  auto bound_v = EvalConstInt(*cond->b);
-  if (!bound_v) return {};
-  const BinOp cmp = cond->bin_op;
-  const std::int64_t bound = *bound_v;
-
-  // step: `i op= c` (additive or geometric) or `i = i <op> c`.
-  const Expr* step = loop.step.get();
-  if (step->kind != ExprKind::kAssign) return {};
-  if (step->a->kind != ExprKind::kVarRef || step->a->name != out.var) return {};
-  BinOp update_op;
-  std::int64_t update_c = 0;
-  if (step->is_compound) {
-    auto c = EvalConstInt(*step->b);
-    if (!c) return {};
-    update_op = step->assign_op;
-    update_c = *c;
-  } else {
-    const Expr* rhs = step->b.get();
-    while (rhs->kind == ExprKind::kCast) rhs = rhs->a.get();
-    if (rhs->kind != ExprKind::kBinary) return {};
-    const Expr* base = rhs->a.get();
-    while (base->kind == ExprKind::kCast) base = base->a.get();
-    if (base->kind != ExprKind::kVarRef || base->name != out.var) return {};
-    auto c = EvalConstInt(*rhs->b);
-    if (!c) return {};
-    update_op = rhs->bin_op;
-    update_c = *c;
+  if (cond->kind != ExprKind::kBinary || !ReadsVar(*cond->a, out.var) ||
+      !cond->b->IsIntConst()) {
+    return {};
   }
-  auto update = [&](std::int64_t v) -> std::optional<std::int64_t> {
-    switch (update_op) {
-      case BinOp::kAdd: return update_c == 0 ? std::nullopt : std::optional(v + update_c);
-      case BinOp::kSub: return update_c == 0 ? std::nullopt : std::optional(v - update_c);
-      case BinOp::kMul: return update_c <= 1 ? std::nullopt : std::optional(v * update_c);
-      case BinOp::kDiv: return update_c <= 1 ? std::nullopt : std::optional(v / update_c);
-      case BinOp::kShl: return update_c <= 0 ? std::nullopt : std::optional(v << update_c);
-      case BinOp::kShr: return update_c <= 0 ? std::nullopt : std::optional(v >> update_c);
-      default: return std::nullopt;
-    }
-  };
+  const vgpu::Instr test = BinaryInstr(cond->bin_op, ScalarToIr(cond->a->type.scalar));
+  if (test.op != vgpu::Opcode::kSetp) return {};
+
+  // step: `i op= c`, or `i = i op c` computed at the expression's type.
+  const vgpu::Type var_t = ScalarToIr(out.var_type);
+  const Expr* step = loop.step.get();
+  if (step->kind != ExprKind::kAssign || step->a->kind != ExprKind::kVarRef ||
+      step->a->name != out.var) {
+    return {};
+  }
+  vgpu::Instr update;
+  const Expr* c = step->b.get();
+  if (step->is_compound) {
+    update = BinaryInstr(step->assign_op, var_t);
+  } else {
+    const Expr* rhs = c->kind == ExprKind::kCast ? c->a.get() : c;
+    if (rhs->kind != ExprKind::kBinary || !ReadsVar(*rhs->a, out.var)) return {};
+    update = BinaryInstr(rhs->bin_op, ScalarToIr(rhs->type.scalar));
+    c = rhs->b.get();
+  }
+  if (!c->IsIntConst() || update.op == vgpu::Opcode::kSetp) return {};
 
   // The body must not reassign the induction variable.
   if (WritesVar(*loop.body, out.var)) return {};
 
-  auto holds = [&](std::int64_t v) {
-    switch (cmp) {
-      case BinOp::kLt: return v < bound;
-      case BinOp::kLe: return v <= bound;
-      case BinOp::kGt: return v > bound;
-      case BinOp::kGe: return v >= bound;
-      case BinOp::kNe: return v != bound;
-      default: return false;
-    }
-  };
-  std::int64_t i = start;
-  while (holds(i)) {
+  // Run the loop's control at its declared types; max_unroll bounds a loop
+  // that never exits.
+  const std::uint64_t bound = LiteralSlot(*cond->b), step_c = LiteralSlot(*c);
+  for (std::uint64_t i = LiteralSlot(*start);;) {
+    std::uint64_t taken = 0, next = 0;
+    vgpu::EvalLane(test, Convert(i, var_t, test.type), bound, 0, &taken);
+    if (!taken) return out;
     out.values.push_back(i);
     if (static_cast<int>(out.values.size()) > max_unroll) return {};
-    auto next = update(i);
-    if (!next) return {};
-    i = *next;
+    if (!vgpu::EvalLane(update, Convert(i, var_t, update.type), step_c, 0, &next)) return {};
+    i = Convert(next, update.type, var_t);
   }
-  return out;
 }
 
 class Unroller {
@@ -252,9 +238,9 @@ class Unroller {
         auto block = std::make_unique<Stmt>();
         block->kind = StmtKind::kBlock;
         block->line = s->line;
-        for (std::int64_t iv : loop->values) {
+        for (std::uint64_t iv : loop->values) {
           StmtPtr body = s->body->Clone();
-          ExprPtr lit = MakeIntLit(iv, loop->var_type, s->line);
+          ExprPtr lit = SlotLiteral(iv, loop->var_type, s->line);
           SubstStmt(body, loop->var, *lit);
           FoldStmt(body);
           Process(body);  // inner loops may now have constant bounds

@@ -31,12 +31,18 @@
 // refuses launches whose shape does not match.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "kcc/compiler.hpp"
 #include "native/shape.hpp"
 
 namespace kspec::native {
+
+// FNV-1a of the runtime text every emitted unit opens with (vgpu/simt.hpp
+// and native/abi.hpp). Artifact key texts include it, so an artifact built
+// from other semantics text never loads.
+std::uint64_t EmbeddedRuntimeHash();
 
 // Full translation-unit text for `mod`, tagged with the key's canonical text.
 // Pass `shape` to emit a shape-specialized variant (see file comment).

@@ -149,12 +149,17 @@ std::string NativeEngine::VariantFileName(const kcc::ModuleCacheKey& key,
                 static_cast<unsigned long long>(shape.Hash()));
 }
 
+std::string NativeEngine::GenericKeyText(const kcc::ModuleCacheKey& key) {
+  // The module canonical text is length-prefixed binary, so appending a
+  // suffix cannot collide with any other module's text.
+  return key.CanonicalText() +
+         Format("\nrt%016llx", static_cast<unsigned long long>(EmbeddedRuntimeHash()));
+}
+
 std::string NativeEngine::VariantKeyText(const kcc::ModuleCacheKey& key,
                                          const ShapeSpec& shape) {
-  // The module canonical text is length-prefixed binary, so appending a
-  // suffix cannot collide with any other module's bare text — and no generic
-  // artifact ever embeds a text with this suffix.
-  return key.CanonicalText() + "\n" + shape.CanonicalText();
+  // No generic artifact embeds a text with this suffix.
+  return GenericKeyText(key) + "\n" + shape.CanonicalText();
 }
 
 NativeEngineStats NativeEngine::stats() const {
@@ -347,7 +352,7 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::FetchOrBuild(
   // The generic artifact is the shape-less case: a variant differs only in
   // file name, embedded key text, closeability, counters and the shape
   // compiled into its TU.
-  const std::string key_text = shape ? VariantKeyText(key, *shape) : key.CanonicalText();
+  const std::string key_text = shape ? VariantKeyText(key, *shape) : GenericKeyText(key);
   const std::string file_name = shape ? VariantFileName(key, *shape) : ArtifactFileName(key);
   const bool closeable = shape != nullptr;
   const LadderCounters& n = shape ? kShapeCounters : kGenericCounters;

@@ -146,9 +146,13 @@ class NativeEngine : public vcuda::NativeExecutionService {
   // Disk-tier artifact name for a (key, shape) variant ("k%016llx_s%016llx.nso").
   static std::string VariantFileName(const kcc::ModuleCacheKey& key, const ShapeSpec& shape);
 
-  // The variant build key embedded in a shape artifact: the module key's
-  // canonical text, a '\n', then the shape's canonical text. The generic
-  // artifact embeds the bare module text, so the two can never be confused.
+  // The build key a generic artifact embeds: the module key's canonical text
+  // and the EmbeddedRuntimeHash, so an artifact built from other simt.hpp
+  // text is stale.
+  static std::string GenericKeyText(const kcc::ModuleCacheKey& key);
+
+  // The build key a shape artifact embeds: GenericKeyText, a '\n', then the
+  // shape's canonical text, so the two can never be confused.
   static std::string VariantKeyText(const kcc::ModuleCacheKey& key, const ShapeSpec& shape);
 
   NativeEngineStats stats() const;

@@ -115,33 +115,6 @@ AV JoinUniform(const AV& a, const AV& b, u64 join_uid) {
   return r;
 }
 
-// ---- Bit-exact integer folding: the simt lane rule the emitted Alu<> runs. ----
-
-bool FoldInt(Opcode op, Type ty, u64 a, u64 b, u64 c, u64* out) {
-  ty = vgpu::simt::AluType(ty);
-  if (!vgpu::IsIntType(ty) || !vgpu::simt::AluValid(op, ty)) return false;
-  // Sound punts (an unfolded value is Top): the overflowing 64-bit quotient
-  // INT64_MIN / -1 and abs(INT64_MIN).
-  const bool is64 = ty == Type::kI64 || ty == Type::kU64;
-  const i64 sa = is64 ? static_cast<i64>(a) : vgpu::DecodeI32(a);
-  const i64 sb = is64 ? static_cast<i64>(b) : vgpu::DecodeI32(b);
-  if (vgpu::IsSignedInt(ty) && (op == Opcode::kDiv || op == Opcode::kRem) && sa == INT64_MIN &&
-      sb == -1) {
-    return false;
-  }
-  if (op == Opcode::kAbs && sa == INT64_MIN) return false;
-  *out = vgpu::WithType(ty, [&]<Type TY>() {
-    return vgpu::WithOpcode(op, [&]<Opcode OP>() -> u64 {
-      if constexpr (vgpu::IsIntType(TY) && vgpu::simt::AluValid(OP, TY)) {
-        return vgpu::simt::IntLane<OP, TY>(a, b, c);
-      } else {
-        return 0;
-      }
-    });
-  });
-  return true;
-}
-
 // Interval arithmetic for monotone ops over the nonnegative domain. Both
 // inputs and the result must stay within [0, kDomainMax]; anything else
 // drops the range (never widens unsoundly).
@@ -246,28 +219,6 @@ Tri CmpIntervals(CmpOp cmp, i64 la, i64 ha, i64 lb, i64 hb) {
       return Tri::kUnknown;
   }
   return Tri::kUnknown;
-}
-
-bool CmpConst(CmpOp cmp, Type ty, u64 a, u64 b) {
-  auto apply = [&](auto x, auto y) -> bool {
-    switch (cmp) {
-      case CmpOp::kEq: return x == y;
-      case CmpOp::kNe: return x != y;
-      case CmpOp::kLt: return x < y;
-      case CmpOp::kLe: return x <= y;
-      case CmpOp::kGt: return x > y;
-      case CmpOp::kGe: return x >= y;
-    }
-    return false;
-  };
-  switch (ty) {
-    case Type::kI32:
-      return apply(static_cast<i64>(vgpu::DecodeI32(a)), static_cast<i64>(vgpu::DecodeI32(b)));
-    case Type::kU32:
-      return apply(static_cast<i64>(static_cast<u32>(a)), static_cast<i64>(static_cast<u32>(b)));
-    case Type::kI64: return apply(static_cast<i64>(a), static_cast<i64>(b));
-    default: return apply(a, b);  // u64 / pred: raw unsigned compare
-  }
 }
 
 // The comparison-domain interval of `a` under type `ty`, usable only when
@@ -486,8 +437,10 @@ class Analyzer {
   }
 
   AV EvalSetp(u32 pc, const Instr& i, const AV& a, const AV& b) const {
-    if (a.is_const && b.is_const && i.type != Type::kF32 && i.type != Type::kF64) {
-      return Const(CmpConst(i.cmp, i.type, a.cval, b.cval) ? 1 : 0);
+    u64 out;
+    if (a.is_const && b.is_const && !vgpu::IsFloatType(i.type) &&
+        vgpu::EvalLane(i, a.cval, b.cval, 0, &out)) {
+      return Const(out);
     }
     const auto ra = CmpRange(i.type, a);
     const auto rb = CmpRange(i.type, b);
@@ -509,17 +462,7 @@ class Analyzer {
     const bool int_dst = vgpu::IsIntType(dt);
     const bool int_src = vgpu::IsIntType(st) || st == Type::kPred;
     if (int_dst && int_src) {
-      if (a.is_const) {
-        i64 sv;
-        if (st == Type::kI32) sv = vgpu::DecodeI32(a.cval);
-        else if (st == Type::kU32) sv = static_cast<i64>(static_cast<u32>(a.cval));
-        else sv = static_cast<i64>(a.cval);
-        u64 out;
-        if (dt == Type::kI32) out = vgpu::EncodeI32(static_cast<i32>(sv));
-        else if (dt == Type::kU32) out = static_cast<u32>(sv);
-        else out = static_cast<u64>(sv);
-        return Const(out);
-      }
+      if (u64 out; a.is_const && vgpu::EvalLane(i, a.cval, 0, 0, &out)) return Const(out);
       AV r = Top();
       if (const auto ra = RangeOf(a)) {
         // Domain values pass through every int->int conversion unchanged.
@@ -543,9 +486,11 @@ class Analyzer {
     const bool is_float = i.type == Type::kF32 || i.type == Type::kF64;
     const bool have_b = !i.b.is_none();
     const bool have_c = !i.c.is_none();
-    if (!is_float && a.is_const && (!have_b || b.is_const) && (!have_c || c.is_const)) {
-      u64 out;
-      if (FoldInt(i.op, i.type, a.cval, b.cval, c.cval, &out)) return Const(out);
+    // Integers fold bit-exactly, by the lane rule the emitted Alu<> runs.
+    u64 out;
+    if (!is_float && a.is_const && (!have_b || b.is_const) && (!have_c || c.is_const) &&
+        vgpu::EvalLane(i, a.cval, b.cval, c.cval, &out)) {
+      return Const(out);
     }
     AV r = Top();
     if (!is_float && i.type != Type::kPred) {

@@ -97,4 +97,13 @@ auto WithOpcode(Opcode op, Fn&& fn) {
   return WithEnum<Opcode, static_cast<std::size_t>(Opcode::kTex1D) + 1>(op, fn);
 }
 
+// Runs `instr`'s simt.hpp lane rule (ALU, setp, cvt, mov or sel) on one lane
+// whose operands hold the raw slots a, b and c, and stores the lane's result
+// in *out: the compile-time half of the one semantics source, so a value
+// folded at compile time is the value the instruction computes at run time.
+// Returns false for memory, control, sreg and texture instructions, and for
+// (opcode, type) pairs that fault at run time.
+bool EvalLane(const Instr& instr, std::uint64_t a, std::uint64_t b, std::uint64_t c,
+              std::uint64_t* out);
+
 }  // namespace kspec::vgpu

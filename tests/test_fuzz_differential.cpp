@@ -8,7 +8,10 @@
 // (the control-flow fuzzer intentionally produces heavy divergence).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 
 #include "kcc/compiler.hpp"
@@ -81,22 +84,51 @@ struct FloatExpr {
   HostFloatFn eval;
 };
 
+// A float literal's value as the compiler reads it: parsed as a double,
+// then rounded to float.
+float FloatLiteral(const std::string& text) {
+  return static_cast<float>(std::strtod(text.c_str(), nullptr));
+}
+
+// Random float expression over {t, x, y, literals}. Literals are exact
+// quarters or inexact three-decimal values; the math intrinsics mirror the
+// run time's float rules (fmaf is its unfused mad, rsqrtf a float divide).
 FloatExpr GenFloatExpr(Rng& rng, int depth) {
   if (depth <= 0 || rng.NextInt(0, 4) == 0) {
-    switch (rng.NextInt(0, 3)) {
+    switch (rng.NextInt(0, 4)) {
       case 0:
         return {"(float)t", [](std::uint32_t t, float, float) { return static_cast<float>(t); }};
       case 1: return {"x", [](std::uint32_t, float x, float) { return x; }};
       case 2: return {"y", [](std::uint32_t, float, float y) { return y; }};
-      default: {
+      case 3: {
         float lit = static_cast<float>(rng.NextInt(1, 40)) * 0.25f;
         return {Format("%.2ff", lit), [lit](std::uint32_t, float, float) { return lit; }};
+      }
+      default: {
+        const std::int64_t k = rng.NextInt(1, 9999);
+        const std::string text = Format("%d.%03df", static_cast<int>(k / 1000),
+                                        static_cast<int>(k % 1000));
+        const float lit = FloatLiteral(text);
+        return {text, [lit](std::uint32_t, float, float) { return lit; }};
       }
     }
   }
   FloatExpr lhs = GenFloatExpr(rng, depth - 1);
+  auto l = lhs.eval;
+  auto unary = [&](const char* name, float (*fn)(float)) -> FloatExpr {
+    return {std::string(name) + "(" + lhs.text + ")",
+            [l, fn](auto t, auto x, auto y) { return fn(l(t, x, y)); }};
+  };
+  switch (rng.NextInt(0, 10)) {
+    case 5: return unary("rsqrtf", [](float v) { return 1.0f / std::sqrt(v); });
+    case 6: return unary("sinf", [](float v) { return std::sin(v); });
+    case 7: return unary("cosf", [](float v) { return std::cos(v); });
+    case 8: return unary("expf", [](float v) { return std::exp(v); });
+    case 9: return unary("logf", [](float v) { return std::log(v); });
+    default: break;
+  }
   FloatExpr rhs = GenFloatExpr(rng, depth - 1);
-  auto l = lhs.eval, r = rhs.eval;
+  auto r = rhs.eval;
   switch (rng.NextInt(0, 5)) {
     case 0:
       return {"(" + lhs.text + " + " + rhs.text + ")",
@@ -110,11 +142,22 @@ FloatExpr GenFloatExpr(Rng& rng, int depth) {
     case 3:
       return {"fminf(" + lhs.text + ", " + rhs.text + ")",
               [l, r](auto t, auto x, auto y) { return std::min(l(t, x, y), r(t, x, y)); }};
-    default:
+    case 4:
       return {"fmaxf(" + lhs.text + ", " + rhs.text + ")",
               [l, r](auto t, auto x, auto y) { return std::max(l(t, x, y), r(t, x, y)); }};
+    default: {
+      FloatExpr addend = GenFloatExpr(rng, depth - 1);
+      auto c = addend.eval;
+      return {"fmaf(" + lhs.text + ", " + rhs.text + ", " + addend.text + ")",
+              [l, r, c](auto t, auto x, auto y) {
+                const float product = l(t, x, y) * r(t, x, y);
+                return product + c(t, x, y);
+              }};
+    }
   }
 }
+
+std::uint32_t Bits(float v) { return std::bit_cast<std::uint32_t>(v); }
 
 // Runs `source` (kernel f, one output per thread) optimized and unoptimized;
 // returns both outputs.
@@ -178,10 +221,10 @@ __kernel void f(float* out, float x, float y) {
     auto [opt, noopt] = RunBothWays<float>(
         src, threads, [&](vcuda::ArgPack& args) { args.Float(x).Float(y); });
     for (unsigned t = 0; t < threads; ++t) {
-      // Same single-precision operations in the same order: exact equality.
-      float expect = e.eval(t, x, y);
-      ASSERT_EQ(opt[t], expect) << "trial " << trial << " lane " << t << " expr " << e.text;
-      ASSERT_EQ(noopt[t], expect) << "(unoptimized) trial " << trial;
+      // Same single-precision operations in the same order: identical bits.
+      const std::uint32_t expect = Bits(e.eval(t, x, y));
+      ASSERT_EQ(Bits(opt[t]), expect) << "trial " << trial << " lane " << t << " expr " << e.text;
+      ASSERT_EQ(Bits(noopt[t]), expect) << "(unoptimized) trial " << trial;
     }
   }
 }
@@ -250,62 +293,101 @@ __kernel void f(unsigned int* out, unsigned int k1, unsigned int k2, unsigned in
   }
 }
 
+// Rewrites the kernel body's references to the one-letter scalars in `vars`
+// (not member names like threadIdx.x) to `<LETTER>_VAL` macros, which
+// default to the scalar itself.
+std::string Specializable(const std::string& src, const std::string& vars) {
+  std::string out;
+  for (char v : vars) {
+    const char upper = static_cast<char>(std::toupper(static_cast<unsigned char>(v)));
+    out += Format("#ifndef %c_VAL\n#define %c_VAL %c\n#endif\n", upper, upper, v);
+  }
+  auto ident = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
+  };
+  const std::size_t body = src.find('{');
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const char c = src[i];
+    const bool alone =
+        (i == 0 || !ident(src[i - 1])) && (i + 1 == src.size() || !ident(src[i + 1]));
+    if (i > body && alone && vars.find(c) != std::string::npos) {
+      out += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      out += "_VAL";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+// Runs kernel f of `src` over one warp with the scalars `bind` adds after
+// the output pointer; returns each lane's 32-bit output.
+std::vector<std::uint32_t> RunOnce(const std::string& src, const kcc::CompileOptions& opts,
+                                   const std::function<void(vcuda::ArgPack&)>& bind) {
+  const unsigned threads = 32;
+  vcuda::Context ctx(vgpu::TeslaC1060());
+  auto mod = ctx.LoadModule(src, opts);
+  auto d_out = ctx.Malloc(threads * 4);
+  vcuda::ArgPack args;
+  args.Ptr(d_out);
+  bind(args);
+  ctx.Launch(*mod, "f", vgpu::Dim3(1), vgpu::Dim3(threads), args);
+  return vcuda::Download<std::uint32_t>(ctx, d_out, threads);
+}
+
 // Specialization equivalence under fuzz: for random expressions, compiling
-// with the scalars baked in as -D constants must produce the same values as
+// with the scalars baked in as -D constants must produce the same bits as
 // passing them at run time (the core soundness property of the technique).
+// Trials alternate between unsigned and float expressions; the float scalars
+// are inexact three-decimal literals.
 TEST(FuzzDifferential, SpecializedEqualsRunTimeEvaluated) {
   Rng rng(998877);
-  const unsigned threads = 32;
   for (int trial = 0; trial < 40; ++trial) {
-    IntExpr e = GenIntExpr(rng, 4);
-    std::uint32_t a = static_cast<std::uint32_t>(rng.NextInt(0, 500));
-    std::uint32_t b = static_cast<std::uint32_t>(rng.NextInt(0, 500));
-    std::string src = Format(R"(
-#ifndef A_VAL
-#define A_VAL a
-#endif
-#ifndef B_VAL
-#define B_VAL b
-#endif
+    std::string text, src;
+    kcc::CompileOptions sk;
+    std::function<void(vcuda::ArgPack&)> bind;
+    std::function<std::uint32_t(std::uint32_t)> host;
+    if (trial % 2 == 0) {
+      IntExpr e = GenIntExpr(rng, 4);
+      const std::uint32_t a = static_cast<std::uint32_t>(rng.NextInt(0, 500));
+      const std::uint32_t b = static_cast<std::uint32_t>(rng.NextInt(0, 500));
+      text = e.text;
+      src = Specializable(Format(R"(
 __kernel void f(unsigned int* out, unsigned int a, unsigned int b) {
   unsigned int t = threadIdx.x;
   out[t] = %s;
 }
-)", e.text.c_str());
-    // Rewrite variable references to the macro names.
-    // (The generator uses bare a/b; substitute at the text level.)
-    std::string spec_src;
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      char c = src[i];
-      bool prev_ident = i > 0 && (std::isalnum(static_cast<unsigned char>(src[i - 1])) || src[i - 1] == '_');
-      bool next_ident =
-          i + 1 < src.size() && (std::isalnum(static_cast<unsigned char>(src[i + 1])) || src[i + 1] == '_');
-      if ((c == 'a' || c == 'b') && !prev_ident && !next_ident && i > src.find("{")) {
-        spec_src += c == 'a' ? "A_VAL" : "B_VAL";
-      } else {
-        spec_src += c;
-      }
+)", e.text.c_str()), "ab");
+      sk.defines["A_VAL"] = Format("%uu", a);
+      sk.defines["B_VAL"] = Format("%uu", b);
+      bind = [a, b](vcuda::ArgPack& args) { args.Uint(a).Uint(b); };
+      host = [e, a, b](std::uint32_t t) { return e.eval(t, a, b); };
+    } else {
+      FloatExpr e = GenFloatExpr(rng, 4);
+      auto literal = [&](std::int64_t lo, std::int64_t hi) {
+        const std::int64_t k = rng.NextInt(lo, hi);
+        return Format("%s%d.%03df", k < 0 ? "-" : "", static_cast<int>(std::abs(k) / 1000),
+                      static_cast<int>(std::abs(k) % 1000));
+      };
+      const std::string x_text = literal(-9999, 9999), y_text = literal(1, 9999);
+      const float x = FloatLiteral(x_text), y = FloatLiteral(y_text);
+      text = e.text;
+      src = Specializable(Format(R"(
+__kernel void f(float* out, float x, float y) {
+  unsigned int t = threadIdx.x;
+  out[t] = %s;
+}
+)", e.text.c_str()), "xy");
+      sk.defines["X_VAL"] = "(" + x_text + ")";
+      sk.defines["Y_VAL"] = "(" + y_text + ")";
+      bind = [x, y](vcuda::ArgPack& args) { args.Float(x).Float(y); };
+      host = [e, x, y](std::uint32_t t) { return Bits(e.eval(t, x, y)); };
     }
-
-    vcuda::Context ctx(vgpu::TeslaC1060());
-    auto run = [&](const kcc::CompileOptions& opts) {
-      auto mod = ctx.LoadModule(spec_src, opts);
-      auto d_out = ctx.Malloc(threads * 4);
-      vcuda::ArgPack args;
-      args.Ptr(d_out).Uint(a).Uint(b);
-      ctx.Launch(*mod, "f", vgpu::Dim3(1), vgpu::Dim3(threads), args);
-      auto res = vcuda::Download<std::uint32_t>(ctx, d_out, threads);
-      ctx.Free(d_out);
-      return res;
-    };
-    kcc::CompileOptions sk;
-    sk.defines["A_VAL"] = Format("%uu", a);
-    sk.defines["B_VAL"] = Format("%uu", b);
-    auto re = run({});
-    auto skr = run(sk);
-    for (unsigned t = 0; t < threads; ++t) {
-      ASSERT_EQ(re[t], skr[t]) << "trial " << trial << " lane " << t << " expr " << e.text;
-      ASSERT_EQ(re[t], e.eval(t, a, b)) << "host mismatch, trial " << trial;
+    const std::vector<std::uint32_t> re = RunOnce(src, {}, bind);
+    const std::vector<std::uint32_t> skr = RunOnce(src, sk, bind);
+    for (unsigned t = 0; t < re.size(); ++t) {
+      ASSERT_EQ(re[t], skr[t]) << "trial " << trial << " lane " << t << " expr " << text;
+      ASSERT_EQ(re[t], host(t)) << "host mismatch, trial " << trial << " expr " << text;
     }
   }
 }

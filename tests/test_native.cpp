@@ -27,6 +27,7 @@
 #include "kcc/cache_key.hpp"
 #include "kcc/serialize.hpp"
 #include "native/build.hpp"
+#include "native/codegen.hpp"
 #include "native/engine.hpp"
 #include "netd/artifact_store.hpp"
 #include "serve/compile_executor.hpp"
@@ -466,6 +467,49 @@ TEST(NativeTier, HashCollisionArtifactLeftInPlace) {
   EXPECT_EQ(engine2.stats().stale_discarded, 1u);
   EXPECT_EQ(engine2.stats().corrupt_quarantined, 0u);
   EXPECT_TRUE(fs::exists(planted));
+}
+
+// An artifact whose envelope and shared object carry the bare module key —
+// what artifacts embedded before the runtime text's hash joined the key, so
+// possibly built from other simt.hpp text — is never served: it counts as
+// stale, the engine rebuilds, and the rebuild is what the disk then serves.
+TEST(NativeTier, ArtifactWithoutRuntimeHashIsRebuilt) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  TempCacheDir cache;
+  vcuda::Context ctx(vgpu::TeslaC1060());
+  auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+  const kcc::ModuleCacheKey key =
+      kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name);
+  const std::string bare = key.CanonicalText();
+  EXPECT_NE(native::NativeEngine::GenericKeyText(key), bare);
+  std::string error;
+  const std::vector<std::uint8_t> so = native::CompileSharedObject(
+      native::EmitModuleSource(mod->compiled(), bare), &error);
+  ASSERT_FALSE(so.empty()) << error;
+  const fs::path artifact = cache.dir / native::NativeEngine::ArtifactFileName(key);
+  ASSERT_TRUE(WriteFileAtomic(artifact.string(), kcc::SerializeNative(so, bare)));
+
+  native::NativeEngine::Options nopts;
+  nopts.cache_dir = cache.str();
+  {
+    native::NativeEngine engine(nopts);
+    ctx.set_native_service(&engine);
+    LaunchOutcome r = RunReduce(ctx, *mod, ExecutionTier::kNative);
+    ctx.set_native_service(nullptr);
+    EXPECT_EQ(r.exec.served, ExecutionTier::kNative);
+    const native::NativeEngineStats es = engine.stats();
+    EXPECT_EQ(es.stale_discarded, 1u);
+    EXPECT_EQ(es.disk_hits, 0u);
+    EXPECT_EQ(es.builds_completed, 1u);
+  }
+  native::NativeEngine engine2(nopts);
+  ctx.set_native_service(&engine2);
+  LaunchOutcome warm = RunReduce(ctx, *mod, ExecutionTier::kNative);
+  ctx.set_native_service(nullptr);
+  EXPECT_EQ(warm.exec.served, ExecutionTier::kNative);
+  EXPECT_EQ(engine2.stats().disk_hits, 1u);
+  EXPECT_EQ(engine2.stats().builds_started, 0u);
+  EXPECT_EQ(engine2.stats().stale_discarded, 0u);
 }
 
 TEST(NativeTier, KeylessModuleDegrades) {
