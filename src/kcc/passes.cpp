@@ -56,33 +56,6 @@ bool IsCommutative(const Instr& i) {
   }
 }
 
-// Basic-block leader computation.
-std::vector<int> BlockStarts(const std::vector<Instr>& code) {
-  const int n = static_cast<int>(code.size());
-  std::vector<bool> leader(code.size() + 1, false);
-  auto mark = [&](int pc) {
-    if (pc >= 0 && pc <= n) leader[pc] = true;
-  };
-  mark(0);
-  for (int pc = 0; pc < n; ++pc) {
-    const Instr& i = code[pc];
-    if (i.op == Opcode::kBra || i.op == Opcode::kBraPred || i.op == Opcode::kExit ||
-        i.op == Opcode::kBarSync) {
-      mark(pc + 1);
-    }
-    if (i.op == Opcode::kBra || i.op == Opcode::kBraPred) {
-      mark(i.target);
-      if (i.reconv >= 0) mark(i.reconv);
-    }
-  }
-  leader[code.size()] = true;
-  std::vector<int> out;
-  for (int pc = 0; pc <= n; ++pc) {
-    if (leader[pc]) out.push_back(pc);
-  }
-  return out;
-}
-
 // Per-register lists of ints sharing one arena, for one basic block. A list
 // is valid while its head's stamp matches the current generation, so Clear()
 // is O(1) however many registers have lists.
@@ -319,10 +292,8 @@ class Optimizer {
  private:
   // ---- local constant/copy propagation + folding + strength red. + CSE ----
   void LocalPropagateFoldCse() {
-    std::vector<int> starts = BlockStarts(code_);
-    for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
-      BlockPass(starts[b], starts[b + 1]);
-    }
+    const vgpu::Cfg cfg(code_);
+    for (const vgpu::Cfg::Block& b : cfg.blocks()) BlockPass(b.begin, b.end);
   }
 
   // Per-block local optimization: constant and copy propagation, folding,
@@ -514,31 +485,32 @@ class Optimizer {
   }
 
   // ---- unreachable code removal ----
+  // Blocks reachable from pc 0 through static successors and the
+  // reconvergence pcs of divergent branches (where their lanes pop back).
   void RemoveUnreachable() {
-    std::vector<bool> reachable(code_.size(), false);
-    std::vector<int> work{0};
+    const vgpu::Cfg cfg(code_);
+    std::vector<bool> reachable(static_cast<std::size_t>(cfg.size()), false);
+    std::vector<int> work;
+    auto reach = [&](int b) {
+      if (reachable[b]) return;
+      reachable[b] = true;
+      work.push_back(b);
+    };
+    if (cfg.size() > 0) reach(0);
     while (!work.empty()) {
-      int pc = work.back();
+      const vgpu::Cfg::Block& b = cfg[work.back()];
       work.pop_back();
-      if (pc < 0 || pc >= static_cast<int>(code_.size()) || reachable[pc]) continue;
-      reachable[pc] = true;
-      const Instr& i = code_[pc];
-      if (i.op == Opcode::kExit) continue;
-      if (i.op == Opcode::kBra) {
-        work.push_back(i.target);
-        continue;
+      for (int s : b.succs()) reach(s);
+      const Instr& last = code_[b.end - 1];
+      if (last.op == Opcode::kBraPred && last.reconv >= 0 &&
+          last.reconv < static_cast<int>(code_.size())) {
+        reach(cfg.block_of(last.reconv));
       }
-      if (i.op == Opcode::kBraPred) {
-        work.push_back(i.target);
-        work.push_back(pc + 1);
-        if (i.reconv >= 0) work.push_back(i.reconv);
-        continue;
-      }
-      work.push_back(pc + 1);
     }
-    for (std::size_t pc = 0; pc < code_.size(); ++pc) {
-      if (!reachable[pc] && code_[pc].op != Opcode::kNop) {
-        code_[pc] = Instr::Make(Opcode::kNop, Type::kI32, -1);
+    for (int bi = 0; bi < cfg.size(); ++bi) {
+      if (reachable[bi]) continue;
+      for (int pc = cfg[bi].begin; pc < cfg[bi].end; ++pc) {
+        if (code_[pc].op != Opcode::kNop) code_[pc] = Instr::Make(Opcode::kNop, Type::kI32, -1);
       }
     }
   }

@@ -16,75 +16,19 @@ using vgpu::Type;
 // Register sets are sorted vectors of distinct vregs.
 using RegSet = std::vector<int>;
 
-struct Block {
-  int begin = 0;
-  int end = 0;  // exclusive
-  std::vector<int> succs;
+// A block's register sets for liveness.
+struct BlockSets {
   RegSet use, def;
   RegSet live_in, live_out;
 };
 
-std::vector<Block> BuildBlocks(const std::vector<Instr>& code) {
-  const int n = static_cast<int>(code.size());
-  std::vector<bool> leader(code.size() + 1, false);
-  auto mark = [&](int pc) {
-    if (pc >= 0 && pc <= n) leader[pc] = true;
-  };
-  mark(0);
-  for (int pc = 0; pc < n; ++pc) {
-    const Instr& i = code[pc];
-    if (i.op == Opcode::kBra || i.op == Opcode::kBraPred || i.op == Opcode::kExit) {
-      mark(pc + 1);
-    }
-    if (i.op == Opcode::kBra || i.op == Opcode::kBraPred) {
-      mark(i.target);
-      if (i.reconv >= 0) mark(i.reconv);
-    }
-  }
-  mark(n);
-
-  std::vector<Block> blocks;
-  std::vector<int> block_of_pc(code.size() + 1, -1);
-  int prev = 0;
-  for (int l = 1; l <= n; ++l) {
-    if (!leader[l]) continue;
-    Block b;
-    b.begin = prev;
-    b.end = l;
-    block_of_pc[prev] = static_cast<int>(blocks.size());
-    blocks.push_back(b);
-    prev = l;
-  }
-  // Successors.
-  for (auto& b : blocks) {
-    const Instr& last = code[b.end - 1];
-    auto add = [&](int pc) {
-      if (pc >= 0 && pc <= n && block_of_pc[pc] >= 0) b.succs.push_back(block_of_pc[pc]);
-    };
-    switch (last.op) {
-      case Opcode::kExit:
-        break;
-      case Opcode::kBra:
-        add(last.target);
-        break;
-      case Opcode::kBraPred:
-        add(last.target);
-        add(b.end);
-        break;
-      default:
-        add(b.end);
-        break;
-    }
-  }
-  return blocks;
-}
-
 // Fills block `bi`'s use set (registers read before any def in the block)
 // and def set. `mark` is scratch, one slot per vreg, never holding `bi` or
 // `~bi` on entry.
-void CollectUseDef(const std::vector<Instr>& code, int bi, Block& b, std::vector<int>& mark) {
+void CollectUseDef(const std::vector<Instr>& code, const vgpu::Cfg& cfg, int bi, BlockSets& b,
+                   std::vector<int>& mark) {
   const int defined = bi, used = ~bi;
-  for (int pc = b.begin; pc < b.end; ++pc) {
+  for (int pc = cfg[bi].begin; pc < cfg[bi].end; ++pc) {
     const Instr& i = code[pc];
     auto use = [&](const vgpu::Operand& o) {
       if (!o.is_reg() || mark[o.reg] == defined || mark[o.reg] == used) return;
@@ -113,21 +57,20 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
   out.ilp_at_pc.assign(code.size(), 1.0f);
   if (code.empty()) return out;
 
-  std::vector<Block> blocks = BuildBlocks(code);
-  std::vector<int> mark(vreg_types.size(), static_cast<int>(blocks.size()));
-  for (int bi = 0; bi < static_cast<int>(blocks.size()); ++bi) {
-    CollectUseDef(code, bi, blocks[bi], mark);
-  }
+  const vgpu::Cfg cfg(code);
+  std::vector<BlockSets> blocks(static_cast<std::size_t>(cfg.size()));
+  std::vector<int> mark(vreg_types.size(), cfg.size());
+  for (int bi = 0; bi < cfg.size(); ++bi) CollectUseDef(code, cfg, bi, blocks[bi], mark);
 
   // Iterative backward liveness.
   RegSet new_out, new_in, scratch;
   bool changed = true;
   while (changed) {
     changed = false;
-    for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
-      Block& b = *it;
+    for (int bi = cfg.size() - 1; bi >= 0; --bi) {
+      BlockSets& b = blocks[bi];
       new_out.clear();
-      for (int s : b.succs) {
+      for (int s : cfg[bi].succs()) {
         const RegSet& in = blocks[s].live_in;
         scratch.clear();
         std::set_union(new_out.begin(), new_out.end(), in.begin(), in.end(),
@@ -163,8 +106,7 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
   // enter and leave it.
   int peak = 0, peak_pred = 0;
   std::vector<int> live_in_walk(vreg_types.size(), -1);
-  for (int bi = 0; bi < static_cast<int>(blocks.size()); ++bi) {
-    const Block& b = blocks[bi];
+  for (int bi = 0; bi < cfg.size(); ++bi) {
     int w = 0, p = 0;
     auto enter = [&](int reg) {
       if (live_in_walk[reg] == bi) return;
@@ -182,9 +124,9 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
       peak = std::max(peak, w);
       peak_pred = std::max(peak_pred, p);
     };
-    for (int r : b.live_out) enter(r);
+    for (int r : blocks[bi].live_out) enter(r);
     measure();
-    for (int pc = b.end - 1; pc >= b.begin; --pc) {
+    for (int pc = cfg[bi].end - 1; pc >= cfg[bi].begin; --pc) {
       const Instr& i = code[pc];
       if (i.dst >= 0) leave(i.dst);
       if (i.op != Opcode::kSreg) {
@@ -199,23 +141,29 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
   out.reg_count = std::max(peak, 2);
   out.pred_count = peak_pred;
 
-  // Static ILP per block: instructions / critical path. Dependencies are
-  // def->use within the block; loads depend on their address, stores on both
-  // operands. Memory is not serialized for the estimate (GPUs overlap
-  // independent accesses aggressively).
-  // depth[r] is register r's chain depth at its last def in block
-  // def_block[r] (a stale block index means no def in this block yet).
-  std::vector<int> depth(vreg_types.size(), 0), def_block(vreg_types.size(), -1);
-  for (int bi = 0; bi < static_cast<int>(blocks.size()); ++bi) {
-    const Block& b = blocks[bi];
-    int n = b.end - b.begin;
-    if (n <= 0) continue;
+  // Static ILP per window: instructions / critical path. A window is a block
+  // plus the blocks after it that start only because a bar.sync ends the one
+  // before; a jump, a reconvergence pc, or the end of a bra, bra.pred or exit
+  // starts a new window. Dependencies are def->use within the window; loads
+  // depend on their address, stores on both operands. Memory is not
+  // serialized for the estimate (GPUs overlap independent accesses
+  // aggressively).
+  // depth[r] is register r's chain depth at its last def in the window whose
+  // first block is def_window[r] (a stale index means no def in this window
+  // yet).
+  std::vector<int> depth(vreg_types.size(), 0), def_window(vreg_types.size(), -1);
+  for (int first = 0, last = 0; first < cfg.size(); first = ++last) {
+    while (last + 1 < cfg.size() && !cfg[last + 1].jump_entry &&
+           code[cfg[last + 1].begin - 1].op == Opcode::kBarSync) {
+      ++last;
+    }
+    const int begin = cfg[first].begin, end = cfg[last].end;
     int cp = 1;
-    for (int pc = b.begin; pc < b.end; ++pc) {
+    for (int pc = begin; pc < end; ++pc) {
       const Instr& i = code[pc];
       int d = 0;
       auto dep = [&](const vgpu::Operand& o) {
-        if (o.is_reg() && def_block[o.reg] == bi) d = std::max(d, depth[o.reg]);
+        if (o.is_reg() && def_window[o.reg] == first) d = std::max(d, depth[o.reg]);
       };
       if (i.op != Opcode::kSreg) {
         dep(i.a);
@@ -224,13 +172,13 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
       }
       int my_depth = d + 1;
       if (i.dst >= 0) {
-        def_block[i.dst] = bi;
+        def_window[i.dst] = first;
         depth[i.dst] = my_depth;
       }
       cp = std::max(cp, my_depth);
     }
-    float ilp = static_cast<float>(n) / static_cast<float>(cp);
-    for (int pc = b.begin; pc < b.end; ++pc) out.ilp_at_pc[pc] = ilp;
+    const float ilp = static_cast<float>(end - begin) / static_cast<float>(cp);
+    for (int pc = begin; pc < end; ++pc) out.ilp_at_pc[pc] = ilp;
   }
   return out;
 }

@@ -117,6 +117,7 @@ struct CountedLoop {
   Scalar var_type = Scalar::kInt;
   // The induction variable's run-time slot at each iteration.
   std::vector<std::uint64_t> values;
+  std::uint64_t exit_value = 0;  // its slot when the test fails
 };
 
 // Whether `e` reads variable `name`, possibly through the one conversion
@@ -195,7 +196,10 @@ std::optional<CountedLoop> Recognize(const Stmt& loop, int max_unroll) {
   for (std::uint64_t i = LiteralSlot(*start);;) {
     std::uint64_t taken = 0, next = 0;
     vgpu::EvalLane(test, Convert(i, var_t, test.type), bound, 0, &taken);
-    if (!taken) return out;
+    if (!taken) {
+      out.exit_value = i;
+      return out;
+    }
     out.values.push_back(i);
     if (static_cast<int>(out.values.size()) > max_unroll) return {};
     if (!vgpu::EvalLane(update, Convert(i, var_t, update.type), step_c, 0, &next)) return {};
@@ -245,6 +249,14 @@ class Unroller {
           FoldStmt(body);
           Process(body);  // inner loops may now have constant bounds
           block->stmts.push_back(std::move(body));
+        }
+        // `for (i = ...)` assigns a variable that outlives the loop: leave it
+        // holding the value the failing test saw (DCE drops the store when
+        // nothing reads it).
+        if (s->init->kind == StmtKind::kExpr) {
+          StmtPtr assign = s->init->Clone();
+          assign->expr->b = SlotLiteral(loop->exit_value, loop->var_type, s->line);
+          block->stmts.push_back(std::move(assign));
         }
         ++result.loops_unrolled;
         s = std::move(block);

@@ -255,28 +255,6 @@ std::optional<std::pair<i64, i64>> CmpRange(Type ty, const AV& a) {
 
 // ---------------------------------------------------------------------------
 
-std::vector<u32> CollectLeaders(const std::vector<Instr>& code) {
-  std::set<u32> leaders;
-  leaders.insert(0);
-  for (std::size_t pc = 0; pc < code.size(); ++pc) {
-    const Instr& i = code[pc];
-    const bool control = i.op == Opcode::kBra || i.op == Opcode::kBraPred ||
-                         i.op == Opcode::kBarSync || i.op == Opcode::kExit;
-    if (i.op == Opcode::kBra || i.op == Opcode::kBraPred) {
-      if (i.target >= 0) leaders.insert(static_cast<u32>(i.target));
-      if (i.op == Opcode::kBraPred && i.reconv >= 0) {
-        leaders.insert(static_cast<u32>(i.reconv));
-      }
-    }
-    if (control && pc + 1 < code.size()) leaders.insert(static_cast<u32>(pc + 1));
-  }
-  std::vector<u32> out(leaders.begin(), leaders.end());
-  out.erase(std::remove_if(out.begin(), out.end(),
-                           [&](u32 pc) { return pc >= code.size(); }),
-            out.end());
-  return out;
-}
-
 struct RegState {
   std::vector<AV> regs;
   bool mask_full = false;
@@ -286,20 +264,13 @@ struct RegState {
 class Analyzer {
  public:
   Analyzer(const vgpu::CompiledKernel& ker, const ShapeSpec& shape, bool assume_full_entry)
-      : ker_(ker), shape_(shape), full_entry_(assume_full_entry) {
-    leaders_ = CollectLeaders(ker.code);
-    block_end_.resize(leaders_.size());
-    for (std::size_t i = 0; i < leaders_.size(); ++i) {
-      block_end_[i] = i + 1 < leaders_.size() ? leaders_[i + 1]
-                                              : static_cast<u32>(ker.code.size());
-    }
-  }
+      : ker_(ker), shape_(shape), full_entry_(assume_full_entry), cfg_(ker.code) {}
 
   MaskFacts Run() {
     MaskFacts facts;
     facts.branch.assign(ker_.code.size(), BranchKind::kScan);
     facts.full_at.assign(ker_.code.size(), 0);
-    if (ker_.code.empty() || leaders_.empty()) return facts;
+    if (cfg_.size() == 0) return facts;
 
     // Outer loop: the divergent-branch set and the exit flag only grow /
     // degrade, so this terminates within #branches + 2 restarts. Each inner
@@ -314,15 +285,15 @@ class Analyzer {
     if (!complete) return facts;  // never publish a half-converged run
 
     // Record the final classifications and full-block flags.
-    for (std::size_t bi = 0; bi < leaders_.size(); ++bi) {
-      const u32 leader = leaders_[bi];
+    for (const vgpu::Cfg::Block& block : cfg_.blocks()) {
+      const u32 leader = static_cast<u32>(block.begin);
       auto it = in_.find(leader);
       if (it == in_.end()) continue;  // unreachable
       if (full_entry_ && it->second.mask_full) {
         facts.full_at[leader] = 1;
         ++facts.full_blocks;
       }
-      for (u32 pc = leader; pc < block_end_[bi]; ++pc) {
+      for (u32 pc = leader; pc < static_cast<u32>(block.end); ++pc) {
         if (ker_.code[pc].op != Opcode::kBraPred) continue;
         const BranchKind k = final_kind_.count(pc) ? final_kind_.at(pc) : BranchKind::kScan;
         facts.branch[pc] = k;
@@ -337,33 +308,6 @@ class Analyzer {
   }
 
  private:
-  std::size_t BlockOf(u32 pc) const {
-    auto it = std::upper_bound(leaders_.begin(), leaders_.end(), pc);
-    return static_cast<std::size_t>(it - leaders_.begin()) - 1;
-  }
-
-  // Static successors of block `bi`, for the region DFS.
-  std::vector<u32> StaticSuccs(std::size_t bi) const {
-    std::vector<u32> out;
-    const u32 end = block_end_[bi];
-    const Instr& last = ker_.code[end - 1];
-    switch (last.op) {
-      case Opcode::kBra:
-        if (last.target >= 0) out.push_back(static_cast<u32>(last.target));
-        break;
-      case Opcode::kBraPred:
-        if (last.target >= 0) out.push_back(static_cast<u32>(last.target));
-        if (end < ker_.code.size()) out.push_back(end);
-        break;
-      case Opcode::kExit:
-        break;
-      default:  // BarSync or plain fallthrough
-        if (end < ker_.code.size()) out.push_back(end);
-        break;
-    }
-    return out;
-  }
-
   // Recompute divergent-region membership and written-register sets from the
   // current scan set. Regions are per reconvergence pc.
   void RebuildRegions() {
@@ -374,23 +318,18 @@ class Analyzer {
       if (reconv < 0) continue;
       const u32 r = static_cast<u32>(reconv);
       scan_reconvs_.insert(r);
-      std::vector<u32> stack;
-      const std::size_t bi = BlockOf(pc);
-      const u32 end = block_end_[bi];
-      if (ker_.code[pc].target >= 0) stack.push_back(static_cast<u32>(ker_.code[pc].target));
-      if (end < ker_.code.size()) stack.push_back(end);
+      std::vector<int> stack;
+      for (int s : cfg_[cfg_.block_of(pc)].succs()) stack.push_back(s);
       std::set<u32>& region = region_of_[r];
       while (!stack.empty()) {
-        const u32 p = stack.back();
+        const vgpu::Cfg::Block& block = cfg_[stack.back()];
         stack.pop_back();
-        if (p == r || p >= ker_.code.size()) continue;
-        const u32 leader = leaders_[BlockOf(p)];
-        if (!region.insert(leader).second) continue;
-        const std::size_t mbi = BlockOf(leader);
-        for (u32 q = leader; q < block_end_[mbi]; ++q) {
+        const u32 leader = static_cast<u32>(block.begin);
+        if (leader == r || !region.insert(leader).second) continue;
+        for (int q = block.begin; q < block.end; ++q) {
           if (ker_.code[q].dst >= 0) written_at_[r].insert(ker_.code[q].dst);
         }
-        for (u32 s : StaticSuccs(mbi)) stack.push_back(s);
+        for (int s : block.succs()) stack.push_back(s);
       }
     }
   }
@@ -526,8 +465,26 @@ class Analyzer {
     return BranchKind::kScan;
   }
 
-  void JoinInto(u32 target, RegState incoming, bool divergent_entry) {
-    const u32 tl = leaders_[BlockOf(target)];
+  // Control reaching pc `target` from the block at `from_leader` in state
+  // `st`. A target past the last instruction is an implicit exit. Returns
+  // false when that exit invalidates the exit assumption (the caller restarts).
+  bool Flow(u32 from_leader, u32 target, const RegState& st) {
+    if (target >= ker_.code.size()) return Exit(st);
+    JoinInto(target, st, IsDivergentEntry(from_leader, target));
+    return true;
+  }
+
+  // Lanes retire under st's mask. Returns false when they may retire under a
+  // partial mask while reconvergence points still assume the pushed mask
+  // survives intact.
+  bool Exit(const RegState& st) {
+    if (st.mask_full || !exits_ok_) return true;
+    exits_ok_ = false;
+    return false;
+  }
+
+  // Joins `incoming` into the entry state of the block at `tl`.
+  void JoinInto(u32 tl, RegState incoming, bool divergent_entry) {
     if (divergent_entry) {
       incoming.mask_full = restore_full_.count(tl) ? restore_full_.at(tl) && exits_ok_
                                                    : exits_ok_;
@@ -589,7 +546,8 @@ class Analyzer {
     work_.push_back(0);
 
     // Bounded by the lattice height; the guard is just a backstop.
-    const std::size_t max_steps = 64 * (leaders_.size() + 4) * (leaders_.size() + 4);
+    const std::size_t nblocks = static_cast<std::size_t>(cfg_.size());
+    const std::size_t max_steps = 64 * (nblocks + 4) * (nblocks + 4);
     std::size_t steps = 0;
     while (!work_.empty()) {
       if (++steps > max_steps) {
@@ -602,14 +560,13 @@ class Analyzer {
       const u32 leader = work_.back();
       work_.pop_back();
       RegState st = in_.at(leader);
-      const std::size_t bi = BlockOf(leader);
-      const u32 end = block_end_[bi];
+      const u32 end = static_cast<u32>(cfg_[cfg_.block_of(leader)].end);
       bool closed = false;
       for (u32 pc = leader; pc < end && !closed; ++pc) {
         const Instr& i = ker_.code[pc];
         switch (i.op) {
           case Opcode::kBra:
-            if (i.target >= 0) JoinInto(static_cast<u32>(i.target), st, IsDivergentEntry(leader, static_cast<u32>(i.target)));
+            if (!Flow(leader, static_cast<u32>(i.target), st)) return false;
             closed = true;
             break;
           case Opcode::kBraPred: {
@@ -624,9 +581,8 @@ class Analyzer {
               // Divergent: arms run with a possibly partial mask; the
               // reconvergence point restores the branch-point mask unless an
               // exit may have retired lanes.
-              if (i.reconv >= 0) {
-                const u32 r = static_cast<u32>(i.reconv);
-                const u32 rl = leaders_[BlockOf(r)];
+              if (i.reconv >= 0 && static_cast<u32>(i.reconv) < ker_.code.size()) {
+                const u32 rl = static_cast<u32>(i.reconv);
                 auto [rit, rf] = restore_full_.emplace(rl, st.mask_full);
                 if (!rf && rit->second && !st.mask_full) {
                   rit->second = false;
@@ -638,41 +594,27 @@ class Analyzer {
               }
               RegState arm = st;
               arm.mask_full = false;
-              if (i.target >= 0) {
-                JoinInto(static_cast<u32>(i.target), arm,
-                         IsDivergentEntry(leader, static_cast<u32>(i.target)));
-              }
-              if (end < ker_.code.size()) {
-                JoinInto(end, arm, IsDivergentEntry(leader, end));
+              if (!Flow(leader, static_cast<u32>(i.target), arm) || !Flow(leader, end, arm)) {
+                return false;
               }
             } else if (kind == BranchKind::kAlwaysTaken) {
-              if (i.target >= 0) {
-                JoinInto(static_cast<u32>(i.target), st,
-                         IsDivergentEntry(leader, static_cast<u32>(i.target)));
-              }
+              if (!Flow(leader, static_cast<u32>(i.target), st)) return false;
             } else if (kind == BranchKind::kNeverTaken) {
-              if (end < ker_.code.size()) JoinInto(end, st, IsDivergentEntry(leader, end));
+              if (!Flow(leader, end, st)) return false;
             } else {  // kUniform: both ways, mask intact, no push
-              if (i.target >= 0) {
-                JoinInto(static_cast<u32>(i.target), st,
-                         IsDivergentEntry(leader, static_cast<u32>(i.target)));
+              if (!Flow(leader, static_cast<u32>(i.target), st) || !Flow(leader, end, st)) {
+                return false;
               }
-              if (end < ker_.code.size()) JoinInto(end, st, IsDivergentEntry(leader, end));
             }
             closed = true;
             break;
           }
           case Opcode::kBarSync:
-            if (end < ker_.code.size()) JoinInto(end, st, IsDivergentEntry(leader, end));
+            if (!Flow(leader, end, st)) return false;
             closed = true;
             break;
           case Opcode::kExit:
-            if (!st.mask_full && exits_ok_) {
-              // Lanes may retire under a partial mask: reconvergence points
-              // can no longer assume the pushed mask survives intact.
-              exits_ok_ = false;
-              return false;
-            }
+            if (!Exit(st)) return false;
             closed = true;
             break;
           default: {
@@ -720,22 +662,13 @@ class Analyzer {
           }
         }
       }
-      if (!closed) {
-        // Fell off the block (next leader) or off the end of the kernel
-        // (implicit exit, same retirement rule as kExit).
-        if (end < ker_.code.size()) {
-          JoinInto(end, st, IsDivergentEntry(leader, end));
-        } else if (!st.mask_full && exits_ok_) {
-          exits_ok_ = false;
-          return false;
-        }
-      }
+      // Fell off the block into the next, or off the end of the kernel.
+      if (!closed && !Flow(leader, end, st)) return false;
     }
     return true;
   }
 
-  bool IsDivergentEntry(u32 from_leader, u32 target) const {
-    const u32 tl = leaders_[BlockOf(target)];
+  bool IsDivergentEntry(u32 from_leader, u32 tl) const {
     if (!scan_reconvs_.count(tl)) return false;
     // Entries into a divergent reconvergence pc happen via the pop-restore
     // path both from inside the region and from the owning branch itself.
@@ -743,8 +676,8 @@ class Analyzer {
       if (it->second.count(from_leader)) return true;
     }
     for (const auto& [pc, reconv] : scan_branches_) {
-      if (reconv >= 0 && leaders_[BlockOf(static_cast<u32>(reconv))] == tl &&
-          leaders_[BlockOf(pc)] == from_leader) {
+      if (reconv >= 0 && static_cast<u32>(reconv) == tl &&
+          static_cast<u32>(cfg_[cfg_.block_of(pc)].begin) == from_leader) {
         return true;
       }
     }
@@ -755,8 +688,7 @@ class Analyzer {
   const ShapeSpec& shape_;
   const bool full_entry_;
 
-  std::vector<u32> leaders_;
-  std::vector<u32> block_end_;
+  const vgpu::Cfg cfg_;
 
   // Degrading assumption set, preserved across restarts.
   std::map<u32, std::int32_t> scan_branches_;  // branch pc -> reconv pc

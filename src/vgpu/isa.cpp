@@ -308,6 +308,69 @@ bool EvalLane(const Instr& i, std::uint64_t a, std::uint64_t b, std::uint64_t c,
   }
 }
 
+Cfg::Cfg(const std::vector<Instr>& code) {
+  const auto n = static_cast<std::int32_t>(code.size());
+  // Leader marks, one per pc plus the past-the-end pc.
+  constexpr std::uint8_t kLeader = 1, kJumpEntry = 2;
+  std::vector<std::uint8_t> mark(code.size() + 1, 0);
+  mark[0] = kLeader;
+  auto jump_to = [&](std::int32_t pc) {
+    if (pc >= 0 && pc < n) mark[static_cast<std::size_t>(pc)] |= kLeader | kJumpEntry;
+  };
+  for (std::int32_t pc = 0; pc < n; ++pc) {
+    const Instr& i = code[static_cast<std::size_t>(pc)];
+    switch (i.op) {
+      case Opcode::kBraPred:
+        if (i.reconv >= 0) jump_to(i.reconv);
+        [[fallthrough]];
+      case Opcode::kBra:
+        jump_to(i.target);
+        [[fallthrough]];
+      case Opcode::kBarSync:
+      case Opcode::kExit:
+        mark[static_cast<std::size_t>(pc) + 1] |= kLeader;
+        break;
+      default:
+        break;
+    }
+  }
+
+  block_of_.resize(code.size());
+  for (std::int32_t pc = 0; pc < n; ++pc) {
+    const std::uint8_t m = mark[static_cast<std::size_t>(pc)];
+    if (m != 0) {
+      if (!blocks_.empty()) blocks_.back().end = pc;
+      Block b;
+      b.begin = pc;
+      b.jump_entry = (m & kJumpEntry) != 0;
+      blocks_.push_back(b);
+    }
+    block_of_[static_cast<std::size_t>(pc)] = static_cast<std::int32_t>(blocks_.size()) - 1;
+  }
+  if (!blocks_.empty()) blocks_.back().end = n;
+
+  for (Block& b : blocks_) {
+    auto add = [&](std::int32_t pc) {
+      if (pc >= 0 && pc < n) b.succ[b.num_succs++] = block_of_[static_cast<std::size_t>(pc)];
+    };
+    const Instr& last = code[static_cast<std::size_t>(b.end) - 1];
+    switch (last.op) {
+      case Opcode::kBra:
+        add(last.target);
+        break;
+      case Opcode::kBraPred:
+        add(last.target);
+        add(b.end);
+        break;
+      case Opcode::kExit:
+        break;
+      default:
+        add(b.end);
+        break;
+    }
+  }
+}
+
 std::string Disassemble(const Instr& i, std::size_t pc) {
   std::string out;
   PutInstr(out, i, pc);

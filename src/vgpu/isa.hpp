@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,5 +106,44 @@ auto WithOpcode(Opcode op, Fn&& fn) {
 // (opcode, type) pairs that fault at run time.
 bool EvalLane(const Instr& instr, std::uint64_t a, std::uint64_t b, std::uint64_t c,
               std::uint64_t* out);
+
+// The basic blocks of an instruction stream and their static successors: the
+// one control-flow graph kcc's optimizer and register allocator, the native
+// emitter and mask propagation read. A block starts at pc 0, at every
+// in-range bra/bra.pred target and bra.pred reconvergence pc, and after every
+// bra, bra.pred, bar.sync and exit, so a control instruction always ends its
+// block. Built in one pass over the code.
+class Cfg {
+ public:
+  struct Block {
+    std::int32_t begin = 0, end = 0;  // pcs [begin, end)
+    // `begin` is a branch target or a reconvergence pc, not only the pc after
+    // a control instruction (or pc 0).
+    bool jump_entry = false;
+    std::int32_t num_succs = 0;
+    std::int32_t succ[2] = {-1, -1};
+
+    // Block indices: bra -> target; bra.pred -> target, then fallthrough;
+    // exit -> none; anything else -> fallthrough. A target or fallthrough
+    // past the last instruction has no block and is left out.
+    std::span<const std::int32_t> succs() const {
+      return {succ, static_cast<std::size_t>(num_succs)};
+    }
+  };
+
+  explicit Cfg(const std::vector<Instr>& code);
+
+  // In pc order; empty for empty code.
+  const std::vector<Block>& blocks() const { return blocks_; }
+  int size() const { return static_cast<int>(blocks_.size()); }
+  const Block& operator[](int b) const { return blocks_[static_cast<std::size_t>(b)]; }
+
+  // The block holding `pc`, which must be in [0, code.size()).
+  int block_of(std::int32_t pc) const { return block_of_[static_cast<std::size_t>(pc)]; }
+
+ private:
+  std::vector<Block> blocks_;
+  std::vector<std::int32_t> block_of_;
+};
 
 }  // namespace kspec::vgpu

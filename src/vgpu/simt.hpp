@@ -340,6 +340,16 @@ constexpr bool AluValid(Opcode op, Type ty) {
   }
 }
 
+// The second operand of a commutative float op x op y: x itself when x is
+// NaN, so the result is x quieted (the first NaN operand, x86's rule for one
+// instruction) whatever order the host compiler gives the operands (it swaps
+// them at -O3). With at most one NaN operand the order cannot change the
+// result. A select, not a branch, so the lane loops still vectorize.
+template <class T>
+[[gnu::always_inline]] inline T NanFirst(T x, T y) {
+  return x != x ? x : y;
+}
+
 // The lane bodies are always inlined: they belong in the caller's lane loop,
 // as if written there, whatever the host compiler's inlining budget for a
 // large emitted function.
@@ -348,12 +358,15 @@ template <Opcode OP, Type TY>
   using FT = FTraits<TY>;
   using T = typename FT::T;
   const T av = FT::Get(a);
-  if constexpr (OP == Opcode::kAdd) return FT::Put(av + FT::Get(b));
+  if constexpr (OP == Opcode::kAdd) return FT::Put(av + NanFirst(av, FT::Get(b)));
   else if constexpr (OP == Opcode::kSub) return FT::Put(av - FT::Get(b));
-  else if constexpr (OP == Opcode::kMul) return FT::Put(av * FT::Get(b));
+  else if constexpr (OP == Opcode::kMul) return FT::Put(av * NanFirst(av, FT::Get(b)));
   else if constexpr (OP == Opcode::kDiv) return FT::Put(av / FT::Get(b));
   else if constexpr (OP == Opcode::kRem) return FT::Put(std::fmod(av, FT::Get(b)));
-  else if constexpr (OP == Opcode::kMad) return FT::Put(av * FT::Get(b) + FT::Get(c));
+  else if constexpr (OP == Opcode::kMad) {
+    const T p = av * NanFirst(av, FT::Get(b));
+    return FT::Put(p + NanFirst(p, FT::Get(c)));
+  }
   else if constexpr (OP == Opcode::kMin) return FT::Put(std::min(av, FT::Get(b)));
   else if constexpr (OP == Opcode::kMax) return FT::Put(std::max(av, FT::Get(b)));
   else if constexpr (OP == Opcode::kNeg) return FT::Put(-av);

@@ -393,7 +393,7 @@ __kernel void f(%s* out, %s) { out[0] = %s; }
     std::map<std::string, std::string> sk_defines;
     std::function<void(vcuda::ArgPack&)> args;  // the SK values, at run time
     Opcode folded;  // absent from the SK kernel, present in the RE one
-    CompileOptions re;
+    CompileOptions re = {};
   };
   const Case cases[] = {
       // Float literals multiply in float, not double.
@@ -683,9 +683,11 @@ TEST(Passes, FactCapsAndReuseWindowMatchGolden) {
 
 // ---- Listing goldens over every application kernel ----
 
-// "<kernel> <instrs> <FNV-1a-64 of the listing>" for every kernel of every
-// module `run` compiles on a fresh context, sorted.
-std::vector<std::string> CompiledListings(const std::function<void(vcuda::Context&)>& run) {
+// `line(kernel)` for every kernel of every module `run` compiles on a fresh
+// context, sorted; kernels `line` renders empty are left out.
+std::vector<std::string> CompiledKernels(
+    const std::function<void(vcuda::Context&)>& run,
+    const std::function<std::string(const vgpu::CompiledKernel&)>& line) {
   ScopedTempDir dir("kspec_listing_golden_");
   KSPEC_CHECK(dir.valid());
   {
@@ -699,12 +701,47 @@ std::vector<std::string> CompiledListings(const std::function<void(vcuda::Contex
     std::vector<std::uint8_t> bytes;
     KSPEC_CHECK(ReadFileBytes(entry.path().string(), &bytes));
     for (const auto& k : Deserialize(bytes).kernels) {
-      out.push_back(Format("%s %zu %016llx", k.name.c_str(), k.code.size(),
-                           static_cast<unsigned long long>(Fnv1a(k.listing))));
+      if (std::string l = line(k); !l.empty()) out.push_back(std::move(l));
     }
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// "<kernel> <instrs> <FNV-1a-64 of the listing>".
+std::vector<std::string> CompiledListings(const std::function<void(vcuda::Context&)>& run) {
+  return CompiledKernels(run, [](const vgpu::CompiledKernel& k) {
+    return Format("%s %zu %016llx", k.name.c_str(), k.code.size(),
+                  static_cast<unsigned long long>(Fnv1a(k.listing)));
+  });
+}
+
+// Whether some bar.sync in `k` is followed by a pc that no branch targets and
+// no divergent branch reconverges at: the barrier sits inside a straight run
+// of code, which ends a basic block but not an ILP window.
+bool HasMidBlockBarrier(const vgpu::CompiledKernel& k) {
+  std::vector<bool> entered(k.code.size() + 1, false);
+  for (const vgpu::Instr& i : k.code) {
+    if (i.op != Opcode::kBra && i.op != Opcode::kBraPred) continue;
+    for (int pc : {i.target, i.reconv}) {
+      if (pc >= 0 && pc <= static_cast<int>(k.code.size())) entered[pc] = true;
+    }
+  }
+  for (std::size_t pc = 0; pc + 1 < k.code.size(); ++pc) {
+    if (k.code[pc].op == Opcode::kBarSync && !entered[pc + 1]) return true;
+  }
+  return false;
+}
+
+// "<kernel> <reg_count> <FNV-1a-64 of ilp_at_pc>" for the kernels with a
+// mid-block barrier.
+std::vector<std::string> CompiledAllocations(const std::function<void(vcuda::Context&)>& run) {
+  return CompiledKernels(run, [](const vgpu::CompiledKernel& k) {
+    if (!HasMidBlockBarrier(k)) return std::string();
+    return Format("%s %d %016llx", k.name.c_str(), k.stats.reg_count,
+                  static_cast<unsigned long long>(
+                      Fnv1aBytes(k.ilp_at_pc.data(), k.ilp_at_pc.size() * sizeof(float))));
+  });
 }
 
 struct ListingCase {
@@ -868,6 +905,38 @@ TEST(Listing, AppKernelsMatchGoldens) {
     for (const std::string& line : CompiledListings(c.run)) got.push_back(c.name + " " + line);
   }
   const std::vector<std::string> want(std::begin(kListingGoldens), std::end(kListingGoldens));
+  EXPECT_EQ(got, want);
+}
+
+// "<case> <kernel> <reg_count> <ilp_at_pc hash>" for every kernel of
+// ListingCases() with a mid-block barrier, recorded from the register
+// allocator that built its own blocks, which did not split at bar.sync: the
+// split the shared control-flow graph makes there must move neither the
+// register count nor any ILP value.
+const char* const kAllocationGoldens[] = {
+    "matching/small/SK numeratorTiles 17 3c88ae98ddfdfe55",
+    "matching/small/SK scorePeak 18 22ce3178c5411ca8",
+    "matching/small/RE numeratorTiles 21 c99126255a7b0c7e",
+    "matching/small/RE scorePeak 19 ac68d6c05fc3b6ff",
+    "piv/small/basic/SK pivBasic 25 83ece6e32f881d12",
+    "piv/small/basic/RE pivBasic 30 5949bac95aba9cdd",
+    "piv/small/regblock/SK pivRegBlock 22 27694343bd1884c0",
+    "piv/small/warpspec/SK pivWarpSpec 26 e0ac708f2c982b08",
+    "piv/small/warpspec/RE pivWarpSpec 30 e1630f022bc979a3",
+    "matching/bench/SK numeratorTiles 17 1f04d5b0cac705d5",
+    "matching/bench/SK scorePeak 18 46b28ed3e5882d70",
+    "piv/bench/SK pivWarpSpec 26 e0ac708f2c982b08",
+    "matching/bench/RE numeratorTiles 21 c99126255a7b0c7e",
+    "matching/bench/RE scorePeak 19 ac68d6c05fc3b6ff",
+    "piv/bench/RE pivWarpSpec 30 e1630f022bc979a3",
+};
+
+TEST(Regalloc, MidBlockBarrierKernelsMatchGoldens) {
+  std::vector<std::string> got;
+  for (const ListingCase& c : ListingCases()) {
+    for (const std::string& line : CompiledAllocations(c.run)) got.push_back(c.name + " " + line);
+  }
+  const std::vector<std::string> want(std::begin(kAllocationGoldens), std::end(kAllocationGoldens));
   EXPECT_EQ(got, want);
 }
 

@@ -138,6 +138,44 @@ __kernel void f(long long* out, int a, int b, long long c, long long d) {
   }
 }
 
+// A loop that assigns a variable declared outside it (`for (i = ...)`) leaves
+// that variable at the value its failing test saw, unrolled or not: the
+// second loop runs no trip and still assigns 10.
+TEST(KernelC, UnrolledLoopLeavesInductionVariableAtExitValue) {
+  const char* src = R"(
+__kernel void f(int* out) {
+  int i = 7;
+  for (i = 0; i < 4; i++) { out[i] = i; }
+  out[4] = i;
+  int j = 7;
+  for (j = 10; j < 4; j++) { out[5] = j; }
+  out[6] = j;
+}
+)";
+  kcc::CompileOptions rolled;
+  rolled.max_unroll = 0;
+  for (const vgpu::ExecutionTier tier :
+       {vgpu::ExecutionTier::kInterp, vgpu::ExecutionTier::kDecoded}) {
+    SCOPED_TRACE(vgpu::TierName(tier));
+    std::vector<std::vector<int>> outs;
+    for (const kcc::CompileOptions& opts : {kcc::CompileOptions{}, rolled}) {
+      Gpu g;
+      auto mod = g.ctx.LoadModule(src, opts);
+      EXPECT_EQ(mod->compiled().kernels[0].stats.unrolled_loops, opts.max_unroll > 0 ? 2 : 1);
+      auto d_out = g.ctx.Malloc(7 * sizeof(int));
+      g.ctx.Memset(d_out, 0, 7 * sizeof(int));
+      ArgPack args;
+      args.Ptr(d_out);
+      vcuda::LaunchExecution exec;
+      exec.request = tier;
+      g.ctx.Launch(*mod, "f", Dim3(1), Dim3(1), args, 0, &exec);
+      outs.push_back(vcuda::Download<int>(g.ctx, d_out, 7));
+    }
+    EXPECT_EQ(outs[0], outs[1]);
+    EXPECT_EQ(outs[0], (std::vector<int>{0, 1, 2, 3, 4, 0, 10}));
+  }
+}
+
 TEST(KernelC, PointerWalking) {
   Gpu g;
   // Pointers are mutable: walk a row pointer down a matrix.

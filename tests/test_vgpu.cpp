@@ -12,6 +12,7 @@
 #include "vgpu/cost.hpp"
 #include "vgpu/device.hpp"
 #include "vgpu/interp.hpp"
+#include "vgpu/isa.hpp"
 #include "vgpu/memory.hpp"
 
 namespace kspec::vgpu {
@@ -501,6 +502,64 @@ __kernel void f(float* in, float* out) {
   double big_per = big_stats.sim_millis / static_cast<double>(big_stats.warp_instrs);
   double small_per = small_stats.sim_millis / static_cast<double>(small_stats.warp_instrs);
   EXPECT_GT(big_per, small_per);
+}
+
+// ---------------------------------------------------------------------------
+// Control-flow graph
+// ---------------------------------------------------------------------------
+
+// The block rule every consumer reads: blocks start at pc 0, at in-range
+// branch targets and reconvergence pcs, and after bra, bra.pred, bar.sync and
+// exit; a target past the last instruction has no block.
+TEST(Cfg, LeadersAndSuccessors) {
+  auto alu = [](int r) {
+    return Instr::Make(Opcode::kAdd, Type::kI32, r, Operand::Reg(r), Operand::Imm(1));
+  };
+  auto bra = [](int target) {
+    Instr i = Instr::Make(Opcode::kBra, Type::kI32, -1);
+    i.target = target;
+    return i;
+  };
+  auto bra_pred = [](int target, int reconv) {
+    Instr i = Instr::Make(Opcode::kBraPred, Type::kPred, -1, Operand::Reg(0));
+    i.target = target;
+    i.reconv = reconv;
+    return i;
+  };
+  const std::vector<Instr> code = {
+      alu(1),            // 0  block 0
+      bra_pred(4, 7),    // 1
+      alu(1),            // 2  block 1: after a bra.pred
+      bra(7),            // 3
+      alu(1),            // 4  block 2: a branch target
+      Instr::Make(Opcode::kBarSync, Type::kI32, -1),  // 5
+      alu(1),            // 6  block 3: after a bar.sync only
+      alu(1),            // 7  block 4: a reconvergence pc and a branch target
+      bra_pred(20, 10),  // 8  the target is past the end
+      Instr::Make(Opcode::kExit, Type::kI32, -1),  // 9  block 5
+      alu(1),            // 10 block 6: a reconvergence pc; falls off the end
+  };
+  const Cfg cfg(code);
+  struct Want {
+    int begin, end;
+    bool jump_entry;
+    std::vector<int> succs;
+  };
+  const std::vector<Want> want = {
+      {0, 2, false, {2, 1}}, {2, 4, false, {4}}, {4, 6, true, {3}}, {6, 7, false, {4}},
+      {7, 9, true, {5}},     {9, 10, false, {}}, {10, 11, true, {}},
+  };
+  ASSERT_EQ(cfg.size(), static_cast<int>(want.size()));
+  for (int b = 0; b < cfg.size(); ++b) {
+    SCOPED_TRACE(b);
+    EXPECT_EQ(cfg[b].begin, want[b].begin);
+    EXPECT_EQ(cfg[b].end, want[b].end);
+    EXPECT_EQ(cfg[b].jump_entry, want[b].jump_entry);
+    const auto succs = cfg[b].succs();
+    EXPECT_EQ(std::vector<int>(succs.begin(), succs.end()), want[b].succs);
+    for (int pc = cfg[b].begin; pc < cfg[b].end; ++pc) EXPECT_EQ(cfg.block_of(pc), b);
+  }
+  EXPECT_EQ(Cfg({}).size(), 0);
 }
 
 }  // namespace

@@ -17,7 +17,6 @@
 #include <span>
 #include <sstream>
 
-#include "kcc/cache_key.hpp"
 #include "kcc/compiler.hpp"
 #include "kcc/preprocess.hpp"
 #include "kcc/artifact_dir.hpp"
@@ -28,7 +27,6 @@
 #include "netd/protocol.hpp"
 #include "netd/remote_service.hpp"
 #include "serve/compile_executor.hpp"
-#include "support/serialize.hpp"
 #include "support/status.hpp"
 #include "support/str.hpp"
 #include "vcuda/vcuda.hpp"
@@ -418,40 +416,24 @@ int main(int argc, char** argv) {
       return RunBatch(source, sets, dev, cache_dir, jobs, net, tier);
     }
 
-    kcc::CompiledModule mod;
-    bool disk_hit = false;
-    std::string artifact;
-    if (!cache_dir.empty()) {
-      // The same envelope directory a Context's cache_dir is: a corrupt
-      // artifact is quarantined and a colliding one left in place.
-      kcc::ModuleCacheKey key = kcc::ModuleCacheKey::Make(source, opts, dev.name);
-      std::error_code ec;
-      std::filesystem::create_directories(cache_dir, ec);
-      const kcc::ArtifactDir disk(cache_dir);
-      artifact = disk.PathFor(key.FileName());
-      disk_hit = disk.Load(kcc::ArtifactKind::kModule, key.FileName(), key.CanonicalText(),
-                           [&](std::span<const std::uint8_t> body) {
-                             mod = kcc::DecodeModuleBody(body);
-                           }) == kcc::LoadResult::kHit;
-      if (!disk_hit) {
-        mod = kcc::CompileModule(source, opts);
-        if (ec || !disk.Publish(kcc::ArtifactKind::kModule, key.FileName(), key.CanonicalText(),
-                                kcc::Serialize(mod, key.CanonicalText()))) {
-          std::cerr << "kccc: warning: could not store cache artifact " << artifact << "\n";
-          artifact.clear();
-        }
-      }
-    } else {
-      mod = kcc::CompileModule(source, opts);
-    }
+    // One load through a Context, whose cache_dir is the same artifact
+    // directory a long-lived process uses: a corrupt artifact is quarantined
+    // and a colliding one left in place, and both recompile.
+    vcuda::Context ctx(dev);
+    if (!cache_dir.empty()) ctx.set_cache_dir(cache_dir);
+    const std::shared_ptr<vcuda::Module> module = ctx.LoadModule(source, opts);
+    const kcc::CompiledModule& mod = module->compiled();
 
     std::cout << "kccc: " << path << "  (" << kcc::DefinesToString(opts.defines) << ")\n";
     if (!cache_dir.empty()) {
-      if (disk_hit) {
+      const std::string artifact =
+          kcc::ArtifactDir(cache_dir).PathFor(module->cache_key()->FileName());
+      if (ctx.cache_stats().disk_hits > 0) {
         std::cout << "cache: disk hit (" << artifact << ")\n";
       } else {
-        std::cout << "cache: miss — compiled in " << Format("%.3f", mod.compile_millis)
-                  << " ms" << (artifact.empty() ? "" : ", stored " + artifact) << "\n";
+        std::cout << "cache: miss — compiled in " << Format("%.3f", mod.compile_millis) << " ms"
+                  << (std::filesystem::exists(artifact) ? ", stored " + artifact : std::string())
+                  << "\n";
       }
     }
     if (mod.const_bytes) {
@@ -485,8 +467,7 @@ int main(int argc, char** argv) {
         native::NativeEngine::Options nopts;
         nopts.cache_dir = cache_dir;
         native::NativeEngine engine(nopts);
-        const kcc::ModuleCacheKey key = kcc::ModuleCacheKey::Make(source, opts, dev.name);
-        if (!engine.EnsureReady(key, mod)) {
+        if (!engine.EnsureReady(*module->cache_key(), mod)) {
           std::cerr << "kccc: native artifact build failed\n";
         }
         PrintNativeReport(engine);
