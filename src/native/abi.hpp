@@ -20,11 +20,10 @@
 
 namespace kspec::native {
 
-// Version 2: ALU-family prelude helpers take the active mask by value and
-// shape-specialized variants exist (KSPEC_SHAPE). The host-facing structs are
-// unchanged, but emitted TUs and cached artifacts from version 1 predate the
-// shape-variant dispatch contract, so they are invalidated wholesale.
-inline constexpr int kNativeAbiVersion = 2;
+// Version 3: the block scheduler's two unreachable faults are gone, so every
+// vgpu::Fault code after kWatchdog moved down by two. Version 2:
+// shape-specialized variants (KSPEC_SHAPE).
+inline constexpr int kNativeAbiVersion = 3;
 
 struct KspecNativeCallbacks {
   // Opaque vgpu::GlobalMemory*. try_access returns nullptr when the range is

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
-#include <set>
 
 #include "native/shape.hpp"
 
@@ -258,7 +257,6 @@ std::optional<std::pair<i64, i64>> CmpRange(Type ty, const AV& a) {
 struct RegState {
   std::vector<AV> regs;
   bool mask_full = false;
-  bool operator==(const RegState&) const = default;
 };
 
 class Analyzer {
@@ -285,17 +283,17 @@ class Analyzer {
     if (!complete) return facts;  // never publish a half-converged run
 
     // Record the final classifications and full-block flags.
-    for (const vgpu::Cfg::Block& block : cfg_.blocks()) {
+    for (int b = 0; b < cfg_.size(); ++b) {
+      if (!reached_[b]) continue;
+      const vgpu::Cfg::Block& block = cfg_[b];
       const u32 leader = static_cast<u32>(block.begin);
-      auto it = in_.find(leader);
-      if (it == in_.end()) continue;  // unreachable
-      if (full_entry_ && it->second.mask_full) {
+      if (full_entry_ && in_[b].mask_full) {
         facts.full_at[leader] = 1;
         ++facts.full_blocks;
       }
       for (u32 pc = leader; pc < static_cast<u32>(block.end); ++pc) {
         if (ker_.code[pc].op != Opcode::kBraPred) continue;
-        const BranchKind k = final_kind_.count(pc) ? final_kind_.at(pc) : BranchKind::kScan;
+        const BranchKind k = final_kind_[pc];
         facts.branch[pc] = k;
         if (k == BranchKind::kAlwaysTaken || k == BranchKind::kNeverTaken) {
           ++facts.folded_branches;
@@ -308,29 +306,44 @@ class Analyzer {
   }
 
  private:
-  // Recompute divergent-region membership and written-register sets from the
-  // current scan set. Regions are per reconvergence pc.
+  // Recompute, from the current scan set, per reconvergence block: the
+  // blocks a warp enters it from by the pop-restore path (the divergent
+  // region, reachable from the branch without passing the reconvergence pc,
+  // and the branch's own block) and the registers written in the region.
   void RebuildRegions() {
-    region_of_.clear();
-    written_at_.clear();
-    scan_reconvs_.clear();
+    const std::size_t nblocks = static_cast<std::size_t>(cfg_.size());
+    const std::size_t nregs = static_cast<std::size_t>(std::max(ker_.num_vregs, 0));
+    divergent_from_.assign(nblocks, {});
+    written_in_.assign(nblocks, {});
     for (const auto& [pc, reconv] : scan_branches_) {
-      if (reconv < 0) continue;
-      const u32 r = static_cast<u32>(reconv);
-      scan_reconvs_.insert(r);
+      // Flow never enters a pc past the end as a block.
+      if (reconv < 0 || static_cast<std::size_t>(reconv) >= ker_.code.size()) continue;
+      const int rb = cfg_.block_of(reconv);
+      std::vector<char>& from = divergent_from_[rb];
+      std::vector<char>& written = written_in_[rb];
+      if (from.empty()) {
+        from.assign(nblocks, 0);
+        written.assign(nregs, 0);
+      }
+      // The region excludes the reconvergence block itself; the owning
+      // branch's block enters it by the pop-restore path too.
+      std::vector<char> region(nblocks, 0);
       std::vector<int> stack;
       for (int s : cfg_[cfg_.block_of(pc)].succs()) stack.push_back(s);
-      std::set<u32>& region = region_of_[r];
       while (!stack.empty()) {
-        const vgpu::Cfg::Block& block = cfg_[stack.back()];
+        const int b = stack.back();
         stack.pop_back();
-        const u32 leader = static_cast<u32>(block.begin);
-        if (leader == r || !region.insert(leader).second) continue;
+        if (b == rb || region[b]) continue;
+        region[b] = 1;
+        from[b] = 1;
+        const vgpu::Cfg::Block& block = cfg_[b];
         for (int q = block.begin; q < block.end; ++q) {
-          if (ker_.code[q].dst >= 0) written_at_[r].insert(ker_.code[q].dst);
+          const i32 r = ker_.code[q].dst;
+          if (r >= 0 && static_cast<std::size_t>(r) < nregs) written[r] = 1;
         }
         for (int s : block.succs()) stack.push_back(s);
       }
+      from[cfg_.block_of(pc)] = 1;
     }
   }
 
@@ -465,64 +478,75 @@ class Analyzer {
     return BranchKind::kScan;
   }
 
-  // Control reaching pc `target` from the block at `from_leader` in state
-  // `st`. A target past the last instruction is an implicit exit. Returns
-  // false when that exit invalidates the exit assumption (the caller restarts).
-  bool Flow(u32 from_leader, u32 target, const RegState& st) {
-    if (target >= ker_.code.size()) return Exit(st);
-    JoinInto(target, st, IsDivergentEntry(from_leader, target));
+  // Control reaching pc `target` from block `from` in state `st`, with the
+  // entry mask full when `mask_full`. A target past the last instruction is
+  // an implicit exit. Returns false when that exit invalidates the exit
+  // assumption (the caller restarts).
+  bool Flow(int from, u32 target, const RegState& st, bool mask_full) {
+    if (target >= ker_.code.size()) return Exit(mask_full);
+    JoinInto(cfg_.block_of(static_cast<i32>(target)), st, mask_full, from);
     return true;
   }
 
-  // Lanes retire under st's mask. Returns false when they may retire under a
-  // partial mask while reconvergence points still assume the pushed mask
-  // survives intact.
-  bool Exit(const RegState& st) {
-    if (st.mask_full || !exits_ok_) return true;
+  // Lanes retire under a mask that is full when `mask_full`. Returns false
+  // when they may retire under a partial mask while reconvergence points
+  // still assume the pushed mask survives intact.
+  bool Exit(bool mask_full) {
+    if (mask_full || !exits_ok_) return true;
     exits_ok_ = false;
     return false;
   }
 
-  // Joins `incoming` into the entry state of the block at `tl`.
-  void JoinInto(u32 tl, RegState incoming, bool divergent_entry) {
-    if (divergent_entry) {
-      incoming.mask_full = restore_full_.count(tl) ? restore_full_.at(tl) && exits_ok_
-                                                   : exits_ok_;
-      if (const auto it = written_at_.find(tl); it != written_at_.end()) {
-        for (const i32 r : it->second) {
-          if (r >= 0 && static_cast<std::size_t>(r) < incoming.regs.size()) {
-            AV& av = incoming.regs[r];
-            av.is_const = false;
-            av.uniform = false;  // lanes merge with different write histories
-          }
-        }
-      }
+  // Joins `incoming` (entry mask full when `mask_full`), arriving from block
+  // `from`, into the entry state of block `tb`, in place. Queues the block
+  // when its state changed.
+  void JoinInto(int tb, const RegState& incoming, bool mask_full, int from) {
+    // Entries into a divergent reconvergence block by the pop-restore path
+    // restore the branch-point mask, and merge lanes whose write histories
+    // differ: registers written in the region lose constant/uniform facts.
+    const std::vector<char>& divergent_from = divergent_from_[tb];
+    const bool divergent = !divergent_from.empty() && divergent_from[from];
+    const std::vector<char>* written = divergent ? &written_in_[tb] : nullptr;
+    if (divergent) {
+      mask_full = restore_full_[tb] >= 0 ? restore_full_[tb] && exits_ok_ : exits_ok_;
     }
-    auto [it, fresh] = in_.emplace(tl, incoming);
-    if (fresh) {
-      work_.push_back(tl);
+    auto entry = [&](std::size_t r) {
+      AV av = incoming.regs[r];
+      if (written && (*written)[r]) {
+        av.is_const = false;
+        av.uniform = false;
+      }
+      return av;
+    };
+    RegState& cur = in_[tb];
+    const std::size_t nregs = incoming.regs.size();
+    if (!reached_[tb]) {
+      reached_[tb] = 1;
+      cur.mask_full = mask_full;
+      cur.regs.resize(nregs);
+      for (std::size_t r = 0; r < nregs; ++r) cur.regs[r] = entry(r);
+      work_.push_back(tb);
       return;
     }
-    RegState& cur = it->second;
-    RegState joined = cur;
-    joined.mask_full = cur.mask_full && incoming.mask_full;
-    const int jc = ++join_count_[tl];
-    for (std::size_t r = 0; r < joined.regs.size(); ++r) {
-      AV j = JoinUniform(cur.regs[r], incoming.regs[r],
-                         kUidJoin | (static_cast<u64>(tl) << 20) | r);
+    bool changed = cur.mask_full && !mask_full;
+    cur.mask_full = cur.mask_full && mask_full;
+    const int jc = ++join_count_[tb];
+    const u64 join_uid = kUidJoin | (static_cast<u64>(cfg_[tb].begin) << 20);
+    for (std::size_t r = 0; r < nregs; ++r) {
+      AV& old = cur.regs[r];
+      AV j = JoinUniform(old, entry(r), join_uid | r);
       // Widen: after a few joins, a still-growing interval (a loop counter)
       // is dropped instead of crawling toward the domain bound.
-      if (jc > 4 && j.ranged && cur.regs[r].ranged &&
-          (j.lo < cur.regs[r].lo || j.hi > cur.regs[r].hi)) {
+      if (jc > 4 && j.ranged && old.ranged && (j.lo < old.lo || j.hi > old.hi)) {
         j.ranged = false;
         if (j.is_const) j = Const(j.cval);
       }
-      joined.regs[r] = j;
+      if (!(j == old)) {
+        old = j;
+        changed = true;
+      }
     }
-    if (!(joined == cur)) {
-      cur = joined;
-      work_.push_back(tl);
-    }
+    if (changed) work_.push_back(tb);
   }
 
   // One optimistic fixpoint run. Returns true if the run completed under the
@@ -530,43 +554,46 @@ class Analyzer {
   // restarts with the degraded assumption set).
   bool RunOnce() {
     RebuildRegions();
-    in_.clear();
-    join_count_.clear();
-    restore_full_.clear();
-    final_kind_.clear();
+    const std::size_t nblocks = static_cast<std::size_t>(cfg_.size());
+    in_.resize(nblocks);
+    reached_.assign(nblocks, 0);
+    join_count_.assign(nblocks, 0);
+    restore_full_.assign(nblocks, -1);
+    final_kind_.assign(ker_.code.size(), BranchKind::kScan);
     work_.clear();
 
-    RegState entry;
+    RegState& entry = in_[0];
     entry.regs.assign(static_cast<std::size_t>(std::max(ker_.num_vregs, 0)), Top());
     for (std::size_t p = 0; p < ker_.params.size() && p < entry.regs.size(); ++p) {
       entry.regs[p] = UniformVal(kUidParam | p);  // args are broadcast
     }
     entry.mask_full = full_entry_;
-    in_.emplace(0u, entry);
+    reached_[0] = 1;
     work_.push_back(0);
 
     // Bounded by the lattice height; the guard is just a backstop.
-    const std::size_t nblocks = static_cast<std::size_t>(cfg_.size());
     const std::size_t max_steps = 64 * (nblocks + 4) * (nblocks + 4);
     std::size_t steps = 0;
+    RegState st;
     while (!work_.empty()) {
       if (++steps > max_steps) {
         // Backstop against a non-converging lattice bug: drop every fact
         // rather than publish an optimistic half-fixpoint.
-        in_.clear();
-        final_kind_.clear();
+        reached_.assign(nblocks, 0);
+        final_kind_.assign(ker_.code.size(), BranchKind::kScan);
         return true;
       }
-      const u32 leader = work_.back();
+      const int b = work_.back();
       work_.pop_back();
-      RegState st = in_.at(leader);
-      const u32 end = static_cast<u32>(cfg_[cfg_.block_of(leader)].end);
+      st = in_[b];  // a copy: joins into this block may run while it is walked
+      const u32 leader = static_cast<u32>(cfg_[b].begin);
+      const u32 end = static_cast<u32>(cfg_[b].end);
       bool closed = false;
       for (u32 pc = leader; pc < end && !closed; ++pc) {
         const Instr& i = ker_.code[pc];
         switch (i.op) {
           case Opcode::kBra:
-            if (!Flow(leader, static_cast<u32>(i.target), st)) return false;
+            if (!Flow(b, static_cast<u32>(i.target), st, st.mask_full)) return false;
             closed = true;
             break;
           case Opcode::kBraPred: {
@@ -582,27 +609,28 @@ class Analyzer {
               // reconvergence point restores the branch-point mask unless an
               // exit may have retired lanes.
               if (i.reconv >= 0 && static_cast<u32>(i.reconv) < ker_.code.size()) {
-                const u32 rl = static_cast<u32>(i.reconv);
-                auto [rit, rf] = restore_full_.emplace(rl, st.mask_full);
-                if (!rf && rit->second && !st.mask_full) {
-                  rit->second = false;
-                  if (auto sit = in_.find(rl); sit != in_.end() && sit->second.mask_full) {
-                    sit->second.mask_full = false;
-                    work_.push_back(rl);
+                const int rb = cfg_.block_of(i.reconv);
+                signed char& restore = restore_full_[rb];
+                if (restore < 0) {
+                  restore = st.mask_full;
+                } else if (restore && !st.mask_full) {
+                  restore = 0;
+                  if (reached_[rb] && in_[rb].mask_full) {
+                    in_[rb].mask_full = false;
+                    work_.push_back(rb);
                   }
                 }
               }
-              RegState arm = st;
-              arm.mask_full = false;
-              if (!Flow(leader, static_cast<u32>(i.target), arm) || !Flow(leader, end, arm)) {
+              if (!Flow(b, static_cast<u32>(i.target), st, false) || !Flow(b, end, st, false)) {
                 return false;
               }
             } else if (kind == BranchKind::kAlwaysTaken) {
-              if (!Flow(leader, static_cast<u32>(i.target), st)) return false;
+              if (!Flow(b, static_cast<u32>(i.target), st, st.mask_full)) return false;
             } else if (kind == BranchKind::kNeverTaken) {
-              if (!Flow(leader, end, st)) return false;
+              if (!Flow(b, end, st, st.mask_full)) return false;
             } else {  // kUniform: both ways, mask intact, no push
-              if (!Flow(leader, static_cast<u32>(i.target), st) || !Flow(leader, end, st)) {
+              if (!Flow(b, static_cast<u32>(i.target), st, st.mask_full) ||
+                  !Flow(b, end, st, st.mask_full)) {
                 return false;
               }
             }
@@ -610,11 +638,11 @@ class Analyzer {
             break;
           }
           case Opcode::kBarSync:
-            if (!Flow(leader, end, st)) return false;
+            if (!Flow(b, end, st, st.mask_full)) return false;
             closed = true;
             break;
           case Opcode::kExit:
-            if (!Exit(st)) return false;
+            if (!Exit(st.mask_full)) return false;
             closed = true;
             break;
           default: {
@@ -663,25 +691,9 @@ class Analyzer {
         }
       }
       // Fell off the block into the next, or off the end of the kernel.
-      if (!closed && !Flow(leader, end, st)) return false;
+      if (!closed && !Flow(b, end, st, st.mask_full)) return false;
     }
     return true;
-  }
-
-  bool IsDivergentEntry(u32 from_leader, u32 tl) const {
-    if (!scan_reconvs_.count(tl)) return false;
-    // Entries into a divergent reconvergence pc happen via the pop-restore
-    // path both from inside the region and from the owning branch itself.
-    if (const auto it = region_of_.find(tl); it != region_of_.end()) {
-      if (it->second.count(from_leader)) return true;
-    }
-    for (const auto& [pc, reconv] : scan_branches_) {
-      if (reconv >= 0 && static_cast<u32>(reconv) == tl &&
-          static_cast<u32>(cfg_[cfg_.block_of(pc)].begin) == from_leader) {
-        return true;
-      }
-    }
-    return false;
   }
 
   const vgpu::CompiledKernel& ker_;
@@ -694,15 +706,15 @@ class Analyzer {
   std::map<u32, std::int32_t> scan_branches_;  // branch pc -> reconv pc
   bool exits_ok_ = true;
 
-  // Per-run structures.
-  std::set<u32> scan_reconvs_;
-  std::map<u32, std::set<u32>> region_of_;    // reconv leader -> member leaders
-  std::map<u32, std::set<i32>> written_at_;   // reconv leader -> regs written in region
-  std::map<u32, RegState> in_;
-  std::map<u32, int> join_count_;
-  std::map<u32, bool> restore_full_;
-  std::map<u32, BranchKind> final_kind_;
-  std::vector<u32> work_;
+  // Per-run structures, indexed by block (final_kind_ by pc).
+  std::vector<std::vector<char>> divergent_from_;  // reconv block -> pop-restore sources
+  std::vector<std::vector<char>> written_in_;      // reconv block -> regs written in region
+  std::vector<RegState> in_;
+  std::vector<char> reached_;
+  std::vector<int> join_count_;
+  std::vector<signed char> restore_full_;  // -1: no divergent branch reconverges here
+  std::vector<BranchKind> final_kind_;
+  std::vector<int> work_;
 };
 
 }  // namespace

@@ -9,7 +9,8 @@
 //                   per *dynamic* one; the inner loop is a kind dispatch plus
 //                   one indirect call with the operand rows hoisted.
 //   one semantics — every handler is a thin adapter onto simt.hpp, the lane
-//                   rules and cost charges a native TU runs too.
+//                   rules and cost charges a native TU runs too, and RunWarp
+//                   a kind dispatch over its warp-control rules.
 //   run chunked   — ExecuteLaunch (tier.hpp) splits the grid into chunks by a
 //                   rule that depends only on the grid and folds the
 //                   per-chunk partials in chunk order, so stats are
@@ -138,7 +139,10 @@ class BlockRunner final : public BlockExecutor {
   static void SelOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
     simt::Sel(w.mask, R.Row(i.dst) + lb, R.Src(i.a, lb), R.Src(i.b, lb), R.Src(i.c, lb));
   }
-  static void SregOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb);
+  template <SpecialReg SR>
+  static void SregOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
+    simt::Sreg<SR>(R, w.mask, lb, R.Row(i.dst) + lb);
+  }
   // Invalid (opcode, type) pairs decode to this: the fault still fires at
   // execution time (not decode time), exactly like a native TU's.
   static void BadOp(BlockRunner& R, const Instr& i, Warp&, unsigned) {
@@ -166,7 +170,17 @@ class BlockRunner final : public BlockExecutor {
     simt::Tex<IS2D>(R.env_, w, i.target, R.Row(i.dst) + lb, R.Src(i.a, lb), R.Src(i.b, lb));
   }
 
+  // The coordinate source simt::Sreg reads, axis 0..2 for x..z.
+  const std::uint32_t* tid(int a) const {
+    return a == 0 ? layout_.tid_x.data() : a == 1 ? layout_.tid_y.data() : layout_.tid_z.data();
+  }
+  std::uint64_t ntid(int a) const { return Axis(cfg_.block, a); }
+  std::uint64_t ctaid(int a) const { return Axis(ctaid_, a); }
+  std::uint64_t nctaid(int a) const { return Axis(cfg_.grid, a); }
+  unsigned warp_size() const { return env_.dev->warp_size; }
+
  private:
+  static std::uint64_t Axis(const Dim3& d, int a) { return a == 0 ? d.x : a == 1 ? d.y : d.z; }
   void RunWarp(Warp& w, unsigned lane_base);
 
   const DecodedKernel& dk_;
@@ -182,81 +196,17 @@ class BlockRunner final : public BlockExecutor {
   std::uint64_t wd_accum_ = 0;
 };
 
-void BlockRunner::SregOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
-  const auto sr = static_cast<SpecialReg>(i.a.imm);
-  simt::StoreLanes(w.mask, R.Row(i.dst) + lb, [&](unsigned l) -> std::uint64_t {
-    const unsigned t = lb + l;
-    switch (sr) {
-      case SpecialReg::kTidX: return R.layout_.tid_x[t];
-      case SpecialReg::kTidY: return R.layout_.tid_y[t];
-      case SpecialReg::kTidZ: return R.layout_.tid_z[t];
-      case SpecialReg::kNtidX: return R.cfg_.block.x;
-      case SpecialReg::kNtidY: return R.cfg_.block.y;
-      case SpecialReg::kNtidZ: return R.cfg_.block.z;
-      case SpecialReg::kCtaidX: return R.ctaid_.x;
-      case SpecialReg::kCtaidY: return R.ctaid_.y;
-      case SpecialReg::kCtaidZ: return R.ctaid_.z;
-      case SpecialReg::kNctaidX: return R.cfg_.grid.x;
-      case SpecialReg::kNctaidY: return R.cfg_.grid.y;
-      case SpecialReg::kNctaidZ: return R.cfg_.grid.z;
-      case SpecialReg::kLaneId: return l;
-      case SpecialReg::kWarpId: return t / R.env_.dev->warp_size;
-    }
-    return 0;
-  });
-}
-
+// A kind dispatch over the simt.hpp warp-control rules. `continue` keeps the
+// warp running; leaving the switch ends the run, at a barrier or done.
 void BlockRunner::RunWarp(Warp& w, unsigned lane_base) {
   const Instr* code = dk_.code.data();
   const DecodedInstr* dec = dk_.dec.data();
   const std::uint32_t ncode = static_cast<std::uint32_t>(dk_.code.size());
-
-  // Dynamic counters stay in registers for the whole warp run and flush once:
-  // the accumulation order (per warp segment, warps in block order, blocks in
-  // chunk order) is fixed, so the folded sums are reproducible bit-for-bit.
-  std::uint64_t warp_instrs = 0;
-  std::uint64_t lane_instrs = 0;
-  double issue_cycles = 0;
-  double ilp_sum = 0;
-  const std::uint64_t wd_budget = env_.dev->watchdog_warp_instrs - wd_accum_;
-
-  auto flush = [&] {
-    env_.st->warp_instrs += warp_instrs;
-    env_.st->lane_instrs += lane_instrs;
-    env_.st->issue_cycles += issue_cycles;
-    env_.st->ilp_sum += ilp_sum;
-    wd_accum_ += warp_instrs;
-  };
-
-  while (true) {
-    if (w.pc == w.rpc) {
-      if (!simt::PopState(w)) {
-        w.state = WarpState::kDone;
-        flush();
-        return;
-      }
-      continue;
-    }
-    if (w.pc >= ncode) {
-      // Fell off the end: implicit exit of all active lanes.
-      w.live &= ~w.mask;
-      if (!simt::PopState(w)) {
-        w.state = WarpState::kDone;
-        flush();
-        return;
-      }
-      continue;
-    }
-
-    if (++warp_instrs > wd_budget) {
-      flush();
-      env_.Fail(Fault::kWatchdog);
-    }
+  simt::WarpTally tally(*env_.dev, wd_accum_);
+  while (simt::Resume(w, ncode)) {
     const DecodedInstr& d = dec[w.pc];
-    lane_instrs += std::popcount(w.mask);
-    issue_cycles += d.issue_cost;
-    ilp_sum += d.ilp;
-
+    tally.Charge(env_, 1, static_cast<unsigned>(std::popcount(w.mask)), d.issue_cost);
+    tally.ilp_sum += d.ilp;
     const Instr& inst = code[w.pc];
     switch (d.kind) {
       case DKind::kExec:
@@ -266,54 +216,23 @@ void BlockRunner::RunWarp(Warp& w, unsigned lane_base) {
       case DKind::kBra:
         w.pc = static_cast<std::uint32_t>(inst.target);
         continue;
-      case DKind::kBraPred: {
-        const std::uint64_t* preds = Row(inst.a.reg) + lane_base;
-        std::uint32_t taken = 0;
-        std::uint32_t m = w.mask;
-        while (m) {
-          const int lane = std::countr_zero(m);
-          m &= m - 1;
-          const bool p = preds[lane] != 0;
-          if (p != inst.neg) taken |= (1u << lane);
-        }
-        if (taken == w.mask) {
-          w.pc = static_cast<std::uint32_t>(inst.target);
-        } else if (taken == 0) {
-          ++w.pc;
-        } else {
-          if (inst.reconv < 0) env_.Fail(Fault::kNoReconv, w.pc);
-          // Join continuation first, then the fall-through side; the taken
-          // side executes now.
-          w.stack.push_back({static_cast<std::uint32_t>(inst.reconv), w.mask, w.rpc});
-          w.stack.push_back(
-              {w.pc + 1, w.mask & ~taken, static_cast<std::uint32_t>(inst.reconv)});
-          w.mask = taken;
-          w.rpc = static_cast<std::uint32_t>(inst.reconv);
-          w.pc = static_cast<std::uint32_t>(inst.target);
-        }
+      case DKind::kBraPred:
+        simt::Branch(env_, w, Row(inst.a.reg) + lane_base, inst.neg, w.pc,
+                     static_cast<std::uint32_t>(inst.target), inst.reconv);
         continue;
-      }
       case DKind::kBarSync:
-        if (w.mask != w.live) {
-          flush();
-          env_.Fail(Fault::kDivergentBarrier);
-        }
-        ++w.pc;
-        w.state = WarpState::kAtBarrier;
-        flush();
-        return;
+        simt::Barrier(env_, w, w.pc + 1);
+        break;
       case DKind::kExit:
-        if (!simt::ExitLanes(w)) {
-          w.state = WarpState::kDone;
-          flush();
-          return;
-        }
-        continue;
+        if (simt::ExitLanes(w)) continue;
+        break;
       case DKind::kNop:
         ++w.pc;
         continue;
     }
+    break;
   }
+  tally.Flush(*env_.st, wd_accum_);
 }
 
 // ---- handler selection (once per *static* instruction) ----
@@ -321,7 +240,10 @@ void BlockRunner::RunWarp(Warp& w, unsigned lane_base) {
 ExecFn SelectAlu(const Instr& i) {
   switch (i.op) {
     case Opcode::kMov: return &BlockRunner::MovOp;
-    case Opcode::kSreg: return &BlockRunner::SregOp;
+    case Opcode::kSreg:
+      return WithEnum<SpecialReg, static_cast<std::size_t>(SpecialReg::kWarpId) + 1>(
+          static_cast<SpecialReg>(i.a.imm),
+          [&]<SpecialReg SR>() -> ExecFn { return &BlockRunner::SregOp<SR>; });
     case Opcode::kSel: return &BlockRunner::SelOp;
     case Opcode::kSetp:
       return WithType(i.type, [&]<Type TY>() {

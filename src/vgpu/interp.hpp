@@ -58,8 +58,8 @@ class Interpreter {
   // Runs the kernel to completion and returns the dynamic statistics with the
   // cost model applied. `const_mem` is the module's constant-memory segment.
   // Throws DeviceError on invalid configurations, out-of-bounds accesses,
-  // barrier divergence, or deadlock — including when the failing block ran on
-  // a pool worker. The CompiledKernel overload decodes on the fly.
+  // barrier divergence, or the watchdog — including when the failing block ran
+  // on a pool worker. The CompiledKernel overload decodes on the fly.
   LaunchStats Launch(const CompiledKernel& kernel, const LaunchConfig& cfg,
                      std::span<const unsigned char> const_mem = {});
   LaunchStats Launch(const DecodedKernel& kernel, const LaunchConfig& cfg,

@@ -6,9 +6,10 @@
 // turns it into a string (src/native/CMakeLists.txt), with `//` comments,
 // indentation and blank lines stripped. So the value codecs, the ALU / setp / cvt lane rules,
 // the ld/st address sweep and its cost charges, atomics, texture sampling,
-// reconvergence and the block barrier scheduler have one definition, and
-// outputs and LaunchStats stay bit-identical across interp, decoded and
-// native (DESIGN.md section 8).
+// the special registers, the warp-control rules (branch, barrier, exit,
+// reconvergence, the warp counters and the watchdog) and the block barrier
+// scheduler have one definition, and outputs and LaunchStats stay
+// bit-identical across interp, decoded and native (DESIGN.md section 8).
 //
 // Rules for this file, since the host toolchain compiles it inside every
 // native TU: only the standard headers below, no kspec header, no block
@@ -177,7 +178,7 @@ struct DeviceConsts {
 
 // What a kernel can do wrong at run time, reported to the caller's hook as
 // (code, a, b); vgpu::RaiseFault (tier.hpp) owns the exception texts. The
-// values are part of the native ABI: append only.
+// values are part of the native ABI: changing them bumps kNativeAbiVersion.
 enum class Fault : int {
   kSharedOob = 0,       // a = addr, b = access bytes
   kConstOob,            // a = addr, b = access bytes
@@ -188,9 +189,7 @@ enum class Fault : int {
   kTexInvalid,          // a = slot
   kDivergentBarrier,
   kWatchdog,
-  kBarrierDeadlock,
-  kNoProgress,
-  kBadOp,               // a = pc (invalid opcode/type pair reached execution)
+  kBadOp,               // a = pc (invalid opcode/type pair or special register)
   kBadDispatch,         // a = pc (native: branch to a non-leader pc)
   kBadAtomic,
   kNoReconv,            // a = pc (divergent branch without reconvergence)
@@ -927,7 +926,64 @@ inline void Tex(E& X, const Warp& w, int slot, u64* dst, A a, B b) {
   }
 }
 
+// ---- Special registers ----
+
+// Special register R for the active lanes of the warp at lane base `lb`. `G`
+// is where the coordinates come from: G.tid(axis) -> the per-slot thread
+// coordinate table, G.ntid(axis), G.ctaid(axis), G.nctaid(axis) and
+// G.warp_size(), axis 0..2 for x..z (the interpreter's layout and launch
+// config; a native TU's launch descriptor, or its shape constants). A
+// register number past kWarpId decodes to a kBadOp fault.
+template <SpecialReg R, class G>
+inline void Sreg(const G& g, const u32 mask, unsigned lb, u64* dst) {
+  constexpr int axis = static_cast<int>(R) % 3;
+  StoreLanes(mask, dst, [&](unsigned l) -> u64 {
+    if constexpr (R <= SpecialReg::kTidZ) return g.tid(axis)[lb + l];
+    else if constexpr (R <= SpecialReg::kNtidZ) return g.ntid(axis);
+    else if constexpr (R <= SpecialReg::kCtaidZ) return g.ctaid(axis);
+    else if constexpr (R <= SpecialReg::kNctaidZ) return g.nctaid(axis);
+    else if constexpr (R == SpecialReg::kLaneId) return l;
+    else return (lb + l) / g.warp_size();  // kWarpId
+  });
+}
+
 // ---- Control flow ----
+
+// A warp run's dynamic counters. They stay in registers for the whole run and
+// flush once, when the warp stops at a barrier or retires: the accumulation
+// order (per warp run, warps in block order, blocks in chunk order) is fixed,
+// so the folded sums are reproducible bit for bit. `wd_accum` is the warp
+// instructions the caller's runner retired before this run: the watchdog
+// budget is per runner, so a non-terminating loop still trips it. A fault
+// ends the launch, so a faulting run flushes nothing.
+struct WarpTally {
+  u64 warp_instrs = 0;
+  u64 lane_instrs = 0;
+  double issue_cycles = 0;
+  double ilp_sum = 0;  // added by the caller, in pc order
+  u64 budget;
+
+  WarpTally(const DeviceConsts& dev, u64 wd_accum) : budget(dev.watchdog_warp_instrs - wd_accum) {}
+
+  // Charges `n` warp-instructions over `lanes` lane-instructions costing
+  // `cost` issue cycles; fails with kWatchdog past the budget. Always
+  // inlined, like Branch: a native TU calls it once per basic block.
+  template <class E>
+  [[gnu::always_inline]] void Charge(const E& X, u64 n, u64 lanes, double cost) {
+    warp_instrs += n;
+    if (warp_instrs > budget) [[unlikely]] X.Fail(Fault::kWatchdog);
+    lane_instrs += lanes;
+    issue_cycles += cost;
+  }
+
+  void Flush(BlockStats& st, u64& wd_accum) const {
+    st.warp_instrs += warp_instrs;
+    st.lane_instrs += lane_instrs;
+    st.issue_cycles += issue_cycles;
+    st.ilp_sum += ilp_sum;
+    wd_accum += warp_instrs;
+  }
+};
 
 // Pops reconvergence-stack entries until one with live lanes is found.
 // Returns false when the warp has fully retired.
@@ -946,11 +1002,102 @@ inline bool PopState(Warp& w) {
   return false;
 }
 
-// `exit` retires the active lanes. Returns false when the warp is done.
+// `exit` retires the active lanes and resumes the next pending path.
+// Returns false, with the warp marked done, when none is left. Pending
+// entries keep their masks: PopState drops the retired lanes from each as it
+// pops it.
 inline bool ExitLanes(Warp& w) {
   w.live &= ~w.mask;
-  for (auto& e : w.stack) e.mask &= w.live;
-  return PopState(w);
+  if (PopState(w)) return true;
+  w.state = WarpState::kDone;
+  return false;
+}
+
+// Brings the warp to the next pc it executes, for a kernel of `ncode`
+// instructions: at its reconvergence pc it pops the stack, and a pc past the
+// last instruction is an implicit `exit`. Returns false, with the warp
+// marked done, when no lane is left to run.
+//
+// A warp run is a loop over this call that ends when it returns false, at
+// `bar.sync` (Barrier) or when `exit` (ExitLanes) returns false. So a run
+// returns only with the warp at a barrier or done, which RunBlock relies on.
+inline bool Resume(Warp& w, u32 ncode) {
+  for (;;) {
+    if (w.pc == w.rpc) {
+      if (!PopState(w)) {
+        w.state = WarpState::kDone;
+        return false;
+      }
+    } else if (w.pc >= ncode) {
+      if (!ExitLanes(w)) return false;
+    } else {
+      return true;
+    }
+  }
+}
+
+// The lanes of `mask` whose predicate (negated when `neg`) holds. FULL: the
+// caller proved the mask full, so the scan is a counted loop; otherwise it
+// walks the set bits, even of a full mask (a run-time full-mask test made the
+// decoded tier's predicated branches slower). `neg` applies to the scanned
+// bits, outside the loop.
+template <bool FULL = false>
+inline u32 TakenLanes(u32 mask, const u64* preds, bool neg) {
+  u32 nonzero = 0;
+  if constexpr (FULL) {
+    for (unsigned l = 0; l < 32; ++l)
+      if (preds[l] != 0) nonzero |= 1u << l;
+  } else {
+    for (u32 m = mask; m; m &= m - 1) {
+      const unsigned l = static_cast<unsigned>(std::countr_zero(m));
+      if (preds[l] != 0) nonzero |= 1u << l;
+    }
+  }
+  return (neg ? ~nonzero : nonzero) & mask;
+}
+
+// Branch's divergent outcome: the taken side runs now, the join continuation
+// and then the fall-through side are pushed. A function of its own, so the
+// host compiler may keep it out of line in a large emitted function, where
+// inlining Branch then spends little of the function's inlining budget.
+template <class E>
+inline void Diverge(const E& X, Warp& w, u32 mask, u32 taken, u32 pc, u32 target, i32 reconv) {
+  if (reconv < 0) X.Fail(Fault::kNoReconv, pc);
+  const u32 r = static_cast<u32>(reconv);
+  w.stack.push_back({r, mask, w.rpc});
+  w.stack.push_back({pc + 1, mask & ~taken, r});
+  w.mask = taken;
+  w.rpc = r;
+  w.pc = target;
+}
+
+// `bra.pred` at `pc` over the predicate row `preds`. A uniform outcome jumps;
+// a divergent one runs the taken side now and pushes the join continuation,
+// then the fall-through side, or fails with kNoReconv when the branch has no
+// reconvergence pc (reconv < 0). FULL: the caller proved the mask full.
+// Always inlined, whatever the host compiler's budget for a large emitted
+// function: a native TU passes constants for all but `w` and `preds`.
+template <bool FULL = false, class E>
+[[gnu::always_inline]] inline void Branch(const E& X, Warp& w, const u64* preds, bool neg,
+                                          u32 pc, u32 target, i32 reconv) {
+  const u32 mask = FULL ? kFullMask : w.mask;
+  const u32 taken = TakenLanes<FULL>(mask, preds, neg);
+  if (taken == mask) {
+    w.pc = target;
+  } else if (taken == 0) {
+    w.pc = pc + 1;
+  } else {
+    Diverge(X, w, mask, taken, pc, target, reconv);
+  }
+}
+
+// `bar.sync`: every live lane must be active. The warp waits at the barrier,
+// which ends its run, and resumes at `next` once RunBlock releases it.
+template <class E>
+inline void Barrier(const E& X, Warp& w, u32 next) {
+  if (w.mask != w.live) X.Fail(Fault::kDivergentBarrier);
+  w.pc = next;
+  w.state = WarpState::kAtBarrier;
 }
 
 // Runs one block of `nthreads` threads in warps of `ws` lanes to completion
@@ -958,9 +1105,9 @@ inline bool ExitLanes(Warp& w) {
 // sees which warps are full). Zeroes shared memory,
 // starts every warp at pc 0 (the last one partial when the block is not a
 // multiple of the warp size), refills the parameter registers [0, nargs)
-// (ordinary vregs a kernel may overwrite), then runs each runnable warp to
-// its next barrier or retirement — run_warp(warp, lane_base) — and releases a
-// barrier once every live warp has arrived.
+// (ordinary vregs a kernel may overwrite), then runs each runnable warp —
+// run_warp(warp, lane_base), a loop over Resume — until it stops at a
+// barrier or is done, and releases the barrier once every warp has stopped.
 template <class E, class F>
 inline void RunBlock(E& X, Warp* warps, unsigned ws, unsigned nthreads, const u64* args,
                      u64 nargs, F&& run_warp) {
@@ -982,28 +1129,12 @@ inline void RunBlock(E& X, Warp* warps, unsigned ws, unsigned nthreads, const u6
     std::fill(row, row + X.stride, args[p]);
   }
   while (true) {
-    bool any_runnable = false;
-    for (unsigned i = 0; i < nwarps; ++i) {
-      if (warps[i].state == WarpState::kRunnable) {
-        run_warp(warps[i], i * ws);
-        any_runnable = true;
-      }
-    }
     bool all_done = true;
-    bool any_barrier = false;
     for (unsigned i = 0; i < nwarps; ++i) {
-      if (warps[i].state != WarpState::kDone) all_done = false;
-      if (warps[i].state == WarpState::kAtBarrier) any_barrier = true;
+      if (warps[i].state == WarpState::kRunnable) run_warp(warps[i], i * ws);
+      all_done &= warps[i].state == WarpState::kDone;
     }
     if (all_done) return;
-    if (!any_barrier) {
-      if (!any_runnable) X.Fail(Fault::kNoProgress);
-      continue;
-    }
-    // Every non-done warp must be at the barrier to release it.
-    for (unsigned i = 0; i < nwarps; ++i) {
-      if (warps[i].state == WarpState::kRunnable) X.Fail(Fault::kBarrierDeadlock);
-    }
     for (unsigned i = 0; i < nwarps; ++i) {
       if (warps[i].state == WarpState::kAtBarrier) warps[i].state = WarpState::kRunnable;
     }

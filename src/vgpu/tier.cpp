@@ -326,10 +326,6 @@ void RaiseFault(void* site, int code, std::uint64_t a, std::uint64_t b) {
       throw DeviceError(
           "kernel exceeded the simulator watchdog limit (likely a non-terminating loop); raise "
           "DeviceProfile::watchdog_warp_instrs if the workload is legitimately huge");
-    case Fault::kBarrierDeadlock:
-      throw DeviceError("__syncthreads deadlock: a warp retired or diverged past the barrier");
-    case Fault::kNoProgress:
-      throw DeviceError("block made no progress (scheduler deadlock)");
     case Fault::kBadOp: {
       const Instr& i = (*fs.code)[static_cast<std::size_t>(a)];
       if (IsFloatType(i.type)) {

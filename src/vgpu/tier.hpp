@@ -4,8 +4,9 @@
 // for steady-state speed exactly the way the dissertation trades compile time
 // for specialized-kernel speed:
 //
-//   kInterp  — decode-per-launch interpretation: no per-kernel state, pays
-//              the full decode on every launch. Reference semantics.
+//   kInterp  — decode per launch: the decoded tier's handlers, with the
+//              kernel decoded again at every launch (no per-kernel state).
+//              Not a separate semantics: every tier runs simt.hpp's rules.
 //   kDecoded — decode-once dispatch (the PR 5 fast path): a cached
 //              DecodedKernel with pre-selected handlers and issue costs.
 //   kNative  — a specialized C++ translation unit emitted from the decoded
@@ -19,7 +20,7 @@
 // occupancy, register-spill clamping, execution-policy resolution, the
 // block layout, the grid-chunking rule and chunk driver, the final
 // fold/spill/cost-model steps and the fault texts are shared code, and the
-// lane-level rules are one header (simt.hpp), so the interpreter and the
+// lane and warp rules are one header (simt.hpp), so the interpreter and the
 // native backend cannot drift apart.
 //
 // Tier selection mirrors the VGPU_WORKERS precedence chain: test override >

@@ -33,6 +33,7 @@
 #include "serve/compile_executor.hpp"
 #include "support/serialize.hpp"
 #include "vcuda/vcuda.hpp"
+#include "vgpu/asm.hpp"
 #include "vgpu/interp.hpp"
 #include "vgpu/simt.hpp"
 #include "vgpu/tier.hpp"
@@ -679,10 +680,8 @@ TEST(NativeTier, RuntimeDeviceTweaksFlowThroughCostConstants) {
 TEST(NativeTier, KernelFaultsKeepInterpreterErrorText) {
   SKIP_WITHOUT_TOOLCHAIN();
   // One kernel per fault a Kernel-C kernel can raise, all in one module so
-  // the native tier builds one shared object. (The block scheduler's
-  // deadlock checks cannot fire: a warp stops running only at a barrier or
-  // on retirement. A texture Kernel-C declares always has a slot, so an
-  // unbound one reads as an invalid binding.)
+  // the native tier builds one shared object. (A texture Kernel-C declares
+  // always has a slot, so an unbound one reads as an invalid binding.)
   constexpr const char* kFaults = R"(
 __constant float lut[4];
 __texture float img;
@@ -904,6 +903,187 @@ TEST(NativeTier, AluEdgeOperandsBitIdentical) {
   }
   EXPECT_EQ(mismatches, 0u);
   for (vcuda::DevPtr p : {d_a, d_b, d_c, d_out}) ctx.Free(p);
+}
+
+// The warp-control rules on every tier: branches, reconvergence, barriers,
+// exit and the implicit exit past the last pc. Each kernel runs on decoded,
+// native generic and native shape (eager) with 32- and 40-thread blocks (the
+// 40-thread block has a tail warp, so the variant runs its `_gen` body); the
+// outputs must match a host reference and the LaunchStats must agree bit for
+// bit. One module per kind of source, so each builds one generic TU.
+TEST(NativeTier, WarpControlBitIdentical) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  constexpr const char* kControl = R"(
+__kernel void nested(float* out, int n) {
+  unsigned int t = threadIdx.x;
+  float v = 0.0f;
+  if (t < 16u) {
+    if (t < 8u) { v = 1.0f; } else { v = 2.0f; }
+  } else {
+    if (t % 2u == 0u) { v = 3.0f; } else { v = 4.0f; }
+  }
+  out[blockIdx.x * blockDim.x + t] = v + (float)n;
+}
+__kernel void early_return(float* out, int n) {
+  int t = (int)threadIdx.x;
+  out[blockIdx.x * blockDim.x + threadIdx.x] = -1.0f;
+  if (t >= n) {
+    return;
+  }
+  out[blockIdx.x * blockDim.x + threadIdx.x] = 5.0f;
+}
+__kernel void trip_count(float* out, int n) {
+  int t = (int)threadIdx.x;
+  float acc = 0.0f;
+  for (int i = 0; i < t + n; i++) { acc += 1.5f; }
+  out[blockIdx.x * blockDim.x + threadIdx.x] = acc;
+}
+__kernel void two_warp_barrier(float* out, int n) {
+  __shared float s[64];
+  unsigned int t = threadIdx.x;
+  s[t] = (float)(t * 3u);
+  __syncthreads();
+  out[blockIdx.x * blockDim.x + t] = s[blockDim.x - 1u - t] + (float)n;
+}
+__kernel void loop_return(float* out, int n) {
+  int t = (int)threadIdx.x;
+  float acc = 0.0f;
+  for (int i = 0; i < 40; i++) {
+    if (i * 3 + t % 7 > t + n) {
+      out[blockIdx.x * blockDim.x + threadIdx.x] = acc;
+      return;
+    }
+    acc += (float)i;
+  }
+  out[blockIdx.x * blockDim.x + threadIdx.x] = acc + 1000.0f;
+}
+)";
+  constexpr int kN = 10;
+  constexpr unsigned kBlocks = 3;
+  auto loop_return = [](int t) {
+    float acc = 0.0f;
+    for (int i = 0; i < 40; i++) {
+      if (i * 3 + t % 7 > t + kN) return acc;
+      acc += static_cast<float>(i);
+    }
+    return acc + 1000.0f;
+  };
+  using Expect = std::function<float(int t, int nthreads)>;
+  const std::vector<std::pair<std::string, Expect>> compiled_kernels = {
+      {"nested",
+       [](int t, int) {
+         return static_cast<float>(t < 8 ? 1 : t < 16 ? 2 : t % 2 == 0 ? 3 : 4) + kN;
+       }},
+      {"early_return", [](int t, int) { return t >= kN ? -1.0f : 5.0f; }},
+      {"trip_count", [](int t, int) { return 1.5f * static_cast<float>(t + kN); }},
+      {"two_warp_barrier",
+       [](int t, int nthreads) { return static_cast<float>((nthreads - 1 - t) * 3 + kN); }},
+      {"loop_return", [&](int t, int) { return loop_return(t); }},
+  };
+
+  // Hand-assembled, because kcc always ends a kernel with `exit` and never
+  // branches past it: `past_end` sends lanes 20.. to a target past the last
+  // pc (an implicit exit with the fall-through side still pending), and
+  // `reconv_at_end` reconverges at the end, so both sides of its branch
+  // leave through the implicit exit. Neither ends with `exit`.
+  auto assembled = std::make_shared<kcc::CompiledModule>();
+  auto add_kernel = [&](const char* name, const char* text) {
+    vgpu::CompiledKernel k;
+    k.name = name;
+    k.code = vgpu::Assemble(text);
+    k.params = {{"out", vgpu::Type::kU64}, {"n", vgpu::Type::kI32}};
+    k.num_vregs = 7;
+    k.stats.reg_count = 7;
+    ASSERT_NE(k.code.back().op, vgpu::Opcode::kExit);
+    assembled->kernels.push_back(k);
+  };
+  add_kernel("past_end", R"(
+    mov.u32 %r2, %tid.x
+    cvt.u64.u32 %r3, %r2
+    shl.u64 %r3, %r3, 2
+    add.u64 %r3, %r0, %r3
+    mov.f32 %r4, 0f3F800000
+    st.global.f32 [%r3+0], %r4
+    setp.ge.u32 %p5, %r2, 20
+    @%p5 bra L12  // reconv L9
+    mov.f32 %r4, 0f40000000
+    add.f32 %r4, %r4, 0f40400000
+    st.global.f32 [%r3+0], %r4
+    mov.u32 %r6, %r2
+)");
+  add_kernel("reconv_at_end", R"(
+    mov.u32 %r2, %tid.x
+    cvt.u64.u32 %r3, %r2
+    shl.u64 %r3, %r3, 2
+    add.u64 %r3, %r0, %r3
+    mov.f32 %r4, 0f3F800000
+    setp.lt.u32 %p5, %r2, 12
+    @%p5 bra L9  // reconv L11
+    mov.f32 %r4, 0f40000000
+    bra L10
+    mov.f32 %r4, 0f40800000
+    st.global.f32 [%r3+0], %r4
+)");
+  // Both index `out` by tid.x alone, so they run as one block.
+  const std::vector<std::pair<std::string, Expect>> assembled_kernels = {
+      {"past_end", [](int t, int) { return t >= 20 ? 1.0f : 5.0f; }},
+      {"reconv_at_end", [](int t, int) { return t < 12 ? 4.0f : 2.0f; }},
+  };
+
+  TempCacheDir cache;
+  native::NativeEngine::Options nopts;
+  nopts.cache_dir = cache.str();
+  native::NativeEngine engine(nopts);
+  vcuda::Context ctx(vgpu::TeslaC2070());
+  ctx.set_native_service(&engine);
+  auto compiled_mod = ctx.LoadModule(kControl);
+  auto assembled_mod = ctx.AdoptCompiledModule(
+      kcc::ModuleCacheKey::Make("// warp control, hand-assembled", {}, ctx.device().name),
+      assembled);
+
+  auto check = [&](vcuda::Module& mod, const std::string& kernel, const Expect& expect,
+                   unsigned threads, unsigned blocks) {
+    SCOPED_TRACE(kernel + " with " + std::to_string(threads) + "-thread blocks");
+    const std::size_t n = std::size_t{threads} * blocks;
+    vcuda::DevPtr d_out = ctx.Malloc(n * sizeof(float));
+    auto run = [&](ExecutionTier request, vgpu::ShapeMode shape) {
+      ShapeGuard g(shape);
+      ctx.Memset(d_out, 0, n * sizeof(float));
+      vcuda::ArgPack args;
+      args.Ptr(d_out).Int(kN);
+      LaunchOutcome r;
+      r.exec.request = request;
+      r.stats = ctx.Launch(mod, kernel, vgpu::Dim3(blocks), vgpu::Dim3(threads), args, 0,
+                           &r.exec);
+      r.out = vcuda::Download<float>(ctx, d_out, n);
+      return r;
+    };
+    const LaunchOutcome decoded = run(ExecutionTier::kDecoded, vgpu::ShapeMode::kOff);
+    const LaunchOutcome generic = run(ExecutionTier::kNative, vgpu::ShapeMode::kOff);
+    const LaunchOutcome shaped = run(ExecutionTier::kNative, vgpu::ShapeMode::kEager);
+    ctx.Free(d_out);
+    EXPECT_EQ(generic.exec.served, ExecutionTier::kNative);
+    EXPECT_FALSE(generic.exec.native_shape);
+    EXPECT_EQ(shaped.exec.served, ExecutionTier::kNative);
+    EXPECT_TRUE(shaped.exec.native_shape);
+    for (std::size_t g = 0; g < n; ++g) {
+      const int t = static_cast<int>(g % threads);
+      EXPECT_EQ(decoded.out[g], expect(t, static_cast<int>(threads))) << "thread " << g;
+    }
+    EXPECT_TRUE(vgpu::StatsBitIdentical(decoded.stats, generic.stats));
+    EXPECT_TRUE(vgpu::StatsBitIdentical(decoded.stats, shaped.stats));
+    EXPECT_EQ(decoded.out, generic.out);
+    EXPECT_EQ(decoded.out, shaped.out);
+  };
+  for (const unsigned threads : {32u, 40u}) {
+    for (const auto& [kernel, expect] : compiled_kernels) {
+      check(*compiled_mod, kernel, expect, threads, kBlocks);
+    }
+    for (const auto& [kernel, expect] : assembled_kernels) {
+      check(*assembled_mod, kernel, expect, threads, 1);
+    }
+  }
+  EXPECT_EQ(engine.stats().fallbacks, 0u);
 }
 
 // ---------------------------------------------------------------------------
