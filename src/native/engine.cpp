@@ -2,7 +2,6 @@
 
 #include <dlfcn.h>
 
-#include <algorithm>
 #include <condition_variable>
 #include <vector>
 
@@ -86,6 +85,12 @@ class NativeRunner final : public vgpu::BlockExecutor {
 
 }  // namespace
 
+// One exported kernel of a loaded SO.
+struct NativeEngine::LoadedKernel {
+  unsigned index = 0;              // export index
+  bool has_global_atomic = false;  // vgpu::HasGlobalAtomic of its code
+};
+
 struct NativeEngine::LoadedModule {
   // Generic TUs are never dlclosed once any kernel ran: they hold
   // thread_local state whose destructors would run after the handle is gone.
@@ -94,7 +99,7 @@ struct NativeEngine::LoadedModule {
   void* handle = nullptr;
   bool closeable = false;
   RunBlockFn run_block = nullptr;
-  std::map<std::string, unsigned> kernels;  // name -> export index
+  std::map<std::string, LoadedKernel> kernels;  // by name
 
   ~LoadedModule() {
     if (handle != nullptr && closeable) ::dlclose(handle);
@@ -201,8 +206,8 @@ bool NativeEngine::EnsureReady(const kcc::ModuleCacheKey& key, const kcc::Compil
 }
 
 std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
-    std::span<const std::uint8_t> so_bytes, const std::string& expect_key_text, bool closeable,
-    bool* stale) {
+    std::span<const std::uint8_t> so_bytes, const std::string& expect_key_text,
+    const kcc::CompiledModule& mod, bool closeable, bool* stale) {
   std::string path;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -240,7 +245,12 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
   lm->closeable = closeable;
   lm->run_block = run;
   const unsigned n = count();
-  for (unsigned i = 0; i < n; ++i) lm->kernels[name(i)] = i;
+  for (unsigned i = 0; i < n; ++i) {
+    // The embedded key matched, so `mod` is the module this SO was built from.
+    if (const vgpu::CompiledKernel* k = mod.FindKernel(name(i))) {
+      lm->kernels[k->name] = {i, vgpu::HasGlobalAtomic(k->code)};
+    }
+  }
   return lm;
 }
 
@@ -278,7 +288,7 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuild(
         // The load-only ladder already came up empty. Once a variant is hot,
         // submit its background promotion (a repeat submit coalesces onto the
         // queued or running task); the generic TU serves this launch.
-        if (shape && mod && slot.heat >= opts_.shape_hot_threshold && ToolchainAvailable()) {
+        if (shape && slot.heat >= opts_.shape_hot_threshold && ToolchainAvailable()) {
           lk.unlock();
           std::lock_guard<std::mutex> plk(mu_);
           if (!shape_builds_) {
@@ -300,7 +310,7 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuild(
 
   std::shared_ptr<LoadedModule> lm;
   try {
-    lm = FetchOrBuild(key, mod.get(), shape, may_build);
+    lm = FetchOrBuild(key, *mod, shape, may_build);
   } catch (...) {
     lm = nullptr;
   }
@@ -347,7 +357,7 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuild(
 }
 
 std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::FetchOrBuild(
-    const kcc::ModuleCacheKey& key, const kcc::CompiledModule* mod, const ShapeSpec* shape,
+    const kcc::ModuleCacheKey& key, const kcc::CompiledModule& mod, const ShapeSpec* shape,
     bool may_build) {
   // The generic artifact is the shape-less case: a variant differs only in
   // file name, embedded key text, closeability, counters and the shape
@@ -360,7 +370,7 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::FetchOrBuild(
   std::shared_ptr<LoadedModule> lm;
   bool stale = false;
   const kcc::ArtifactDir::BodyFn open = [&](std::span<const std::uint8_t> body) {
-    lm = OpenSharedObject(kcc::DecodeNativeBody(body), key_text, closeable, &stale);
+    lm = OpenSharedObject(kcc::DecodeNativeBody(body), key_text, mod, closeable, &stale);
   };
 
   // 2. Disk.
@@ -398,12 +408,12 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::FetchOrBuild(
   }
 
   // 4. Build.
-  if (!may_build || mod == nullptr || !ToolchainAvailable()) return nullptr;
+  if (!may_build || !ToolchainAvailable()) return nullptr;
   Bump(n.builds_started);
   std::string error = "the built shared object failed to load";
   const std::vector<std::uint8_t> so_bytes =
-      CompileSharedObject(EmitModuleSource(*mod, key_text, shape), &error);
-  if (!so_bytes.empty()) lm = OpenSharedObject(so_bytes, key_text, closeable, nullptr);
+      CompileSharedObject(EmitModuleSource(mod, key_text, shape), &error);
+  if (!so_bytes.empty()) lm = OpenSharedObject(so_bytes, key_text, mod, closeable, nullptr);
   if (!lm) {
     KSPEC_LOG_WARN << "native tier: build failed for " << key.Describe()
                    << (shape ? " at shape " + shape->CanonicalText() : std::string()) << ": "
@@ -430,7 +440,8 @@ void NativeEngine::DrainShapeBuilds() {
 bool NativeEngine::TryLaunch(vcuda::Context& ctx, const vcuda::NativeLaunchRequest& req,
                              vgpu::LaunchStats* out) {
   if (req.served_shape != nullptr) *req.served_shape = false;
-  if (req.key == nullptr || req.kernel == nullptr || req.cfg == nullptr || out == nullptr) {
+  if (req.key == nullptr || req.module == nullptr || req.kernel == nullptr ||
+      req.cfg == nullptr || out == nullptr) {
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.fallbacks;
     return false;
@@ -452,7 +463,7 @@ bool NativeEngine::TryLaunch(vcuda::Context& ctx, const vcuda::NativeLaunchReque
       const ShapeSpec shape = ShapeSpec::FromConfig(*req.cfg);
       std::shared_ptr<LoadedModule> variant =
           LoadOrBuild(*req.key, req.module, &shape,
-                      /*may_build=*/mode == vgpu::ShapeMode::kEager && req.module != nullptr);
+                      /*may_build=*/mode == vgpu::ShapeMode::kEager);
       if (variant != nullptr) {
         lm = std::move(variant);
         shape_served = true;
@@ -484,19 +495,16 @@ bool NativeEngine::TryLaunch(vcuda::Context& ctx, const vcuda::NativeLaunchReque
 }
 
 vgpu::LaunchStats NativeEngine::RunNative(vcuda::Context& ctx, const LoadedModule& lm,
-                                          unsigned kernel_index,
+                                          const LoadedKernel& kernel,
                                           const vcuda::NativeLaunchRequest& req) {
   const vgpu::CompiledKernel& k = *req.kernel;
   const vgpu::LaunchConfig& cfg = *req.cfg;
   const vgpu::DeviceProfile& dev = ctx.device();
 
-  const bool has_global_atomic = std::any_of(k.code.begin(), k.code.end(), [](const auto& i) {
-    return vgpu::IsAtomicOp(i.op) && i.space == vgpu::Space::kGlobal;
-  });
   // The shared launch shell — the same validation, spill clamping, policy
   // resolution, block layout and chunk driver the interpreter runs.
-  vgpu::LaunchShell shell =
-      vgpu::PrepareLaunch(dev, cfg, k.stats.reg_count, k.static_smem_bytes, has_global_atomic);
+  vgpu::LaunchShell shell = vgpu::PrepareLaunch(dev, cfg, k.stats.reg_count, k.static_smem_bytes,
+                                                kernel.has_global_atomic);
   KSPEC_CHECK_MSG(cfg.args.size() == k.params.size(), "argument count mismatch");
 
   const std::size_t shared_bytes =
@@ -528,7 +536,7 @@ vgpu::LaunchStats NativeEngine::RunNative(vcuda::Context& ctx, const LoadedModul
 
   const std::size_t regs = static_cast<std::size_t>(k.num_vregs) * shell.layout.stride;
   return vgpu::ExecuteLaunch(dev, shell, cfg.grid, [&] {
-    return std::make_unique<NativeRunner>(lm.run_block, kernel_index, L, regs, shared_bytes);
+    return std::make_unique<NativeRunner>(lm.run_block, kernel.index, L, regs, shared_bytes);
   });
 }
 

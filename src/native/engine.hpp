@@ -117,9 +117,9 @@ class NativeEngine : public vcuda::NativeExecutionService {
   NativeEngine(const NativeEngine&) = delete;
   NativeEngine& operator=(const NativeEngine&) = delete;
 
-  // vcuda::NativeExecutionService. False = degrade to decoded (and counted);
-  // exceptions are the kernel's own faults, raised with the interpreter's
-  // exact error text.
+  // vcuda::NativeExecutionService. False = degrade to decoded (and counted),
+  // also for a request without its module; exceptions are the kernel's own
+  // faults, raised with the interpreter's exact error text.
   bool TryLaunch(vcuda::Context& ctx, const vcuda::NativeLaunchRequest& req,
                  vgpu::LaunchStats* out) override;
 
@@ -158,6 +158,7 @@ class NativeEngine : public vcuda::NativeExecutionService {
   NativeEngineStats stats() const;
 
  private:
+  struct LoadedKernel;
   struct LoadedModule;
   struct Slot;
   struct Entry;
@@ -167,23 +168,27 @@ class NativeEngine : public vcuda::NativeExecutionService {
   // step is the artifact's slot state machine, single-flight: callers that
   // may build wait for a build in flight, the others never block. A kAuto
   // variant probe that finds nothing submits a background promotion task
-  // while the pair is hot. Returns the loaded SO or nullptr (degrade).
+  // while the pair is hot. `mod`, the module `key` names, is never null.
+  // Returns the loaded SO or nullptr (degrade).
   std::shared_ptr<LoadedModule> LoadOrBuild(const kcc::ModuleCacheKey& key,
                                             const std::shared_ptr<const kcc::CompiledModule>& mod,
                                             const ShapeSpec* shape, bool may_build);
   // The disk -> store -> build steps, run by the slot's owning thread.
   std::shared_ptr<LoadedModule> FetchOrBuild(const kcc::ModuleCacheKey& key,
-                                             const kcc::CompiledModule* mod,
+                                             const kcc::CompiledModule& mod,
                                              const ShapeSpec* shape, bool may_build);
   // dlopens an SO image and checks its ABI version and embedded build key;
-  // a mismatch is counted stale and reported through *stale.
+  // a mismatch is counted stale and reported through *stale. Each exported
+  // kernel is looked up in `mod`, the module the key names.
   std::shared_ptr<LoadedModule> OpenSharedObject(std::span<const std::uint8_t> so_bytes,
-                                                 const std::string& key_text, bool closeable,
+                                                 const std::string& key_text,
+                                                 const kcc::CompiledModule& mod, bool closeable,
                                                  bool* stale);
   bool SlotReady(const kcc::ModuleCacheKey& key, const ShapeSpec* shape) const;
   void Bump(std::uint64_t NativeEngineStats::*counter);
 
-  vgpu::LaunchStats RunNative(vcuda::Context& ctx, const LoadedModule& lm, unsigned kernel_index,
+  vgpu::LaunchStats RunNative(vcuda::Context& ctx, const LoadedModule& lm,
+                              const LoadedKernel& kernel,
                               const vcuda::NativeLaunchRequest& req);
 
   Options opts_;

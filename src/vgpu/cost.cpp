@@ -8,16 +8,18 @@
 
 namespace kspec::vgpu {
 
-double IssueCost(const DeviceProfile& dev, const Instr& i) {
+namespace {
+
+double IssueCost(bool fermi, const Instr& i) {
   const bool f64 = i.type == Type::kF64;
   switch (i.op) {
     case Opcode::kMul:
     case Opcode::kMad:
-      if (i.type == Type::kI32 || i.type == Type::kU32) return dev.IsFermi() ? 1.0 : 2.0;
-      if (f64) return dev.IsFermi() ? 2.0 : 8.0;
+      if (i.type == Type::kI32 || i.type == Type::kU32) return fermi ? 1.0 : 2.0;
+      if (f64) return fermi ? 2.0 : 8.0;
       return 1.0;
     case Opcode::kMul24:
-      return dev.IsFermi() ? 3.0 : 1.0;
+      return fermi ? 3.0 : 1.0;
     case Opcode::kDiv:
     case Opcode::kRem:
       if (IsIntType(i.type)) return 16.0;
@@ -33,11 +35,22 @@ double IssueCost(const DeviceProfile& dev, const Instr& i) {
       return 2.0;
     case Opcode::kAdd:
     case Opcode::kSub:
-      if (f64) return dev.IsFermi() ? 2.0 : 8.0;
+      if (f64) return fermi ? 2.0 : 8.0;
       return 1.0;
     default:
       return 1.0;
   }
+}
+
+}  // namespace
+
+double BlockIssueCost(bool fermi, const std::vector<Instr>& code, const Cfg::Block& block) {
+  // Integer-valued, so the sum is exact in any order below 2^53.
+  double cost = 0.0;
+  for (std::int32_t pc = block.begin; pc < block.end; ++pc) {
+    cost += IssueCost(fermi, code[static_cast<std::size_t>(pc)]);
+  }
+  return cost;
 }
 
 void ApplyCostModel(const DeviceProfile& dev, LaunchStats& stats,

@@ -21,14 +21,16 @@
 
 namespace kspec::vgpu {
 
-// Issue cost in compute-pipe cycles for one static instruction. Device
-// dependent where the dissertation calls out generation differences (Section
-// 2.4: the relative throughput of `*` and __[u]mul24() inverted between cc
-// 1.3 and cc 2.0; double precision rates differ strongly). Shared by every
-// execution tier — the decoded interpreter evaluates it once per static
-// instruction at decode, the native backend bakes the summed per-basic-block
-// costs into the emitted translation unit.
-double IssueCost(const DeviceProfile& dev, const Instr& i);
+// Issue cost in compute-pipe cycles of one vgpu::Cfg block of `code`, on a
+// Fermi-class (cc 2.x) device when `fermi`, else on a cc 1.x one: the sum of
+// its instructions' costs in pc order. Device dependent where the
+// dissertation calls out generation differences (Section 2.4: the relative
+// throughput of `*` and __[u]mul24() inverted between cc 1.3 and cc 2.0;
+// double precision rates differ strongly). The one issue charge of every
+// execution tier: a warp that enters the block charges it once, so the
+// decoder stores it per block and the native emitter bakes it into the
+// block's case (both generations' values, selected at run time).
+double BlockIssueCost(bool fermi, const std::vector<Instr>& code, const Cfg::Block& block);
 
 // Model constants shared by both device profiles.
 struct CostModelConstants {

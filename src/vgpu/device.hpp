@@ -54,9 +54,11 @@ struct DeviceProfile {
   // Section 2.4).
   double shared_access_cost = 1.0;
 
-  // Watchdog: a launch that issues more warp-instructions than this is
-  // killed with DeviceError (the simulator's analogue of the driver's
-  // kernel-timeout; catches accidentally non-terminating kernels).
+  // Watchdog: a launch whose blocks issue more warp-instructions than this
+  // on one host thread is killed with DeviceError (the simulator's analogue
+  // of the driver's kernel-timeout; catches accidentally non-terminating
+  // kernels). Every tier counts a basic block's instructions when a warp
+  // enters it, so the block that crosses the limit runs none of them.
   std::uint64_t watchdog_warp_instrs = 2000ull * 1000 * 1000;
 
   bool IsFermi() const { return compute_major >= 2; }

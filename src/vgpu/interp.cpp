@@ -2,15 +2,20 @@
 // rules. See the header comment and DESIGN.md section 8 for the
 // architecture; the short version:
 //
-//   decode once   — DecodeKernel turns the static instruction stream into a
-//                   table of {handler fn, issue cost, static ILP, kind}. The
+//   decode once   — DecodeKernel builds the kernel's vgpu::Cfg and turns the
+//                   static instruction stream into per-pc handler and ILP
+//                   rows plus one record per block: where it ends, where its
+//                   straight-line part ends, and its BlockIssueCost. The
 //                   per-issue switches over opcode, operand type, and issue
 //                   cost run once per *static* instruction instead of once
-//                   per *dynamic* one; the inner loop is a kind dispatch plus
-//                   one indirect call with the operand rows hoisted.
+//                   per *dynamic* one.
 //   one semantics — every handler is a thin adapter onto simt.hpp, the lane
-//                   rules and cost charges a native TU runs too, and RunWarp
-//                   a kind dispatch over its warp-control rules.
+//                   rules a native TU runs too, and RunWarp runs each block
+//                   the way an emitted run_warp does: Resume, one
+//                   WarpTally::Charge for the whole block (so the watchdog
+//                   counts a block at entry), the ILP adds in pc order, one
+//                   indirect call per straight-line instruction, then the
+//                   simt.hpp control rule the block's last instruction names.
 //   run chunked   — ExecuteLaunch (tier.hpp) splits the grid into chunks by a
 //                   rule that depends only on the grid and folds the
 //                   per-chunk partials in chunk order, so stats are
@@ -41,15 +46,13 @@ class BlockRunner;
 // compare/space/target fields live on the Instr row).
 using ExecFn = void (*)(BlockRunner&, const Instr&, Warp&, unsigned lane_base);
 
-// kExec runs the row's handler and falls through to pc + 1; the others are
-// the control-flow instructions RunWarp executes itself.
-enum class DKind : std::uint8_t { kExec, kBra, kBraPred, kBarSync, kExit, kNop };
-
-struct DecodedInstr {
-  ExecFn fn = nullptr;  // kExec only
-  double issue_cost = 1.0;
-  float ilp = 0.0f;
-  DKind kind = DKind::kExec;
+// One vgpu::Cfg block, stored at its first pc. Handlers run for the pcs
+// [begin, body_end); when body_end < end, the control instruction at
+// end - 1 ends the block.
+struct DecodedBlock {
+  std::uint32_t end = 0;
+  std::uint32_t body_end = 0;
+  double issue_cost = 0.0;  // BlockIssueCost, charged once per entry
 };
 
 // An operand with its per-lane row pointer hoisted: resolved once per
@@ -68,14 +71,16 @@ using namespace interp_detail;
 struct DecodedKernel {
   std::string name;
   std::vector<Instr> code;
-  std::vector<DecodedInstr> dec;
+  // Per pc: the straight-line handler (null for control instructions) and
+  // the static ILP the warp adds on entering the pc's block.
+  std::vector<ExecFn> fn;
+  std::vector<float> ilp;
+  std::vector<DecodedBlock> blocks;  // indexed by each block's first pc
   std::size_t num_params = 0;
   int num_vregs = 0;
   unsigned static_smem_bytes = 0;
   int reg_count = 0;  // compile-time register demand (pre-clamp)
-  // Any atomic on global space: the *returned* old values are
-  // schedule-dependent, so the auto policy keeps such kernels serial.
-  bool has_global_atomic = false;
+  bool has_global_atomic = false;  // HasGlobalAtomic(code)
 };
 
 namespace interp_detail {
@@ -133,6 +138,7 @@ class BlockRunner final : public BlockExecutor {
   static void CvtOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
     simt::Cvt<DT, ST>(w.mask, R.Row(i.dst) + lb, R.Src(i.a, lb));
   }
+  static void NopOp(BlockRunner&, const Instr&, Warp&, unsigned) {}
   static void MovOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
     simt::Mov(w.mask, R.Row(i.dst) + lb, R.Src(i.a, lb));
   }
@@ -196,38 +202,43 @@ class BlockRunner final : public BlockExecutor {
   std::uint64_t wd_accum_ = 0;
 };
 
-// A kind dispatch over the simt.hpp warp-control rules. `continue` keeps the
-// warp running; leaving the switch ends the run, at a barrier or done.
+// Runs the warp block by block, as an emitted run_warp does. `continue`
+// keeps the warp running; leaving the switch ends the run, at a barrier or
+// done.
 void BlockRunner::RunWarp(Warp& w, unsigned lane_base) {
   const Instr* code = dk_.code.data();
-  const DecodedInstr* dec = dk_.dec.data();
+  const ExecFn* fn = dk_.fn.data();
+  const float* ilp = dk_.ilp.data();
+  const DecodedBlock* blocks = dk_.blocks.data();
   const std::uint32_t ncode = static_cast<std::uint32_t>(dk_.code.size());
   simt::WarpTally tally(*env_.dev, wd_accum_);
   while (simt::Resume(w, ncode)) {
-    const DecodedInstr& d = dec[w.pc];
-    tally.Charge(env_, 1, static_cast<unsigned>(std::popcount(w.mask)), d.issue_cost);
-    tally.ilp_sum += d.ilp;
-    const Instr& inst = code[w.pc];
-    switch (d.kind) {
-      case DKind::kExec:
-        d.fn(*this, inst, w, lane_base);
-        ++w.pc;
-        continue;
-      case DKind::kBra:
+    // Every pc Resume lets through starts a block (a branch target, a
+    // reconvergence pc or the pc after a control instruction).
+    const std::uint32_t begin = w.pc;
+    const DecodedBlock b = blocks[begin];
+    const std::uint64_t n = b.end - begin;
+    tally.Charge(env_, n, n * static_cast<unsigned>(std::popcount(w.mask)), b.issue_cost);
+    for (std::uint32_t pc = begin; pc < b.end; ++pc) tally.ilp_sum += ilp[pc];
+    for (std::uint32_t pc = begin; pc < b.body_end; ++pc) fn[pc](*this, code[pc], w, lane_base);
+    const std::uint32_t last = b.end - 1;
+    const Instr& inst = code[last];
+    switch (inst.op) {
+      case Opcode::kBra:
         w.pc = static_cast<std::uint32_t>(inst.target);
         continue;
-      case DKind::kBraPred:
-        simt::Branch(env_, w, Row(inst.a.reg) + lane_base, inst.neg, w.pc,
+      case Opcode::kBraPred:
+        simt::Branch(env_, w, Row(inst.a.reg) + lane_base, inst.neg, last,
                      static_cast<std::uint32_t>(inst.target), inst.reconv);
         continue;
-      case DKind::kBarSync:
-        simt::Barrier(env_, w, w.pc + 1);
+      case Opcode::kBarSync:
+        simt::Barrier(env_, w, b.end);
         break;
-      case DKind::kExit:
+      case Opcode::kExit:
         if (simt::ExitLanes(w)) continue;
         break;
-      case DKind::kNop:
-        ++w.pc;
+      default:
+        w.pc = b.end;
         continue;
     }
     break;
@@ -313,34 +324,40 @@ std::shared_ptr<const DecodedKernel> DecodeKernel(const CompiledKernel& kernel,
   dk->num_vregs = kernel.num_vregs;
   dk->static_smem_bytes = kernel.static_smem_bytes;
   dk->reg_count = kernel.stats.reg_count;
-  const bool has_ilp = kernel.ilp_at_pc.size() == kernel.code.size();
-  dk->dec.resize(kernel.code.size());
-  for (std::size_t pc = 0; pc < kernel.code.size(); ++pc) {
+  dk->has_global_atomic = HasGlobalAtomic(kernel.code);
+  const std::size_t ncode = kernel.code.size();
+  dk->ilp = kernel.ilp_at_pc.size() == ncode ? kernel.ilp_at_pc : std::vector<float>(ncode);
+  dk->fn.resize(ncode);
+  for (std::size_t pc = 0; pc < ncode; ++pc) {
     const Instr& i = kernel.code[pc];
-    DecodedInstr& d = dk->dec[pc];
-    d.issue_cost = IssueCost(dev, i);
-    d.ilp = has_ilp ? kernel.ilp_at_pc[pc] : 0.0f;
+    ExecFn& fn = dk->fn[pc];
     switch (i.op) {
-      case Opcode::kBra: d.kind = DKind::kBra; break;
-      case Opcode::kBraPred: d.kind = DKind::kBraPred; break;
-      case Opcode::kBarSync: d.kind = DKind::kBarSync; break;
-      case Opcode::kExit: d.kind = DKind::kExit; break;
-      case Opcode::kNop: d.kind = DKind::kNop; break;
+      case Opcode::kBra:
+      case Opcode::kBraPred:
+      case Opcode::kBarSync:
+      case Opcode::kExit: continue;  // RunWarp runs these itself
+      case Opcode::kNop: fn = &BlockRunner::NopOp; break;
       case Opcode::kLd:
-      case Opcode::kSt: d.fn = SelectMem(i); break;
+      case Opcode::kSt: fn = SelectMem(i); break;
       case Opcode::kAtomAdd:
       case Opcode::kAtomMin:
       case Opcode::kAtomMax:
       case Opcode::kAtomExch:
-      case Opcode::kAtomCas:
-        d.fn = &BlockRunner::AtomicOp;
-        if (i.space == Space::kGlobal) dk->has_global_atomic = true;
-        break;
-      case Opcode::kTex2D: d.fn = &BlockRunner::TexOp<true>; break;
-      case Opcode::kTex1D: d.fn = &BlockRunner::TexOp<false>; break;
-      default: d.fn = SelectAlu(i); break;
+      case Opcode::kAtomCas: fn = &BlockRunner::AtomicOp; break;
+      case Opcode::kTex2D: fn = &BlockRunner::TexOp<true>; break;
+      case Opcode::kTex1D: fn = &BlockRunner::TexOp<false>; break;
+      default: fn = SelectAlu(i); break;
     }
-    if (d.kind == DKind::kExec && !d.fn) d.fn = &BlockRunner::BadOp;
+    if (!fn) fn = &BlockRunner::BadOp;
+  }
+  dk->blocks.resize(ncode);
+  const Cfg cfg(kernel.code);
+  for (const Cfg::Block& block : cfg.blocks()) {
+    const auto end = static_cast<std::uint32_t>(block.end);
+    DecodedBlock& b = dk->blocks[static_cast<std::size_t>(block.begin)];
+    b.end = end;
+    b.body_end = dk->fn[end - 1] ? end : end - 1;  // a control instruction has no handler
+    b.issue_cost = BlockIssueCost(dev.IsFermi(), kernel.code, block);
   }
   return dk;
 }

@@ -9,10 +9,13 @@
 // ubiquitous `if (out_of_range) return;` guard pattern exactly.
 //
 // Execution engine (DESIGN.md section 8):
-//   - Each kernel is pre-decoded once into a DecodedKernel: a per-instruction
-//     table of handler function pointers, issue costs, and static ILP, so the
-//     dynamic-instruction inner loop does a single indirect call instead of
-//     re-running the opcode/type/issue-cost switches per issue.
+//   - Each kernel is pre-decoded once into a DecodedKernel: its vgpu::Cfg
+//     blocks with one BlockIssueCost each, and per-pc handler function
+//     pointers and static ILP. A warp runs a block the way a native TU's
+//     run_warp does: one charge for the whole block at entry (the watchdog
+//     counts the block there), the ILP adds in pc order, one indirect call
+//     per straight-line instruction, and the block's control rule — so both
+//     tiers charge, and stop, at the same points.
 //   - Thread blocks are independent, so the grid is partitioned into chunks
 //     and executed either serially or across a persistent host worker pool
 //     (LaunchConfig::exec, overridable process-wide with VGPU_WORKERS).
@@ -34,11 +37,12 @@
 
 namespace kspec::vgpu {
 
-// A CompiledKernel pre-decoded for one device profile: handler table, issue
-// costs, ILP row, and the flags the auto execution policy consults. Opaque —
-// produced by DecodeKernel, consumed by Interpreter::Launch. Decoding is
-// cheap (one pass over the static code), but callers that launch the same
-// kernel repeatedly should cache the result (vcuda::Module does).
+// A CompiledKernel pre-decoded for one device profile: its blocks with their
+// issue costs, the handler and ILP rows, and the flag the auto execution
+// policy consults. Opaque — produced by DecodeKernel, consumed by
+// Interpreter::Launch. Decoding is cheap (one pass over the static code),
+// but callers that launch the same kernel repeatedly should cache the result
+// (vcuda::Module does).
 struct DecodedKernel;
 
 std::shared_ptr<const DecodedKernel> DecodeKernel(const CompiledKernel& kernel,

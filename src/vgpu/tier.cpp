@@ -148,6 +148,12 @@ ExecPolicy ResolveExecPolicy(const ExecPolicy& requested) {
   return pol;
 }
 
+bool HasGlobalAtomic(const std::vector<Instr>& code) {
+  return std::any_of(code.begin(), code.end(), [](const Instr& i) {
+    return IsAtomicOp(i.op) && i.space == Space::kGlobal;
+  });
+}
+
 LaunchShell PrepareLaunch(const DeviceProfile& dev, const LaunchConfig& cfg,
                           int reg_count, unsigned static_smem_bytes,
                           bool has_global_atomic) {

@@ -133,6 +133,11 @@ struct LaunchShell {
   bool parallel = false;     // run chunks on the worker pool?
 };
 
+// True when `code` holds an atomic on global space. Its *returned* old
+// values are schedule-dependent, so PrepareLaunch keeps kAuto launches of
+// such a kernel serial. Each tier computes it once per loaded kernel.
+bool HasGlobalAtomic(const std::vector<Instr>& code);
+
 // Validates the configuration (empty launch, block size, shared-memory and
 // occupancy limits — throws DeviceError exactly like the interpreter always
 // did), clamps register demand to the device limit, resolves the execution

@@ -712,6 +712,11 @@ __kernel void watchdog(float* out, int k) {
   }
   out[threadIdx.x] = (float)i;
 }
+__kernel void straight_line(float* out, int k) {
+  out[k] = 1.0f;
+  out[threadIdx.x] = (float)k;
+  out[threadIdx.x + 32u] = (float)k * 2.0f;
+}
 )";
   TempCacheDir cache;
   native::NativeEngine::Options nopts;
@@ -723,18 +728,21 @@ __kernel void watchdog(float* out, int k) {
   ctx.set_native_service(&engine);
   auto mod = ctx.LoadModule(kFaults);
   vcuda::DevPtr d_out = ctx.Malloc(64 * sizeof(float));
-  auto run = [&](const char* kernel, vcuda::DevPtr out, int k,
-                 ExecutionTier request) -> std::string {
+  auto run_on = [](vcuda::Context& c, const vcuda::Module& m, const char* kernel,
+                   vcuda::DevPtr out, int k, ExecutionTier request) -> std::string {
     vcuda::ArgPack args;
     args.Ptr(out).Int(k);
     vcuda::LaunchExecution exec;
     exec.request = request;
     try {
-      ctx.Launch(*mod, kernel, vgpu::Dim3(1), vgpu::Dim3(32), args, 0, &exec);
+      c.Launch(m, kernel, vgpu::Dim3(1), vgpu::Dim3(32), args, 0, &exec);
     } catch (const DeviceError& e) {
       return e.what();
     }
     return "<no error>";
+  };
+  auto run = [&](const char* kernel, vcuda::DevPtr out, int k, ExecutionTier request) {
+    return run_on(ctx, *mod, kernel, out, k, request);
   };
   const struct {
     const char* kernel;
@@ -757,6 +765,35 @@ __kernel void watchdog(float* out, int k) {
     EXPECT_EQ(decoded_msg, native_msg)
         << "a native-tier kernel fault must raise the interpreter's exact text";
   }
+
+  // The watchdog counts a whole block at entry, on both tiers. straight_line
+  // is one 18-instruction block; with a budget of 10 neither tier runs any of
+  // it: not the out-of-bounds store that opens it (k = 1 << 20), nor, in
+  // bounds (k = 40), any store at all.
+  vgpu::DeviceProfile tight = dev;
+  tight.watchdog_warp_instrs = 10;
+  vcuda::Context tight_ctx(tight);
+  tight_ctx.set_native_service(&engine);
+  auto tight_mod = tight_ctx.LoadModule(kFaults);
+  vcuda::DevPtr d_tight = tight_ctx.Malloc(64 * sizeof(float));
+  for (const int k : {1 << 20, 40}) {
+    SCOPED_TRACE(k);
+    std::string msg[2];
+    std::vector<unsigned char> bytes[2];
+    const ExecutionTier tiers[2] = {ExecutionTier::kDecoded, ExecutionTier::kNative};
+    for (int t = 0; t < 2; ++t) {
+      tight_ctx.Memset(d_tight, 0, 64 * sizeof(float));
+      msg[t] = run_on(tight_ctx, *tight_mod, "straight_line", d_tight, k, tiers[t]);
+      bytes[t].resize(64 * sizeof(float));
+      tight_ctx.MemcpyDtoH(bytes[t].data(), d_tight, bytes[t].size());
+    }
+    EXPECT_NE(msg[0].find("watchdog limit"), std::string::npos) << msg[0];
+    EXPECT_EQ(msg[0], msg[1]) << "both tiers must stop at the same block entry";
+    EXPECT_EQ(bytes[0], bytes[1]) << "a block the watchdog stops must write nothing on either tier";
+    EXPECT_EQ(bytes[0], std::vector<unsigned char>(64 * sizeof(float), 0));
+  }
+  tight_ctx.Free(d_tight);
+
   const native::NativeEngineStats es = engine.stats();
   EXPECT_EQ(es.builds_completed, 1u);
   EXPECT_EQ(es.fallbacks, 0u) << "every faulting launch must run on the native tier";
