@@ -16,9 +16,11 @@
 //   * each instruction is emitted as a call into vgpu/simt.hpp — the lane
 //     rules and cost charges the interpreter's handlers call too, whose text
 //     (with abi.hpp's) opens every TU — specialized on (opcode, type,
-//     operand kinds) so immediates constant-fold. A small TU-only prelude
-//     adds the per-block state, operand accessors, special registers and
-//     entry wiring.
+//     operand kinds) so immediates constant-fold. The register-only forms
+//     are one statement shape, Lanes<BODY>(mask, dst, a, b, c), naming the
+//     lane body vgpu::WithLaneRule maps the instruction to. A small TU-only
+//     prelude adds the per-block state, operand accessors, special
+//     registers and entry wiring.
 //
 // The emitted unit embeds the ModuleCacheKey canonical text (served back via
 // kspec_native_build_key) so a loaded artifact can be verified against the

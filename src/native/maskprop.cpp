@@ -438,7 +438,7 @@ class Analyzer {
     const bool is_float = i.type == Type::kF32 || i.type == Type::kF64;
     const bool have_b = !i.b.is_none();
     const bool have_c = !i.c.is_none();
-    // Integers fold bit-exactly, by the lane rule the emitted Alu<> runs.
+    // Integers fold bit-exactly, by the lane body the emitted Lanes<> runs.
     u64 out;
     if (!is_float && a.is_const && (!have_b || b.is_const) && (!have_c || c.is_const) &&
         vgpu::EvalLane(i, a.cval, b.cval, c.cval, &out)) {

@@ -126,25 +126,13 @@ class BlockRunner final : public BlockExecutor {
 
   // ---- handlers (selected at decode, one indirect call per issue) ----
 
-  template <Opcode OP, Type TY>
-  static void AluOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
-    simt::Alu<OP, TY>(w.mask, R.Row(i.dst) + lb, R.Src(i.a, lb), R.Src(i.b, lb), R.Src(i.c, lb));
-  }
-  template <Type TY, CmpOp CMP>
-  static void SetpOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
-    simt::Setp<TY, CMP>(w.mask, R.Row(i.dst) + lb, R.Src(i.a, lb), R.Src(i.b, lb));
-  }
-  template <Type DT, Type ST>
-  static void CvtOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
-    simt::Cvt<DT, ST>(w.mask, R.Row(i.dst) + lb, R.Src(i.a, lb));
+  // The register-only forms: one handler per simt.hpp lane body, picked by
+  // vgpu::WithLaneRule.
+  template <simt::LaneFn BODY>
+  static void LaneOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
+    simt::Lanes<BODY>(w.mask, R.Row(i.dst) + lb, R.Src(i.a, lb), R.Src(i.b, lb), R.Src(i.c, lb));
   }
   static void NopOp(BlockRunner&, const Instr&, Warp&, unsigned) {}
-  static void MovOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
-    simt::Mov(w.mask, R.Row(i.dst) + lb, R.Src(i.a, lb));
-  }
-  static void SelOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
-    simt::Sel(w.mask, R.Row(i.dst) + lb, R.Src(i.a, lb), R.Src(i.b, lb), R.Src(i.c, lb));
-  }
   template <SpecialReg SR>
   static void SregOp(BlockRunner& R, const Instr& i, Warp& w, unsigned lb) {
     simt::Sreg<SR>(R, w.mask, lb, R.Row(i.dst) + lb);
@@ -248,37 +236,6 @@ void BlockRunner::RunWarp(Warp& w, unsigned lane_base) {
 
 // ---- handler selection (once per *static* instruction) ----
 
-ExecFn SelectAlu(const Instr& i) {
-  switch (i.op) {
-    case Opcode::kMov: return &BlockRunner::MovOp;
-    case Opcode::kSreg:
-      return WithEnum<SpecialReg, static_cast<std::size_t>(SpecialReg::kWarpId) + 1>(
-          static_cast<SpecialReg>(i.a.imm),
-          [&]<SpecialReg SR>() -> ExecFn { return &BlockRunner::SregOp<SR>; });
-    case Opcode::kSel: return &BlockRunner::SelOp;
-    case Opcode::kSetp:
-      return WithType(i.type, [&]<Type TY>() {
-        return WithEnum<CmpOp, 6>(i.cmp, [&]<CmpOp CMP>() -> ExecFn {
-          return &BlockRunner::SetpOp<TY, CMP>;
-        });
-      });
-    case Opcode::kCvt:
-      return WithType(i.type, [&]<Type DT>() {
-        return WithType(i.type2, [&]<Type ST>() -> ExecFn { return &BlockRunner::CvtOp<DT, ST>; });
-      });
-    default:
-      return WithType(simt::AluType(i.type), [&]<Type TY>() {
-        return WithOpcode(i.op, [&]<Opcode OP>() -> ExecFn {
-          if constexpr (simt::AluValid(OP, TY)) {
-            return &BlockRunner::AluOp<OP, TY>;
-          } else {
-            return nullptr;
-          }
-        });
-      });
-  }
-}
-
 template <Space SP>
 ExecFn PickMemSized(bool load, std::size_t esz, bool sext) {
   if (load) {
@@ -346,7 +303,16 @@ std::shared_ptr<const DecodedKernel> DecodeKernel(const CompiledKernel& kernel,
       case Opcode::kAtomCas: fn = &BlockRunner::AtomicOp; break;
       case Opcode::kTex2D: fn = &BlockRunner::TexOp<true>; break;
       case Opcode::kTex1D: fn = &BlockRunner::TexOp<false>; break;
-      default: fn = SelectAlu(i); break;
+      case Opcode::kSreg:
+        fn = WithEnum<SpecialReg, static_cast<std::size_t>(SpecialReg::kWarpId) + 1>(
+            static_cast<SpecialReg>(i.a.imm),
+            [&]<SpecialReg SR>() -> ExecFn { return &BlockRunner::SregOp<SR>; });
+        break;
+      default:
+        fn = WithLaneRule(i, []<simt::LaneFn BODY>(LaneBodyName) -> ExecFn {
+          return &BlockRunner::LaneOp<BODY>;
+        });
+        break;
     }
     if (!fn) fn = &BlockRunner::BadOp;
   }

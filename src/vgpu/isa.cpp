@@ -261,51 +261,14 @@ void PutInstr(std::string& out, const Instr& i, std::size_t pc) {
   }
 }
 
-// The immediate operand accessor: every lane reads the same slot.
-struct Imm {
-  std::uint64_t v;
-  std::uint64_t operator[](unsigned) const { return v; }
-};
-
 }  // namespace
 
 bool EvalLane(const Instr& i, std::uint64_t a, std::uint64_t b, std::uint64_t c,
               std::uint64_t* out) {
-  constexpr std::uint32_t kLane0 = 1;
-  const Imm A{a}, B{b}, C{c};
-  switch (i.op) {
-    case Opcode::kMov:
-      simt::Mov(kLane0, out, A);
-      return true;
-    case Opcode::kSel:
-      simt::Sel(kLane0, out, A, B, C);
-      return true;
-    case Opcode::kSetp:
-      return WithType(i.type, [&]<Type TY>() {
-        return WithEnum<CmpOp, 6>(i.cmp, [&]<CmpOp CMP>() {
-          simt::Setp<TY, CMP>(kLane0, out, A, B);
-          return true;
-        });
-      });
-    case Opcode::kCvt:
-      return WithType(i.type, [&]<Type DT>() {
-        return WithType(i.type2, [&]<Type ST>() {
-          simt::Cvt<DT, ST>(kLane0, out, A);
-          return true;
-        });
-      });
-    default:
-      return WithType(simt::AluType(i.type), [&]<Type TY>() {
-        return WithOpcode(i.op, [&]<Opcode OP>() {
-          if constexpr (simt::AluValid(OP, TY)) {
-            simt::Alu<OP, TY>(kLane0, out, A, B, C);
-            return true;
-          } else {
-            return false;
-          }
-        });
-      });
-  }
+  return WithLaneRule(i, [&]<simt::LaneFn BODY>(LaneBodyName) {
+    *out = BODY(a, b, c);
+    return true;
+  });
 }
 
 Cfg::Cfg(const std::vector<Instr>& code) {

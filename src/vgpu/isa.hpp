@@ -98,12 +98,65 @@ auto WithOpcode(Opcode op, Fn&& fn) {
   return WithEnum<Opcode, static_cast<std::size_t>(Opcode::kTex1D) + 1>(op, fn);
 }
 
-// Runs `instr`'s simt.hpp lane rule (ALU, setp, cvt, mov or sel) on one lane
-// whose operands hold the raw slots a, b and c, and stores the lane's result
-// in *out: the compile-time half of the one semantics source, so a value
-// folded at compile time is the value the instruction computes at run time.
-// Returns false for memory, control, sreg and texture instructions, and for
-// (opcode, type) pairs that fault at run time.
+// How an emitted TU names a lane body: the printf format `format` over the
+// body's template arguments, e.g. {"FloatLane<Op(%u), Ty(%u)>", 3, 5}.
+struct LaneBodyName {
+  const char* format = nullptr;
+  unsigned x = 0, y = 0;
+};
+
+// The register-only forms' one map from an instruction to its simt.hpp lane
+// body: ALU (FloatLane or IntLane on AluType(type)), setp, cvt, mov and sel.
+// Calls fn.template operator()<BODY>(name), BODY a simt::LaneFn and `name`
+// its spelling in an emitted TU, and returns the result. Returns a
+// value-initialized result for an instruction that is no lane form, and for
+// an (opcode, type) pair no body defines, which executes as a kBadOp fault.
+// The decoder, EvalLane and the native emitter all choose through this map.
+template <class Fn>
+auto WithLaneRule(const Instr& i, Fn&& fn) {
+  using R = decltype(fn.template operator()<&simt::MovLane>(LaneBodyName{}));
+  auto val = [](auto e) { return static_cast<unsigned>(e); };
+  switch (i.op) {
+    case Opcode::kMov:
+      return fn.template operator()<&simt::MovLane>(LaneBodyName{"MovLane"});
+    case Opcode::kSel:
+      return fn.template operator()<&simt::SelLane>(LaneBodyName{"SelLane"});
+    case Opcode::kSetp:
+      return WithType(i.type, [&]<Type TY>() {
+        return WithEnum<CmpOp, 6>(i.cmp, [&]<CmpOp CMP>() {
+          return fn.template operator()<&simt::SetpLane<TY, CMP>>(
+              LaneBodyName{"SetpLane<Ty(%u), Cmp(%u)>", val(TY), val(CMP)});
+        });
+      });
+    case Opcode::kCvt:
+      return WithType(i.type, [&]<Type DT>() {
+        return WithType(i.type2, [&]<Type ST>() {
+          return fn.template operator()<&simt::CvtLane<DT, ST>>(
+              LaneBodyName{"CvtLane<Ty(%u), Ty(%u)>", val(DT), val(ST)});
+        });
+      });
+    default:
+      return WithType(simt::AluType(i.type), [&]<Type TY>() {
+        return WithOpcode(i.op, [&]<Opcode OP>() -> R {
+          if constexpr (!simt::AluValid(OP, TY)) {
+            return R{};
+          } else if constexpr (IsFloatType(TY)) {
+            return fn.template operator()<&simt::FloatLane<OP, TY>>(
+                LaneBodyName{"FloatLane<Op(%u), Ty(%u)>", val(OP), val(TY)});
+          } else {
+            return fn.template operator()<&simt::IntLane<OP, TY>>(
+                LaneBodyName{"IntLane<Op(%u), Ty(%u)>", val(OP), val(TY)});
+          }
+        });
+      });
+  }
+}
+
+// Runs `instr`'s lane body on one lane whose operands hold the raw slots a,
+// b and c, and stores the lane's result in *out: the compile-time half of
+// the one semantics source, so a value folded at compile time is the value
+// the instruction computes at run time. Returns false, storing nothing, for
+// an instruction WithLaneRule maps to no body.
 bool EvalLane(const Instr& instr, std::uint64_t a, std::uint64_t b, std::uint64_t c,
               std::uint64_t* out);
 

@@ -4,12 +4,14 @@
 // The interpreter (vgpu/interp.cpp) compiles this header. The native tier
 // embeds its text at the top of every emitted translation unit: the build
 // turns it into a string (src/native/CMakeLists.txt), with `//` comments,
-// indentation and blank lines stripped. So the value codecs, the ALU / setp / cvt lane rules,
-// the ld/st address sweep and its cost charges, atomics, texture sampling,
-// the special registers, the warp-control rules (branch, barrier, exit,
-// reconvergence, the warp counters and the watchdog) and the block barrier
-// scheduler have one definition, and outputs and LaunchStats stay
-// bit-identical across interp, decoded and native (DESIGN.md section 8).
+// indentation and blank lines stripped. So the value codecs, the lane
+// bodies of the register-only forms (ALU, setp, cvt, mov, sel) and the one
+// warp loop over them, the ld/st address sweep and its cost charges,
+// atomics, texture sampling, the special registers, the warp-control rules
+// (branch, barrier, exit, reconvergence, the warp counters and the
+// watchdog) and the block barrier scheduler have one definition, and
+// outputs and LaunchStats stay bit-identical across interp, decoded and
+// native (DESIGN.md section 8).
 //
 // Rules for this file, since the host toolchain compiles it inside every
 // native TU: only the standard headers below, no kspec header, no block
@@ -349,11 +351,20 @@ template <class T>
   return x != x ? x : y;
 }
 
-// The lane bodies are always inlined: they belong in the caller's lane loop,
-// as if written there, whatever the host compiler's inlining budget for a
-// large emitted function.
+// ---- Lane bodies: what one lane computes ----
+//
+// One always-inlined body per register-only form (ALU, setp, cvt, mov, sel),
+// each with the LaneFn signature: the lane's raw operand slots in, its raw
+// result slot out. They belong in the caller's lane loop, as if written
+// there, whatever the host compiler's inlining budget for a large emitted
+// function. Every tier runs them through Lanes, and kcc folds through them
+// (vgpu::EvalLane); vgpu::WithLaneRule (isa.hpp) maps an instruction to its
+// body.
+using LaneFn = u64 (*)(u64 a, u64 b, u64 c);
+
 template <Opcode OP, Type TY>
 [[gnu::always_inline]] inline u64 FloatLane(u64 a, u64 b, u64 c) {
+  static_assert(AluValid(OP, TY) && IsFloatType(TY), "not a float ALU form");
   using FT = FTraits<TY>;
   using T = typename FT::T;
   const T av = FT::Get(a);
@@ -386,6 +397,7 @@ template <Opcode OP, Type TY>
 // abs(INT_MIN) is INT_MIN — all computed without signed overflow.
 template <Opcode OP, Type TY>
 [[gnu::always_inline]] inline u64 IntLane(u64 a, u64 b, u64 c) {
+  static_assert(AluValid(OP, TY) && IsIntType(TY), "not an integer ALU form");
   constexpr bool is64 = TY == Type::kI64 || TY == Type::kU64;
   constexpr bool sg = TY == Type::kI32 || TY == Type::kI64;
   if constexpr (OP == Opcode::kAdd) return INorm<is64, sg>(a + b);
@@ -454,82 +466,70 @@ template <Opcode OP, Type TY>
   }
 }
 
-// One ALU warp-instruction over the active lanes. A, B and C are operand
-// accessors (operator[](lane) -> raw slot): the interpreter's row-or-
-// immediate LaneSrc, a native TU's RS (register row) or IM (immediate).
-template <Opcode OP, Type TY, class A, class B, class C>
-inline void Alu(const u32 mask, u64* dst, A a, B b, C c) {
-  static_assert(AluValid(OP, TY), "invalid (opcode, type): decode to a kBadOp fault");
-  if constexpr (IsFloatType(TY)) {
-    StoreLanes(mask, dst, [&](unsigned l) { return FloatLane<OP, TY>(a[l], b[l], c[l]); });
+// setp: the comparison as a 0/1 predicate slot. Integers compare at their
+// width and signedness, floats as doubles (exact for f32).
+template <Type TY, CmpOp CMP>
+[[gnu::always_inline]] inline u64 SetpLane(u64 a, u64 b, u64) {
+  if constexpr (TY == Type::kI32) {
+    return CmpApply<CMP, i64>(DecodeI32(a), DecodeI32(b));
+  } else if constexpr (TY == Type::kU32) {
+    return CmpApply<CMP, i64>(static_cast<u32>(a), static_cast<u32>(b));
+  } else if constexpr (TY == Type::kI64) {
+    return CmpApply<CMP, i64>(static_cast<i64>(a), static_cast<i64>(b));
+  } else if constexpr (TY == Type::kU64 || TY == Type::kPred) {
+    return CmpApply<CMP, u64>(a, b);
+  } else if constexpr (TY == Type::kF32) {
+    return CmpApply<CMP, double>(DecodeF32(a), DecodeF32(b));
   } else {
-    StoreLanes(mask, dst, [&](unsigned l) { return IntLane<OP, TY>(a[l], b[l], c[l]); });
+    return CmpApply<CMP, double>(DecodeF64(a), DecodeF64(b));
   }
 }
 
-template <Type TY, CmpOp CMP, class A, class B>
-inline void Setp(const u32 mask, u64* dst, A a, B b) {
-  StoreLanes(mask, dst, [&](unsigned l) -> u64 {
-    if constexpr (TY == Type::kI32) {
-      return CmpApply<CMP, i64>(DecodeI32(a[l]), DecodeI32(b[l]));
-    } else if constexpr (TY == Type::kU32) {
-      return CmpApply<CMP, i64>(static_cast<u32>(a[l]), static_cast<u32>(b[l]));
-    } else if constexpr (TY == Type::kI64) {
-      return CmpApply<CMP, i64>(static_cast<i64>(a[l]), static_cast<i64>(b[l]));
-    } else if constexpr (TY == Type::kU64 || TY == Type::kPred) {
-      return CmpApply<CMP, u64>(a[l], b[l]);
-    } else if constexpr (TY == Type::kF32) {
-      return CmpApply<CMP, double>(DecodeF32(a[l]), DecodeF32(b[l]));
-    } else {
-      return CmpApply<CMP, double>(DecodeF64(a[l]), DecodeF64(b[l]));
-    }
-  });
-}
-
-template <Type DT, Type ST, class A>
-inline void Cvt(const u32 mask, u64* dst, A a) {
-  // Integer->integer conversions must not round-trip through double
-  // (precision loss on 64-bit); they stay on the integer path.
+// cvt from ST to DT. Integer->integer conversions must not round-trip
+// through double (precision loss on 64-bit); they stay on the integer path.
+template <Type DT, Type ST>
+[[gnu::always_inline]] inline u64 CvtLane(u64 a, u64, u64) {
   if constexpr (IsIntType(DT) && (IsIntType(ST) || ST == Type::kPred)) {
-    StoreLanes(mask, dst, [&](unsigned l) -> u64 {
-      const u64 v = a[l];
-      i64 sv;
-      if constexpr (ST == Type::kI32) sv = DecodeI32(v);
-      else if constexpr (ST == Type::kU32) sv = static_cast<u32>(v);
-      else sv = static_cast<i64>(v);
-      if constexpr (DT == Type::kI32) return EncodeI32(static_cast<i32>(sv));
-      else if constexpr (DT == Type::kU32) return static_cast<u32>(sv);
-      else return static_cast<u64>(sv);
-    });
+    i64 sv;
+    if constexpr (ST == Type::kI32) sv = DecodeI32(a);
+    else if constexpr (ST == Type::kU32) sv = static_cast<u32>(a);
+    else sv = static_cast<i64>(a);
+    if constexpr (DT == Type::kI32) return EncodeI32(static_cast<i32>(sv));
+    else if constexpr (DT == Type::kU32) return static_cast<u32>(sv);
+    else return static_cast<u64>(sv);
   } else {
-    StoreLanes(mask, dst, [&](unsigned l) -> u64 {
-      double v;
-      if constexpr (ST == Type::kI32) v = DecodeI32(a[l]);
-      else if constexpr (ST == Type::kU32) v = static_cast<u32>(a[l]);
-      else if constexpr (ST == Type::kI64) v = static_cast<double>(static_cast<i64>(a[l]));
-      else if constexpr (ST == Type::kU64) v = static_cast<double>(a[l]);
-      else if constexpr (ST == Type::kF32) v = DecodeF32(a[l]);
-      else if constexpr (ST == Type::kF64) v = DecodeF64(a[l]);
-      else v = a[l] ? 1.0 : 0.0;
-      if constexpr (DT == Type::kI32) return EncodeI32(static_cast<i32>(v));
-      else if constexpr (DT == Type::kU32) return static_cast<u32>(static_cast<i64>(v));
-      else if constexpr (DT == Type::kI64) return static_cast<u64>(static_cast<i64>(v));
-      else if constexpr (DT == Type::kU64) return static_cast<u64>(v);
-      else if constexpr (DT == Type::kF32) return EncodeF32(static_cast<float>(v));
-      else if constexpr (DT == Type::kF64) return EncodeF64(v);
-      else return v != 0.0;
-    });
+    double v;
+    if constexpr (ST == Type::kI32) v = DecodeI32(a);
+    else if constexpr (ST == Type::kU32) v = static_cast<u32>(a);
+    else if constexpr (ST == Type::kI64) v = static_cast<double>(static_cast<i64>(a));
+    else if constexpr (ST == Type::kU64) v = static_cast<double>(a);
+    else if constexpr (ST == Type::kF32) v = DecodeF32(a);
+    else if constexpr (ST == Type::kF64) v = DecodeF64(a);
+    else v = a ? 1.0 : 0.0;
+    if constexpr (DT == Type::kI32) return EncodeI32(static_cast<i32>(v));
+    else if constexpr (DT == Type::kU32) return static_cast<u32>(static_cast<i64>(v));
+    else if constexpr (DT == Type::kI64) return static_cast<u64>(static_cast<i64>(v));
+    else if constexpr (DT == Type::kU64) return static_cast<u64>(v);
+    else if constexpr (DT == Type::kF32) return EncodeF32(static_cast<float>(v));
+    else if constexpr (DT == Type::kF64) return EncodeF64(v);
+    else return v != 0.0;
   }
 }
 
-template <class A>
-inline void Mov(const u32 mask, u64* dst, A a) {
-  StoreLanes(mask, dst, [&](unsigned l) -> u64 { return a[l]; });
-}
+[[gnu::always_inline]] inline u64 MovLane(u64 a, u64, u64) { return a; }
 
-template <class A, class B, class C>
-inline void Sel(const u32 mask, u64* dst, A a, B b, C c) {
-  StoreLanes(mask, dst, [&](unsigned l) -> u64 { return c[l] ? a[l] : b[l]; });
+// sel: a where the predicate slot c is nonzero, else b.
+[[gnu::always_inline]] inline u64 SelLane(u64 a, u64 b, u64 c) { return c ? a : b; }
+
+// One register-only warp-instruction: BODY on every active lane. A, B and C
+// are operand accessors (operator[](lane) -> raw slot): the interpreter's
+// row-or-immediate LaneSrc, a native TU's RS (register row) or IM
+// (immediate); a form's unused operands are immediates it never reads.
+// Always inlined, so a mask the caller proved full (the kFullMask literal)
+// reaches StoreLanes as a constant.
+template <LaneFn BODY, class A, class B, class C>
+[[gnu::always_inline]] inline void Lanes(const u32 mask, u64* dst, A a, B b, C c) {
+  StoreLanes(mask, dst, [&](unsigned l) { return BODY(a[l], b[l], c[l]); });
 }
 
 // ---- Memory: cost charges ----

@@ -927,18 +927,30 @@ TEST(NativeTier, AluEdgeOperandsBitIdentical) {
   ASSERT_EQ(native.exec.served, ExecutionTier::kNative);
   EXPECT_TRUE(vgpu::StatsBitIdentical(decoded.stats, native.stats));
   ASSERT_EQ(decoded_out.size(), native_out.size());
-  std::size_t mismatches = 0;
+  // Native against decoded, and compile-time folding (EvalLane, what kcc and
+  // maskprop fold through) against decoded, bit for bit.
+  std::size_t mismatches = 0, fold_mismatches = 0;
   for (std::size_t r = 0; r < nresults; ++r) {
+    const Instr& op = k.code[first_op_pc + 2 * r];
     for (unsigned g = 0; g < nthreads; ++g) {
       const std::size_t at = r * nthreads + g;
       if (decoded_out[at] != native_out[at] && ++mismatches <= 10) {
-        ADD_FAILURE() << "result " << r << " " << vgpu::Disassemble(k.code[first_op_pc + 2 * r], 0)
-                      << " with a=" << std::hex << av[g] << " b=" << bv[g] << " c=" << cv[g]
-                      << ": decoded " << decoded_out[at] << ", native " << native_out[at];
+        ADD_FAILURE() << "result " << r << " " << vgpu::Disassemble(op, 0) << " with a="
+                      << std::hex << av[g] << " b=" << bv[g] << " c=" << cv[g] << ": decoded "
+                      << decoded_out[at] << ", native " << native_out[at];
+      }
+      std::uint64_t folded = 0;
+      const bool evaluated = vgpu::EvalLane(op, av[g], bv[g], cv[g], &folded);
+      if ((!evaluated || folded != decoded_out[at]) && ++fold_mismatches <= 10) {
+        ADD_FAILURE() << "result " << r << " " << vgpu::Disassemble(op, 0) << " with a="
+                      << std::hex << av[g] << " b=" << bv[g] << " c=" << cv[g] << ": decoded "
+                      << decoded_out[at] << ", EvalLane "
+                      << (evaluated ? "" : "declined, left ") << folded;
       }
     }
   }
   EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(fold_mismatches, 0u);
   for (vcuda::DevPtr p : {d_a, d_b, d_c, d_out}) ctx.Free(p);
 }
 
