@@ -25,6 +25,33 @@
 
 namespace kspec::bench {
 
+// The dissertation's Appendix B kernel (examples/kernels/mathtest.kc),
+// specializable on its loop count, stride arguments and block size.
+inline constexpr const char* kMathTest = R"(
+#ifndef CT_LOOP_COUNT
+#define LOOP_COUNT loopCount
+#endif
+#ifndef CT_ARGS
+#define STRIDE (argA * argB)
+#else
+#define STRIDE (ARG_A * ARG_B)
+#endif
+#ifndef CT_BLOCK_DIM
+#define BLOCK_DIM_X blockDim.x
+#endif
+
+__kernel void mathTest(float* in, float* out, int argA, int argB, int loopCount) {
+  float acc = 0.0f;
+  const unsigned int stride = STRIDE;
+  const unsigned int offset = blockIdx.x * BLOCK_DIM_X + threadIdx.x;
+  for (int i = 0; i < LOOP_COUNT; i++) {
+    acc += *(in + offset + i * stride);
+  }
+  *(out + offset) = acc;
+  return;
+}
+)";
+
 // One measurement row of a bench session's machine-readable output.
 struct BenchRecord {
   std::string name;

@@ -3,7 +3,8 @@
 // times, not simulated), covering the full load-time ladder — cold compile,
 // warm in-memory cache hit, and persistent disk-cache hit (a fresh Context
 // deserializing a previously stored artifact instead of recompiling) — plus
-// the interpreter's launch overhead.
+// the interpreter's launch overhead and the cold time-to-native of one
+// specialized kernel.
 //
 // With --json, every cold-compile arm that ran (after --benchmark_filter) is
 // recorded once, as the minimum wall time over the session's --reps timed
@@ -19,6 +20,9 @@
 #include "apps/matching/kernels.hpp"
 #include "apps/piv/kernels.hpp"
 #include "kcc/compiler.hpp"
+#include "native/build.hpp"
+#include "native/engine.hpp"
+#include "support/status.hpp"
 #include "vcuda/device_buffer.hpp"
 #include "vcuda/vcuda.hpp"
 
@@ -97,6 +101,51 @@ void BM_CompileCold_BackprojBench(benchmark::State& state) {
   RunColdCompile(state, "BM_CompileCold_BackprojBench", apps::backproj::kBackprojSource, opts);
 }
 BENCHMARK(BM_CompileCold_BackprojBench)->Unit(benchmark::kMillisecond);
+
+// Cold time-to-native: what a first-seen specialization waits for on the
+// native tier. kcc compiles mathTest (Appendix B, the loop count
+// specialized), the engine emits its TU, the host compiler builds it, the SO
+// is dlopened and the launch runs native; a fresh Context and NativeEngine
+// over an empty cache dir every time, so nothing is served from a cache.
+// The host compiler dominates (native/build.hpp).
+void BM_CompileCold_MathTestToNative(benchmark::State& state) {
+  if (!native::ToolchainAvailable()) {
+    state.SkipWithError("no host C++ toolchain; native tier disabled");
+    return;
+  }
+  auto to_native = [] {
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "kspec_bench_time_to_native";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    {
+      native::NativeEngine::Options nopts;
+      nopts.cache_dir = dir.string();
+      nopts.shape_mode = vgpu::ShapeMode::kOff;
+      native::NativeEngine engine(nopts);
+      vcuda::Context ctx(vgpu::TeslaC1060(), 1 << 20);
+      ctx.set_native_service(&engine);
+      kcc::CompileOptions opts;
+      opts.defines = {{"CT_LOOP_COUNT", "1"}, {"LOOP_COUNT", "5"}};
+      auto mod = ctx.LoadModule(bench::kMathTest, opts);
+      const unsigned threads = 128, blocks = 4;
+      vcuda::DeviceBuffer in(ctx, (threads * blocks + 5) * sizeof(float));
+      vcuda::DeviceBuffer out(ctx, threads * blocks * sizeof(float));
+      vcuda::ArgPack args;
+      args.Ptr(in.get()).Ptr(out.get()).Int(1).Int(1).Int(5);
+      vcuda::LaunchExecution exec;
+      exec.request = vgpu::ExecutionTier::kNative;
+      ctx.Launch(*mod, "mathTest", vgpu::Dim3(blocks), vgpu::Dim3(threads), args, 0, &exec);
+      if (exec.served != vgpu::ExecutionTier::kNative) {
+        throw Error("time-to-native: the launch was not served native");
+      }
+    }
+    fs::remove_all(dir);
+  };
+  ColdArms()["BM_CompileCold_MathTestToNative"] = to_native;
+  for (auto _ : state) to_native();
+}
+BENCHMARK(BM_CompileCold_MathTestToNative)->Unit(benchmark::kMillisecond);
 
 // Warm cache hit: the Section 4.3 claim that re-encountering a parameter set
 // loads "with speed similar to loading a dynamically linked shared object".

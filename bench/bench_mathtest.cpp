@@ -9,35 +9,6 @@
 #include "vcuda/device_buffer.hpp"
 #include "vcuda/vcuda.hpp"
 
-namespace {
-
-constexpr const char* kMathTest = R"(
-#ifndef CT_LOOP_COUNT
-#define LOOP_COUNT loopCount
-#endif
-#ifndef CT_ARGS
-#define STRIDE (argA * argB)
-#else
-#define STRIDE (ARG_A * ARG_B)
-#endif
-#ifndef CT_BLOCK_DIM
-#define BLOCK_DIM_X blockDim.x
-#endif
-
-__kernel void mathTest(float* in, float* out, int argA, int argB, int loopCount) {
-  float acc = 0.0f;
-  const unsigned int stride = STRIDE;
-  const unsigned int offset = blockIdx.x * BLOCK_DIM_X + threadIdx.x;
-  for (int i = 0; i < LOOP_COUNT; i++) {
-    acc += *(in + offset + i * stride);
-  }
-  *(out + offset) = acc;
-  return;
-}
-)";
-
-}  // namespace
-
 int main(int argc, char** argv) {
   kspec::bench::Session session("bench_mathtest", argc, argv);
   using namespace kspec;
@@ -69,7 +40,7 @@ int main(int argc, char** argv) {
 
     double re_ms = 0;
     for (bool specialized : {false, true}) {
-      auto mod = ctx.LoadModule(kMathTest, specialized ? sk_opts : re_opts);
+      auto mod = ctx.LoadModule(bench::kMathTest, specialized ? sk_opts : re_opts);
       const auto& kernel = mod->GetKernel("mathTest");
       vcuda::ArgPack args;
       args.Ptr(d_in.get()).Ptr(d_out.get()).Int(arg_a).Int(arg_b).Int(loops);

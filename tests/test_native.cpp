@@ -13,9 +13,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <sstream>
 
 #include "apps/backproj/gpu.hpp"
 #include "apps/backproj/problem.hpp"
@@ -511,6 +513,108 @@ TEST(NativeTier, ArtifactWithoutRuntimeHashIsRebuilt) {
   EXPECT_EQ(engine2.stats().disk_hits, 1u);
   EXPECT_EQ(engine2.stats().builds_started, 0u);
   EXPECT_EQ(engine2.stats().stale_discarded, 0u);
+}
+
+// Every emitted TU opens with the runtime text, which a GNU build
+// precompiles (native/build.hpp). GCC itself judges whether the .gch serves
+// the engine's flags: -H marks a PCH it loads with '!', and -Winvalid-pch
+// -Werror fails on one it finds but rejects (built with other flags, or with
+// a sanitizer's). Then one module's generic and shape builds, through the
+// PCH and from the text, must give the same shared objects and, served from
+// disk, the same outputs and LaunchStats.
+TEST(NativeTier, RuntimePchServesBuilds) {
+  SKIP_WITHOUT_TOOLCHAIN();
+#if !defined(__GNUC__) || defined(__clang__)
+  GTEST_SKIP() << "the runtime PCH is built for GNU toolchains only";
+#endif
+  if (std::getenv("KSPEC_NATIVE_CXX") != nullptr) {
+    GTEST_SKIP() << "KSPEC_NATIVE_CXX names the host compiler; its builds parse the runtime text";
+  }
+  const std::string& header = native::RuntimePchHeader();
+  ASSERT_FALSE(header.empty()) << "native builds do not use the runtime PCH";
+  TempCacheDir probe_dir("_probe");
+  const fs::path probe = probe_dir.dir / "probe.cpp";
+  const fs::path log = probe_dir.dir / "probe.log";
+  std::ofstream(probe) << "int kspec_pch_probe() { return 0; }\n";
+  const std::string cmd = "'" + native::HostCompiler() + "' " + native::HostCxxFlags() +
+                          " -Winvalid-pch -Werror -H -include '" + header + "' -c -o '" +
+                          (probe_dir.dir / "probe.o").string() + "' '" + probe.string() +
+                          "' > '" + log.string() + "' 2>&1";
+  const int rc = std::system(cmd.c_str());
+  std::stringstream diag;
+  diag << std::ifstream(log).rdbuf();
+  ASSERT_EQ(rc, 0) << diag.str();
+  EXPECT_NE(diag.str().find("! " + header + ".gch"), std::string::npos)
+      << "the host compiler did not load the PCH:\n" << diag.str();
+  // And CompileSharedObject takes that path: the TU it compiles starts after
+  // the runtime text, which comes in by -include.
+  std::string error;
+  EXPECT_FALSE(native::CompileSharedObject(std::string(native::kEmbeddedRuntime) +
+                                               "#if __LINE__ > 10\n#error the runtime text was "
+                                               "parsed, not -included\n#endif\n",
+                                           &error)
+                   .empty())
+      << error;
+
+  vcuda::Context ctx(vgpu::TeslaC1060());
+  auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+  const kcc::ModuleCacheKey key =
+      kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name);
+  native::ShapeSpec shape;  // RunReduce's launch: 4 blocks of 64 threads
+  shape.block_x = 64;
+  shape.grid_x = 4;
+  const std::string generic_key = native::NativeEngine::GenericKeyText(key);
+  const std::string shape_key = native::NativeEngine::VariantKeyText(key, shape);
+  const std::string generic_tu = native::EmitModuleSource(mod->compiled(), generic_key);
+  const std::string shape_tu = native::EmitModuleSource(mod->compiled(), shape_key, &shape);
+  ASSERT_EQ(generic_tu.rfind(native::kEmbeddedRuntime, 0), 0u);
+  ASSERT_EQ(shape_tu.rfind(native::kEmbeddedRuntime, 0), 0u);
+  auto build = [](const std::string& tu) {
+    std::string error;
+    std::vector<std::uint8_t> so = native::CompileSharedObject(tu, &error);
+    EXPECT_FALSE(so.empty()) << error;
+    return so;
+  };
+  struct Built {
+    std::vector<std::uint8_t> generic, shaped;
+  };
+  const Built pch{build(generic_tu), build(shape_tu)};
+  // A TU that does not open with the runtime text is built from the text.
+  const Built text{build("\n" + generic_tu), build("\n" + shape_tu)};
+  EXPECT_EQ(pch.generic, text.generic) << "the PCH changed the generic shared object";
+  EXPECT_EQ(pch.shaped, text.shaped) << "the PCH changed the shape variant's shared object";
+
+  // Serves one launch from a cache dir holding only `built`'s artifacts.
+  auto serve = [&](const Built& built, const std::string& tag, vgpu::ShapeMode mode) {
+    TempCacheDir cache(tag);
+    EXPECT_TRUE(WriteFileAtomic((cache.dir / native::NativeEngine::ArtifactFileName(key)).string(),
+                                kcc::SerializeNative(built.generic, generic_key)));
+    EXPECT_TRUE(
+        WriteFileAtomic((cache.dir / native::NativeEngine::VariantFileName(key, shape)).string(),
+                        kcc::SerializeNative(built.shaped, shape_key)));
+    native::NativeEngine::Options nopts;
+    nopts.cache_dir = cache.str();
+    native::NativeEngine engine(nopts);
+    ctx.set_native_service(&engine);
+    ShapeGuard g(mode);
+    LaunchOutcome r = RunReduce(ctx, *mod, ExecutionTier::kNative);
+    ctx.set_native_service(nullptr);
+    EXPECT_EQ(r.exec.served, ExecutionTier::kNative) << tag;
+    EXPECT_EQ(r.exec.native_shape, mode == vgpu::ShapeMode::kEager) << tag;
+    const native::NativeEngineStats es = engine.stats();
+    EXPECT_EQ(es.builds_started + es.shape_builds_started, 0u) << tag;
+    return r;
+  };
+  const LaunchOutcome decoded = RunReduce(ctx, *mod, ExecutionTier::kDecoded);
+  for (const vgpu::ShapeMode mode : {vgpu::ShapeMode::kOff, vgpu::ShapeMode::kEager}) {
+    const std::string arm = mode == vgpu::ShapeMode::kOff ? "_generic" : "_shape";
+    const LaunchOutcome via_pch = serve(pch, arm + "_pch", mode);
+    const LaunchOutcome via_text = serve(text, arm + "_text", mode);
+    EXPECT_TRUE(vgpu::StatsBitIdentical(via_pch.stats, via_text.stats)) << arm;
+    EXPECT_TRUE(vgpu::StatsBitIdentical(decoded.stats, via_pch.stats)) << arm;
+    EXPECT_EQ(via_pch.out, via_text.out) << arm;
+    EXPECT_EQ(decoded.out, via_pch.out) << arm;
+  }
 }
 
 TEST(NativeTier, KeylessModuleDegrades) {
