@@ -1,7 +1,6 @@
 #include "kcc/regalloc.hpp"
 
 #include <algorithm>
-#include <iterator>
 
 #include "support/status.hpp"
 
@@ -13,42 +12,6 @@ using vgpu::Instr;
 using vgpu::Opcode;
 using vgpu::Type;
 
-// Register sets are sorted vectors of distinct vregs.
-using RegSet = std::vector<int>;
-
-// A block's register sets for liveness.
-struct BlockSets {
-  RegSet use, def;
-  RegSet live_in, live_out;
-};
-
-// Fills block `bi`'s use set (registers read before any def in the block)
-// and def set. `mark` is scratch, one slot per vreg, never holding `bi` or
-// `~bi` on entry.
-void CollectUseDef(const std::vector<Instr>& code, const vgpu::Cfg& cfg, int bi, BlockSets& b,
-                   std::vector<int>& mark) {
-  const int defined = bi, used = ~bi;
-  for (int pc = cfg[bi].begin; pc < cfg[bi].end; ++pc) {
-    const Instr& i = code[pc];
-    auto use = [&](const vgpu::Operand& o) {
-      if (!o.is_reg() || mark[o.reg] == defined || mark[o.reg] == used) return;
-      mark[o.reg] = used;
-      b.use.push_back(o.reg);
-    };
-    if (i.op != Opcode::kSreg) {
-      use(i.a);
-      use(i.b);
-      use(i.c);
-    }
-    if (i.dst >= 0 && mark[i.dst] != defined) {
-      mark[i.dst] = defined;
-      b.def.push_back(i.dst);
-    }
-  }
-  std::sort(b.use.begin(), b.use.end());
-  std::sort(b.def.begin(), b.def.end());
-}
-
 }  // namespace
 
 AllocResult AllocateRegisters(const std::vector<Instr>& code,
@@ -58,38 +21,7 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
   if (code.empty()) return out;
 
   const vgpu::Cfg cfg(code);
-  std::vector<BlockSets> blocks(static_cast<std::size_t>(cfg.size()));
-  std::vector<int> mark(vreg_types.size(), cfg.size());
-  for (int bi = 0; bi < cfg.size(); ++bi) CollectUseDef(code, cfg, bi, blocks[bi], mark);
-
-  // Iterative backward liveness.
-  RegSet new_out, new_in, scratch;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int bi = cfg.size() - 1; bi >= 0; --bi) {
-      BlockSets& b = blocks[bi];
-      new_out.clear();
-      for (int s : cfg[bi].succs()) {
-        const RegSet& in = blocks[s].live_in;
-        scratch.clear();
-        std::set_union(new_out.begin(), new_out.end(), in.begin(), in.end(),
-                       std::back_inserter(scratch));
-        new_out.swap(scratch);
-      }
-      scratch.clear();
-      std::set_difference(new_out.begin(), new_out.end(), b.def.begin(), b.def.end(),
-                          std::back_inserter(scratch));
-      new_in.clear();
-      std::set_union(b.use.begin(), b.use.end(), scratch.begin(), scratch.end(),
-                     std::back_inserter(new_in));
-      if (new_out != b.live_out || new_in != b.live_in) {
-        b.live_out = new_out;
-        b.live_in = new_in;
-        changed = true;
-      }
-    }
-  }
+  const vgpu::Liveness liveness(code, cfg);
 
   // Peak pressure: walk each block backwards from live_out.
   auto width = [&](int reg) -> int {
@@ -124,16 +56,12 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
       peak = std::max(peak, w);
       peak_pred = std::max(peak_pred, p);
     };
-    for (int r : blocks[bi].live_out) enter(r);
+    for (int r : liveness.live_out(bi)) enter(r);
     measure();
     for (int pc = cfg[bi].end - 1; pc >= cfg[bi].begin; --pc) {
       const Instr& i = code[pc];
       if (i.dst >= 0) leave(i.dst);
-      if (i.op != Opcode::kSreg) {
-        if (i.a.is_reg()) enter(i.a.reg);
-        if (i.b.is_reg()) enter(i.b.reg);
-        if (i.c.is_reg()) enter(i.c.reg);
-      }
+      vgpu::ForEachUse(i, enter);
       measure();
     }
   }
@@ -162,14 +90,9 @@ AllocResult AllocateRegisters(const std::vector<Instr>& code,
     for (int pc = begin; pc < end; ++pc) {
       const Instr& i = code[pc];
       int d = 0;
-      auto dep = [&](const vgpu::Operand& o) {
-        if (o.is_reg() && def_window[o.reg] == first) d = std::max(d, depth[o.reg]);
-      };
-      if (i.op != Opcode::kSreg) {
-        dep(i.a);
-        dep(i.b);
-        dep(i.c);
-      }
+      vgpu::ForEachUse(i, [&](int r) {
+        if (def_window[r] == first) d = std::max(d, depth[r]);
+      });
       int my_depth = d + 1;
       if (i.dst >= 0) {
         def_window[i.dst] = first;

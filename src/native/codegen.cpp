@@ -9,10 +9,13 @@
 //      wiring, preceded in a shape variant by its KSPEC_SHAPE* #defines;
 //   3. one run_warp_kN function per kernel: a `dispatch` label over
 //      simt::Resume, and a switch over the vgpu::Cfg basic blocks whose
-//      cases are straight-line calls into the simt rules, control
-//      instructions included, each opening with the block's charges; a
-//      register-only instruction is one `Lanes<BODY>(…)` call naming the
-//      lane body vgpu::WithLaneRule maps it to, as the decoder picks it;
+//      cases are straight-line code over the simt rules, control
+//      instructions included, each opening with the block's charges. Each
+//      maximal run of register-only instructions is one fused lane loop
+//      (EmitLaneRun) calling, per lane and in pc order, the lane body
+//      vgpu::WithLaneRule maps each instruction to, as the decoder picks
+//      it; a form that keeps a loop of its own (simt::LaneLoopOfItsOwn) is
+//      one `Lanes<BODY>(…)` call, and every other instruction one call;
 //   4. the kernel tables, the embedded build key and the extern "C" entry
 //      points.
 //
@@ -25,7 +28,7 @@
 // tiers fold the same values in the same order, bit for bit (COSTMODEL.md).
 #include "native/codegen.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -213,10 +216,8 @@ std::string Stmt(const Instr& i, std::uint32_t pc, bool full) {
   const std::string d = DstExpr(i.dst), a = SrcExpr(i.a), b = SrcExpr(i.b), c = SrcExpr(i.c);
   const std::string bad_op = Format("S.Fail(Fault::kBadOp, %uu);", pc);
   switch (i.op) {
-    case Opcode::kSreg:
-      if (static_cast<vgpu::SpecialReg>(i.a.imm) > vgpu::SpecialReg::kWarpId) return bad_op;
-      return Format("Sreg<SR(%u)>(S, %s, lb, %s);", Val(static_cast<vgpu::SpecialReg>(i.a.imm)),
-                    msk, d.c_str());
+    case Opcode::kSreg:  // a valid one joins a fused lane run (Fusable)
+      return bad_op;
     case Opcode::kLd:
     case Opcode::kSt: {
       const bool load = i.op == Opcode::kLd;
@@ -247,6 +248,107 @@ std::string Stmt(const Instr& i, std::uint32_t pc, bool full) {
                     msk, d.c_str(), a.c_str(), b.c_str(), c.c_str());
     }
   }
+}
+
+// A register-only form that joins a fused lane run: a valid sreg, or a lane
+// form whose body vgpu::WithLaneRule maps it to does not keep a loop of its
+// own (simt::LaneLoopOfItsOwn). Anything else is a statement of its own and
+// ends the run before it.
+bool Fusable(const Instr& i) {
+  if (i.dst < 0) return false;
+  if (i.op == Opcode::kSreg) {
+    return static_cast<vgpu::SpecialReg>(i.a.imm) <= vgpu::SpecialReg::kWarpId;
+  }
+  const vgpu::LaneBodyName body =
+      vgpu::WithLaneRule(i, []<vgpu::simt::LaneFn>(vgpu::LaneBodyName n) { return n; });
+  return body.format != nullptr && !body.own_loop;
+}
+
+// One lane's value of operand `o` inside a fused run: the local holding its
+// vreg, or the immediate.
+std::string LaneOperand(const Operand& o) {
+  if (o.is_reg()) return Format("x%d", o.reg);
+  return Format("0x%llxull", static_cast<unsigned long long>(o.imm));
+}
+
+// A straight-line run [begin, end) of Fusable instructions, emitted as one
+// loop over the lanes (MCUDA's thread loop): each lane runs every
+// instruction's simt.hpp lane body in pc order, on locals. A vreg the run
+// reads before writing it is loaded once per lane; of the vregs it writes,
+// only those in `stored` (live after the run) are stored back. The mask is
+// constant inside a block and each form reads and writes only its own
+// lane's slots, so the result bits are the per-instruction loops' bits.
+//
+// The row pointers are hoisted out of the loop as __restrict (distinct vregs
+// own disjoint rows) and the loop is written out, not passed to a helper as
+// a lambda: the host compiler vectorizes the full-warp loop only so. `full`:
+// the block is proven full, so the loop is 0..31; otherwise the full-mask
+// test picks that loop or the active-lane loop at run time.
+void EmitLaneRun(std::string& out, const std::vector<Instr>& code, std::uint32_t begin,
+                 std::uint32_t end, const std::vector<int>& stored, bool full,
+                 std::vector<std::uint8_t>& touched) {
+  // touched[r]: kLoaded and/or kWritten for a vreg this run names; all zero
+  // on entry and again on return.
+  constexpr std::uint8_t kLoaded = 1, kWritten = 2;
+  auto is_stored = [&](int r) { return std::binary_search(stored.begin(), stored.end(), r); };
+  std::vector<int> loaded, written;  // in first-touch order
+  std::vector<std::string> body;
+  out += Format("      {  // fused lane run, pcs %u..%u\n", begin, end - 1);
+  for (std::uint32_t pc = begin; pc < end; ++pc) {
+    const Instr& i = code[pc];
+    out += Format("        // pc %u: %s\n", pc, vgpu::Disassemble(i, pc).c_str());
+    vgpu::ForEachUse(i, [&](int r) {
+      if (touched[r] != 0) return;
+      touched[r] = kLoaded;
+      loaded.push_back(r);
+      body.push_back(Format("u64 x%d = r%d[l];", r, r));
+    });
+    std::string value;
+    if (i.op == Opcode::kSreg) {
+      value = Format("SregLane<SR(%u)>(S, lb, l)", static_cast<unsigned>(i.a.imm));
+    } else {
+      const vgpu::LaneBodyName name =
+          vgpu::WithLaneRule(i, []<vgpu::simt::LaneFn>(vgpu::LaneBodyName n) { return n; });
+      value = Format("%s(%s, %s, %s)", Format(name.format, name.x, name.y).c_str(),
+                     LaneOperand(i.a).c_str(), LaneOperand(i.b).c_str(),
+                     LaneOperand(i.c).c_str());
+    }
+    const bool declared = touched[i.dst] != 0;
+    if ((touched[i.dst] & kWritten) == 0) written.push_back(i.dst);
+    touched[i.dst] |= kWritten;
+    body.push_back(Format("%sx%d = %s;", declared ? "" : "u64 ", i.dst, value.c_str()));
+  }
+  for (const int r : written) {
+    if (is_stored(r)) body.push_back(Format("r%d[l] = x%d;", r, r));
+  }
+  for (const int r : loaded) {
+    if ((touched[r] & kWritten) == 0 || !is_stored(r)) {
+      out += Format("        const u64* __restrict r%d = RW(S,%d)+lb;\n", r, r);
+    }
+  }
+  for (const int r : written) {
+    if (is_stored(r)) out += Format("        u64* __restrict r%d = RW(S,%d)+lb;\n", r, r);
+  }
+  for (const int r : loaded) touched[r] = 0;
+  for (const int r : written) touched[r] = 0;
+  auto loop = [&](const char* head, const char* first_line, const char* indent) {
+    out += Format("%s%s {\n", indent, head);
+    const std::string inner = std::string(indent) + "  ";
+    if (first_line != nullptr) out += inner + first_line + "\n";
+    for (const std::string& line : body) out += inner + line + "\n";
+    out += Format("%s}\n", indent);
+  };
+  if (full) {
+    loop("for (unsigned l = 0; l < 32; ++l)", nullptr, "        ");
+  } else {
+    out += "        if (w.mask == kFullMask) {\n";
+    loop("for (unsigned l = 0; l < 32; ++l)", nullptr, "          ");
+    out += "        } else {\n";
+    loop("for (u32 m = w.mask; m != 0; m &= m - 1)", "const unsigned l = (unsigned)std::countr_zero(m);",
+         "          ");
+    out += "        }\n";
+  }
+  out += "      }\n";
 }
 
 // C string literal with fixed-width octal escapes (hex escapes would swallow
@@ -316,7 +418,14 @@ void EmitKernel(std::string& out, const CompiledKernel& ker, unsigned idx,
   // (a branch target, a reconvergence pc or a fall-through). Control-flow
   // instructions always end their block.
   const vgpu::Cfg cfg(code);
-  for (const vgpu::Cfg::Block& block : cfg.blocks()) {
+  const vgpu::Liveness liveness(code, cfg);
+  // live_at[r] == stamp: vreg r is live at the current point of the backward
+  // walk over the block stamped `stamp` (one stamp per block).
+  std::vector<std::uint32_t> live_at(liveness.num_regs(), 0);
+  std::uint32_t stamp = 0;
+  std::vector<std::uint8_t> touched(liveness.num_regs(), 0);  // EmitLaneRun's scratch
+  for (int bi = 0; bi < cfg.size(); ++bi) {
+    const vgpu::Cfg::Block& block = cfg[bi];
     const auto leader = static_cast<std::uint32_t>(block.begin);
     const auto end = static_cast<std::uint32_t>(block.end);
     const std::uint64_t n = end - leader;
@@ -351,8 +460,49 @@ void EmitKernel(std::string& out, const CompiledKernel& ker, unsigned idx,
       }
     }
 
-    bool closed = false;  // block ended with an explicit transfer?
+    // The block's fused lane runs, [begin, end) each, and the vregs each
+    // run stores back: those it writes that are live after it, found by a
+    // backward walk from the block's live-out set.
+    struct Run {
+      std::uint32_t begin, end;
+      std::vector<int> stored;
+    };
+    std::vector<Run> runs;
     for (std::uint32_t pc = leader; pc < end; ++pc) {
+      if (!Fusable(code[pc])) continue;
+      const std::uint32_t first = pc;
+      while (pc + 1 < end && Fusable(code[pc + 1])) ++pc;
+      runs.push_back({first, pc + 1, {}});
+    }
+    if (!runs.empty()) {
+      ++stamp;
+      for (const int r : liveness.live_out(bi)) live_at[r] = stamp;
+      auto run = runs.rbegin();
+      for (std::uint32_t pc = end; pc-- > leader;) {
+        const Instr& i = code[pc];
+        if (run != runs.rend() && pc + 1 == run->end) {
+          for (std::uint32_t p = run->begin; p < run->end; ++p) {
+            if (live_at[code[p].dst] == stamp) run->stored.push_back(code[p].dst);
+          }
+          std::sort(run->stored.begin(), run->stored.end());
+          run->stored.erase(std::unique(run->stored.begin(), run->stored.end()),
+                            run->stored.end());
+          ++run;
+        }
+        if (i.dst >= 0) live_at[i.dst] = 0;
+        vgpu::ForEachUse(i, [&](int r) { live_at[r] = stamp; });
+      }
+    }
+
+    bool closed = false;  // block ended with an explicit transfer?
+    auto next_run = runs.begin();
+    for (std::uint32_t pc = leader; pc < end; ++pc) {
+      if (next_run != runs.end() && pc == next_run->begin) {
+        EmitLaneRun(out, code, pc, next_run->end, next_run->stored, full, touched);
+        pc = next_run->end - 1;
+        ++next_run;
+        continue;
+      }
       const Instr& i = code[pc];
       const std::string disasm = vgpu::Disassemble(i, pc);
       switch (i.op) {

@@ -13,14 +13,18 @@
 //     issue-cost and ILP sums are folded into per-block constants at emit
 //     time (exact: every charge is a dyadic rational), so LaunchStats stay
 //     bit-identical to the interpreter;
-//   * each instruction is emitted as a call into vgpu/simt.hpp — the lane
-//     rules and cost charges the interpreter's handlers call too, whose text
-//     (with abi.hpp's) opens every TU — specialized on (opcode, type,
-//     operand kinds) so immediates constant-fold. The register-only forms
-//     are one statement shape, Lanes<BODY>(mask, dst, a, b, c), naming the
-//     lane body vgpu::WithLaneRule maps the instruction to. A small TU-only
-//     prelude adds the per-block state, operand accessors, special
-//     registers and entry wiring.
+//   * every instruction runs code from vgpu/simt.hpp — the lane rules and
+//     cost charges the interpreter's handlers call too, whose text (with
+//     abi.hpp's) opens every TU — specialized on (opcode, type, operand
+//     kinds) so immediates constant-fold. Each straight-line run of
+//     register-only instructions in a block is one fused loop over the
+//     lanes, each lane calling the lane bodies vgpu::WithLaneRule maps the
+//     instructions to, in pc order, on locals; it loads each vreg it reads
+//     once and stores back only the vregs live after it (vgpu::Liveness).
+//     A form whose body calls libm or divides ends the run and keeps a loop
+//     of its own, Lanes<BODY>(mask, dst, a, b, c); any other instruction is
+//     one call. A small TU-only prelude adds the per-block state, operand
+//     accessors, special registers and entry wiring.
 //
 // The emitted unit embeds the ModuleCacheKey canonical text (served back via
 // kspec_native_build_key) so a loaded artifact can be verified against the

@@ -1,7 +1,9 @@
 #include "vgpu/isa.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <iterator>
 
 #include "support/str.hpp"
 
@@ -330,6 +332,67 @@ Cfg::Cfg(const std::vector<Instr>& code) {
       default:
         add(b.end);
         break;
+    }
+  }
+}
+
+Liveness::Liveness(const std::vector<Instr>& code, const Cfg& cfg)
+    : blocks_(static_cast<std::size_t>(cfg.size())) {
+  for (const Instr& i : code) {
+    for (const std::int32_t r : {i.dst, i.a.reg, i.b.reg, i.c.reg}) {
+      if (r >= 0) num_regs_ = std::max(num_regs_, static_cast<std::size_t>(r) + 1);
+    }
+  }
+  // Use and def sets. mark[r] == b: r is written in block b before this pc;
+  // ~b: r is already in b's use set. It starts at cfg.size(), which is
+  // neither for any block.
+  std::vector<int> mark(num_regs_, cfg.size());
+  for (int bi = 0; bi < cfg.size(); ++bi) {
+    Sets& b = blocks_[static_cast<std::size_t>(bi)];
+    const int defined = bi, used = ~bi;
+    for (int pc = cfg[bi].begin; pc < cfg[bi].end; ++pc) {
+      const Instr& i = code[static_cast<std::size_t>(pc)];
+      ForEachUse(i, [&](int r) {
+        if (mark[r] == defined || mark[r] == used) return;
+        mark[r] = used;
+        b.use.push_back(r);
+      });
+      if (i.dst >= 0 && mark[i.dst] != defined) {
+        mark[i.dst] = defined;
+        b.def.push_back(i.dst);
+      }
+    }
+    std::sort(b.use.begin(), b.use.end());
+    std::sort(b.def.begin(), b.def.end());
+  }
+
+  // The backward fixpoint: out = union of the successors' in; in = use |
+  // (out - def).
+  std::vector<int> new_out, new_in, scratch;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (int bi = cfg.size() - 1; bi >= 0; --bi) {
+      Sets& b = blocks_[static_cast<std::size_t>(bi)];
+      new_out.clear();
+      for (int s : cfg[bi].succs()) {
+        const std::vector<int>& in = blocks_[static_cast<std::size_t>(s)].in;
+        scratch.clear();
+        std::set_union(new_out.begin(), new_out.end(), in.begin(), in.end(),
+                       std::back_inserter(scratch));
+        new_out.swap(scratch);
+      }
+      scratch.clear();
+      std::set_difference(new_out.begin(), new_out.end(), b.def.begin(), b.def.end(),
+                          std::back_inserter(scratch));
+      new_in.clear();
+      std::set_union(b.use.begin(), b.use.end(), scratch.begin(), scratch.end(),
+                     std::back_inserter(new_in));
+      if (new_out != b.out || new_in != b.in) {
+        b.out = new_out;
+        b.in = new_in;
+        changed = true;
+      }
     }
   }
 }

@@ -100,9 +100,12 @@ auto WithOpcode(Opcode op, Fn&& fn) {
 
 // How an emitted TU names a lane body: the printf format `format` over the
 // body's template arguments, e.g. {"FloatLane<Op(%u), Ty(%u)>", 3, 5}.
+// `own_loop`: the form keeps a warp loop of its own instead of joining a
+// fused lane run (simt::LaneLoopOfItsOwn).
 struct LaneBodyName {
   const char* format = nullptr;
   unsigned x = 0, y = 0;
+  bool own_loop = false;
 };
 
 // The register-only forms' one map from an instruction to its simt.hpp lane
@@ -141,11 +144,11 @@ auto WithLaneRule(const Instr& i, Fn&& fn) {
           if constexpr (!simt::AluValid(OP, TY)) {
             return R{};
           } else if constexpr (IsFloatType(TY)) {
-            return fn.template operator()<&simt::FloatLane<OP, TY>>(
-                LaneBodyName{"FloatLane<Op(%u), Ty(%u)>", val(OP), val(TY)});
+            return fn.template operator()<&simt::FloatLane<OP, TY>>(LaneBodyName{
+                "FloatLane<Op(%u), Ty(%u)>", val(OP), val(TY), simt::LaneLoopOfItsOwn(OP)});
           } else {
-            return fn.template operator()<&simt::IntLane<OP, TY>>(
-                LaneBodyName{"IntLane<Op(%u), Ty(%u)>", val(OP), val(TY)});
+            return fn.template operator()<&simt::IntLane<OP, TY>>(LaneBodyName{
+                "IntLane<Op(%u), Ty(%u)>", val(OP), val(TY), simt::LaneLoopOfItsOwn(OP)});
           }
         });
       });
@@ -197,6 +200,41 @@ class Cfg {
  private:
   std::vector<Block> blocks_;
   std::vector<std::int32_t> block_of_;
+};
+
+// Calls fn(reg) for each register operand `i` reads: a, b and c, except for
+// sreg, whose `a` names the special register.
+template <class Fn>
+void ForEachUse(const Instr& i, Fn&& fn) {
+  if (i.op == Opcode::kSreg) return;
+  if (i.a.is_reg()) fn(i.a.reg);
+  if (i.b.is_reg()) fn(i.b.reg);
+  if (i.c.is_reg()) fn(i.c.reg);
+}
+
+// Per-block register liveness over a Cfg: the vregs live on entry to and on
+// exit from each block, by the backward fixpoint over the blocks' use sets
+// (read before any write in the block) and def sets. One analysis for kcc's
+// register allocator (peak pressure) and the native emitter (which vregs a
+// fused lane run stores back).
+class Liveness {
+ public:
+  Liveness(const std::vector<Instr>& code, const Cfg& cfg);
+
+  // Sorted, distinct vregs.
+  const std::vector<int>& live_in(int b) const { return blocks_[static_cast<std::size_t>(b)].in; }
+  const std::vector<int>& live_out(int b) const {
+    return blocks_[static_cast<std::size_t>(b)].out;
+  }
+  // One past the highest vreg the code names.
+  std::size_t num_regs() const { return num_regs_; }
+
+ private:
+  struct Sets {
+    std::vector<int> use, def, in, out;
+  };
+  std::vector<Sets> blocks_;
+  std::size_t num_regs_ = 0;
 };
 
 }  // namespace kspec::vgpu

@@ -16,13 +16,14 @@
 // Rules for this file, since the host toolchain compiles it inside every
 // native TU: only the standard headers below, no kspec header, no block
 // comments, and nothing that throws. Faults go to the caller's hook
-// (simt::Env::Fail), which throws host-side.
+// (simt::Env::Fail), which throws host-side. The headers are few and small
+// on purpose, since every native build loads them: min/max/clamp are local
+// helpers, the float math calls the GCC builtins libstdc++'s <cmath> calls
+// (the same libm functions, the same bits), and the global atomics are the
+// __atomic builtins std::atomic_ref expands to.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -255,6 +256,21 @@ struct Env {
   }
 };
 
+// std::min, std::max and std::clamp, value for value (the first argument
+// wins ties and NaN comparisons alike).
+template <class T>
+[[gnu::always_inline]] constexpr T Min(T a, T b) {
+  return b < a ? b : a;
+}
+template <class T>
+[[gnu::always_inline]] constexpr T Max(T a, T b) {
+  return a < b ? b : a;
+}
+template <class T>
+[[gnu::always_inline]] constexpr T Clamp(T v, T lo, T hi) {
+  return v < lo ? lo : hi < v ? hi : v;
+}
+
 // Writes f(l) to dst[l] for every active lane. The full-mask case — the hot
 // one by far — is a plain countable loop the compiler can unroll/vectorize.
 // Callers that proved the mask full pass the kFullMask literal.
@@ -278,12 +294,22 @@ struct FTraits<Type::kF32> {
   using T = float;
   static T Get(u64 v) { return DecodeF32(v); }
   static u64 Put(T v) { return EncodeF32(v); }
+  static T Fmod(T x, T y) { return __builtin_fmodf(x, y); }
+  static T Fabs(T x) { return __builtin_fabsf(x); }
+  static T Sqrt(T x) { return __builtin_sqrtf(x); }
+  static T Floor(T x) { return __builtin_floorf(x); }
+  static T Ceil(T x) { return __builtin_ceilf(x); }
 };
 template <>
 struct FTraits<Type::kF64> {
   using T = double;
   static T Get(u64 v) { return DecodeF64(v); }
   static u64 Put(T v) { return EncodeF64(v); }
+  static T Fmod(T x, T y) { return __builtin_fmod(x, y); }
+  static T Fabs(T x) { return __builtin_fabs(x); }
+  static T Sqrt(T x) { return __builtin_sqrt(x); }
+  static T Floor(T x) { return __builtin_floor(x); }
+  static T Ceil(T x) { return __builtin_ceil(x); }
 };
 
 // Integer results are normalized to the type's width: a 32-bit result fills
@@ -372,23 +398,24 @@ template <Opcode OP, Type TY>
   else if constexpr (OP == Opcode::kSub) return FT::Put(av - FT::Get(b));
   else if constexpr (OP == Opcode::kMul) return FT::Put(av * NanFirst(av, FT::Get(b)));
   else if constexpr (OP == Opcode::kDiv) return FT::Put(av / FT::Get(b));
-  else if constexpr (OP == Opcode::kRem) return FT::Put(std::fmod(av, FT::Get(b)));
+  else if constexpr (OP == Opcode::kRem) return FT::Put(FT::Fmod(av, FT::Get(b)));
   else if constexpr (OP == Opcode::kMad) {
     const T p = av * NanFirst(av, FT::Get(b));
     return FT::Put(p + NanFirst(p, FT::Get(c)));
   }
-  else if constexpr (OP == Opcode::kMin) return FT::Put(std::min(av, FT::Get(b)));
-  else if constexpr (OP == Opcode::kMax) return FT::Put(std::max(av, FT::Get(b)));
+  else if constexpr (OP == Opcode::kMin) return FT::Put(Min(av, FT::Get(b)));
+  else if constexpr (OP == Opcode::kMax) return FT::Put(Max(av, FT::Get(b)));
   else if constexpr (OP == Opcode::kNeg) return FT::Put(-av);
-  else if constexpr (OP == Opcode::kAbs) return FT::Put(std::fabs(av));
-  else if constexpr (OP == Opcode::kSqrt) return FT::Put(std::sqrt(av));
-  else if constexpr (OP == Opcode::kRsqrt) return FT::Put(T(1) / std::sqrt(av));
-  else if constexpr (OP == Opcode::kFloor) return FT::Put(std::floor(av));
-  else if constexpr (OP == Opcode::kCeil) return FT::Put(std::ceil(av));
-  else if constexpr (OP == Opcode::kExp) return FT::Put(std::exp(av));
-  else if constexpr (OP == Opcode::kLog) return FT::Put(std::log(av));
-  else if constexpr (OP == Opcode::kSin) return FT::Put(std::sin(av));
-  else return FT::Put(std::cos(av));
+  else if constexpr (OP == Opcode::kAbs) return FT::Put(FT::Fabs(av));
+  else if constexpr (OP == Opcode::kSqrt) return FT::Put(FT::Sqrt(av));
+  else if constexpr (OP == Opcode::kRsqrt) return FT::Put(T(1) / FT::Sqrt(av));
+  else if constexpr (OP == Opcode::kFloor) return FT::Put(FT::Floor(av));
+  else if constexpr (OP == Opcode::kCeil) return FT::Put(FT::Ceil(av));
+  // The transcendentals exist in f32 only (AluValid).
+  else if constexpr (OP == Opcode::kExp) return FT::Put(__builtin_expf(av));
+  else if constexpr (OP == Opcode::kLog) return FT::Put(__builtin_logf(av));
+  else if constexpr (OP == Opcode::kSin) return FT::Put(__builtin_sinf(av));
+  else return FT::Put(__builtin_cosf(av));
 }
 
 // Integer semantics: arithmetic wraps, results are normalized to the type's
@@ -428,12 +455,12 @@ template <Opcode OP, Type TY>
   } else if constexpr (OP == Opcode::kMin || OP == Opcode::kMax) {
     if constexpr (sg) {
       const i64 x = IAsSigned<is64>(a), y = IAsSigned<is64>(b);
-      const i64 r = OP == Opcode::kMin ? std::min(x, y) : std::max(x, y);
+      const i64 r = OP == Opcode::kMin ? Min(x, y) : Max(x, y);
       return INorm<is64, sg>(static_cast<u64>(r));
     } else {
       const u64 x = is64 ? a : static_cast<u32>(a);
       const u64 y = is64 ? b : static_cast<u32>(b);
-      return INorm<is64, sg>(OP == Opcode::kMin ? std::min(x, y) : std::max(x, y));
+      return INorm<is64, sg>(OP == Opcode::kMin ? Min(x, y) : Max(x, y));
     }
   } else if constexpr (OP == Opcode::kNeg) {
     return INorm<is64, sg>(~a + 1);
@@ -520,6 +547,23 @@ template <Type DT, Type ST>
 
 // sel: a where the predicate slot c is nonzero, else b.
 [[gnu::always_inline]] inline u64 SelLane(u64 a, u64 b, u64 c) { return c ? a : b; }
+
+// The ALU forms whose body calls out to libm or divides: float rem, sqrt,
+// rsqrt, floor, ceil, exp, log, sin and cos, and integer and float div and
+// rem. A native TU fuses each straight-line run of the other register-only
+// forms into one lane loop the host compiler vectorizes; a call or a divide
+// in that loop would stop it vectorizing, so a run ends before and after
+// each of these forms and the form keeps a warp loop of its own (Lanes).
+constexpr bool LaneLoopOfItsOwn(Opcode op) {
+  switch (op) {
+    case Opcode::kDiv: case Opcode::kRem: case Opcode::kSqrt: case Opcode::kRsqrt:
+    case Opcode::kFloor: case Opcode::kCeil: case Opcode::kExp: case Opcode::kLog:
+    case Opcode::kSin: case Opcode::kCos:
+      return true;
+    default:
+      return false;
+  }
+}
 
 // One register-only warp-instruction: BODY on every active lane. A, B and C
 // are operand accessors (operator[](lane) -> raw slot): the interpreter's
@@ -612,7 +656,7 @@ inline void ChargeShared(const DeviceConsts& dev, BlockStats& st, const u64* add
       ++counts[(a >> 2) % dev.shared_mem_banks];
     }
     int d = 1;
-    for (int b = 0; b < 32; ++b) d = std::max(d, counts[b]);
+    for (int b = 0; b < 32; ++b) d = Max(d, counts[b]);
     return d;
   };
   const int extra = dev.is_fermi ? degree(mask) - 1
@@ -696,8 +740,8 @@ inline void Mem(E& X, const Warp& w, u64* dst, A aop, u64 off, C cop) {
   auto collect = [&](unsigned lane) {
     const u64 addr = aop[lane] + off;
     addrs[lane] = addr;
-    lo = std::min(lo, addr);
-    hi = std::max(hi, addr);
+    lo = Min(lo, addr);
+    hi = Max(hi, addr);
     if constexpr (SP == Space::kShared) {
       all_same &= (addr == a0);
       linear4 &= (addr - a0 == 4ull * (lane - static_cast<unsigned>(lane0)));
@@ -785,15 +829,15 @@ inline U AtomicCombine(Opcode op, Type ty, U old, U operand, U cval) {
       if (ty == Type::kI32 || ty == Type::kI64) {
         using S = std::conditional_t<is32, i32, i64>;
         const S x = static_cast<S>(old), y = static_cast<S>(operand);
-        return static_cast<U>(want_min ? std::min(x, y) : std::max(x, y));
+        return static_cast<U>(want_min ? Min(x, y) : Max(x, y));
       }
       if (ty == Type::kF32) {
         if constexpr (is32) {
           const float x = DecodeF32(old), y = DecodeF32(operand);
-          return static_cast<U>(EncodeF32(want_min ? std::min(x, y) : std::max(x, y)));
+          return static_cast<U>(EncodeF32(want_min ? Min(x, y) : Max(x, y)));
         }
       }
-      return want_min ? std::min(old, operand) : std::max(old, operand);
+      return want_min ? Min(old, operand) : Max(old, operand);
     }
     case Opcode::kAtomExch:
       return operand;
@@ -802,16 +846,19 @@ inline U AtomicCombine(Opcode op, Type ty, U old, U operand, U cval) {
   }
 }
 
-// Global atomics are std::atomic_ref RMW on the arena, so cross-block
-// reductions stay exact when blocks execute concurrently. Returns the old
-// value zero-extended, like the plain path's memcpy read-back.
+// Global atomics are a relaxed compare-exchange loop on the arena (what
+// std::atomic_ref<U> compiles to), so cross-block reductions stay exact when
+// blocks execute concurrently. Returns the old value zero-extended, like the
+// plain path's memcpy read-back.
 template <typename U>
 inline u64 AtomicRmw(Opcode op, Type ty, u8* p, u64 operand, u64 cval) {
-  std::atomic_ref<U> ref(*reinterpret_cast<U*>(p));
-  U old = ref.load(std::memory_order_relaxed);
+  U* const ptr = reinterpret_cast<U*>(p);
+  U old = __atomic_load_n(ptr, __ATOMIC_RELAXED);
   for (;;) {
     const U desired = AtomicCombine<U>(op, ty, old, static_cast<U>(operand), static_cast<U>(cval));
-    if (ref.compare_exchange_weak(old, desired, std::memory_order_relaxed)) break;
+    if (__atomic_compare_exchange_n(ptr, &old, desired, true, __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
+      break;
+    }
   }
   return old;
 }
@@ -884,7 +931,7 @@ inline void Tex(E& X, const Warp& w, int slot, u64* dst, A a, B b) {
   }
   const int lanes = FULL ? 32 : std::popcount(w.mask);
   X.st->texture_fetches += static_cast<u64>(lanes);
-  X.st->memory_cycles += 0.25 * X.dev->cycles_per_global_tx * std::max(1, lanes / 8);
+  X.st->memory_cycles += 0.25 * X.dev->cycles_per_global_tx * Max(1, lanes / 8);
   ++X.st->global_instrs;
 
   // Resolve the whole texture once per instruction; per-texel Access only if
@@ -892,8 +939,8 @@ inline void Tex(E& X, const Warp& w, int slot, u64* dst, A a, B b) {
   const u64 tex_bytes = static_cast<u64>(tex.w) * static_cast<u64>(tex.h) * 4;
   const u8* tbase = X.gm->TryAccess(tex.base, tex_bytes);
   auto fetch = [&](int x, int y) -> float {
-    x = std::clamp(x, 0, tex.w - 1);
-    y = std::clamp(y, 0, tex.h - 1);
+    x = Clamp(x, 0, tex.w - 1);
+    y = Clamp(y, 0, tex.h - 1);
     const u64 texel = (static_cast<u64>(y) * tex.w + static_cast<u64>(x)) * 4;
     const u8* p = tbase ? tbase + texel : X.gm->Access(tex.base + texel, 4);
     float v;
@@ -907,12 +954,12 @@ inline void Tex(E& X, const Warp& w, int slot, u64* dst, A a, B b) {
     const unsigned l = static_cast<unsigned>(lane);
     if constexpr (!IS2D) {
       const i32 idx = DecodeI32(a[l]);
-      dst[lane] = EncodeF32(fetch(idx % std::max(tex.w, 1), idx / std::max(tex.w, 1)));
+      dst[lane] = EncodeF32(fetch(idx % Max(tex.w, 1), idx / Max(tex.w, 1)));
     } else {
       const float fx = DecodeF32(a[l]);
       const float fy = DecodeF32(b[l]);
-      const int x0 = static_cast<int>(std::floor(fx));
-      const int y0 = static_cast<int>(std::floor(fy));
+      const int x0 = static_cast<int>(__builtin_floorf(fx));
+      const int y0 = static_cast<int>(__builtin_floorf(fy));
       const float ax = fx - static_cast<float>(x0);
       const float ay = fy - static_cast<float>(y0);
       const float p00 = fetch(x0, y0);
@@ -934,17 +981,22 @@ inline void Tex(E& X, const Warp& w, int slot, u64* dst, A a, B b) {
 // G.warp_size(), axis 0..2 for x..z (the interpreter's layout and launch
 // config; a native TU's launch descriptor, or its shape constants). A
 // register number past kWarpId decodes to a kBadOp fault.
+// SregLane is lane l's value; a native TU's fused lane runs call it in their
+// lane loop, as they call the LaneFn bodies.
+template <SpecialReg R, class G>
+[[gnu::always_inline]] inline u64 SregLane(const G& g, unsigned lb, unsigned l) {
+  constexpr int axis = static_cast<int>(R) % 3;
+  if constexpr (R <= SpecialReg::kTidZ) return g.tid(axis)[lb + l];
+  else if constexpr (R <= SpecialReg::kNtidZ) return g.ntid(axis);
+  else if constexpr (R <= SpecialReg::kCtaidZ) return g.ctaid(axis);
+  else if constexpr (R <= SpecialReg::kNctaidZ) return g.nctaid(axis);
+  else if constexpr (R == SpecialReg::kLaneId) return l;
+  else return (lb + l) / g.warp_size();  // kWarpId
+}
+
 template <SpecialReg R, class G>
 inline void Sreg(const G& g, const u32 mask, unsigned lb, u64* dst) {
-  constexpr int axis = static_cast<int>(R) % 3;
-  StoreLanes(mask, dst, [&](unsigned l) -> u64 {
-    if constexpr (R <= SpecialReg::kTidZ) return g.tid(axis)[lb + l];
-    else if constexpr (R <= SpecialReg::kNtidZ) return g.ntid(axis);
-    else if constexpr (R <= SpecialReg::kCtaidZ) return g.ctaid(axis);
-    else if constexpr (R <= SpecialReg::kNctaidZ) return g.nctaid(axis);
-    else if constexpr (R == SpecialReg::kLaneId) return l;
-    else return (lb + l) / g.warp_size();  // kWarpId
-  });
+  StoreLanes(mask, dst, [&](unsigned l) { return SregLane<R>(g, lb, l); });
 }
 
 // ---- Control flow ----
@@ -1114,7 +1166,7 @@ inline void RunBlock(E& X, Warp* warps, unsigned ws, unsigned nthreads, const u6
   const unsigned nwarps = (nthreads + ws - 1) / ws;
   if (X.shared_size) std::memset(X.shared, 0, static_cast<std::size_t>(X.shared_size));
   for (unsigned wi = 0; wi < nwarps; ++wi) {
-    const unsigned count = std::min(ws, nthreads - wi * ws);
+    const unsigned count = Min(ws, nthreads - wi * ws);
     const u32 mask = count == 32 ? kFullMask : ((1u << count) - 1u);
     Warp& w = warps[wi];
     w.pc = 0;
@@ -1126,7 +1178,7 @@ inline void RunBlock(E& X, Warp* warps, unsigned ws, unsigned nthreads, const u6
   }
   for (u64 p = 0; p < nargs; ++p) {
     u64* row = X.Row(static_cast<int>(p));
-    std::fill(row, row + X.stride, args[p]);
+    for (unsigned l = 0; l < X.stride; ++l) row[l] = args[p];
   }
   while (true) {
     bool all_done = true;

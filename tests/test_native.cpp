@@ -1239,6 +1239,182 @@ __kernel void loop_return(float* out, int n) {
   EXPECT_EQ(engine.stats().fallbacks, 0u);
 }
 
+// Fused lane runs: the emitter writes one lane loop per straight-line run of
+// register-only instructions. One kernel whose blocks hold every
+// register-only form family (integer and float ALU, setp, sel, cvt, mov,
+// sreg), a loop whose body updates its accumulators in place (a run reads
+// vregs before writing them), forms that keep a loop of their own (div, rem,
+// sqrt, exp, floor) in the middle of a block, and a divergent branch. It
+// runs on decoded, native generic and native shape, with a block of 80
+// threads (a tail warp) and a 2-D block; outputs must match byte for byte
+// and the stats bit for bit. The emitted text must hold exactly one lane
+// loop per run, so a fallback to one loop per instruction fails here too.
+TEST(NativeTier, FusedRunsBitIdentical) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  constexpr const char* kFused = R"(
+__kernel void fused(float* out, int* iout, float* in, int n) {
+  unsigned int tx = threadIdx.x;
+  unsigned int ty = threadIdx.y;
+  int t = (int)(ty * blockDim.x + tx);
+  int g = (int)blockIdx.x * (int)(blockDim.x * blockDim.y) + t;
+  float v = in[g];
+  int a = t * 7 + n;
+  int b = (a << 3) ^ (a >> 2);
+  b = (b | (t & 5)) - ~a;
+  int c = min(a, b) - max(a, 3) + abs(t - 40) + __mul24(a, 3) - -b;
+  unsigned int u = (unsigned int)c * 2654435761u;
+  u = umin(u >> 7, umax(u, 12345u));
+  float f = (float)c * 0.5f + v;
+  float h = fminf(f, v) - fmaxf(f, 1.0f) + fabsf(f - 2.0f);
+  f = h * f - v;
+  double d = (double)f * 1.25 + (double)u;
+  float s = (t > 20) ? f : h;
+  float q = sqrtf(fabsf(f) + 1.0f) + s * 3.0f;
+  int r = a / (t + 1) + a % 7 + c * 5;
+  float e = expf(h * 0.001f) + floorf(f) + q * 2.0f - (float)d;
+  float acc = v;
+  int k = a;
+  for (int i = 0; i < n; i++) {
+    acc = acc * 0.75f + (float)i;
+    k = (k ^ i) * 3 + 1;
+  }
+  if (t % 3) {
+    acc = acc + s * 2.0f;
+    k = k + r;
+  } else {
+    acc = acc - e;
+    k = k - (int)u;
+  }
+  out[g] = acc + e + q;
+  iout[g] = k + r + (int)(blockIdx.x * 7u);
+}
+)";
+  constexpr int kN = 5;
+  constexpr unsigned kBlocks = 3;
+
+  TempCacheDir cache;
+  native::NativeEngine::Options nopts;
+  nopts.cache_dir = cache.str();
+  native::NativeEngine engine(nopts);
+  vcuda::Context ctx(vgpu::TeslaC2070());
+  ctx.set_native_service(&engine);
+  auto mod = ctx.LoadModule(kFused);
+
+  for (const vgpu::Dim3 block : {vgpu::Dim3(80), vgpu::Dim3(16, 4)}) {
+    SCOPED_TRACE("block " + std::to_string(block.x) + "x" + std::to_string(block.y));
+    const std::size_t n = block.Count() * kBlocks;
+    std::vector<float> in(n);
+    for (std::size_t i = 0; i < n; ++i) in[i] = static_cast<float>(i * 29 % 97) / 13.0f;
+    vcuda::DevPtr d_in = vcuda::Upload<float>(ctx, in);
+    vcuda::DevPtr d_out = ctx.Malloc(n * sizeof(float));
+    vcuda::DevPtr d_iout = ctx.Malloc(n * sizeof(std::int32_t));
+    struct Outcome {
+      LaunchOutcome r;
+      std::vector<std::uint32_t> out, iout;
+    };
+    auto run = [&](ExecutionTier request, vgpu::ShapeMode shape) {
+      ShapeGuard g(shape);
+      ctx.Memset(d_out, 0, n * sizeof(float));
+      ctx.Memset(d_iout, 0, n * sizeof(std::int32_t));
+      vcuda::ArgPack args;
+      args.Ptr(d_out).Ptr(d_iout).Ptr(d_in).Int(kN);
+      Outcome o;
+      o.r.exec.request = request;
+      o.r.stats = ctx.Launch(*mod, "fused", vgpu::Dim3(kBlocks), block, args, 0, &o.r.exec);
+      o.out = vcuda::Download<std::uint32_t>(ctx, d_out, n);
+      o.iout = vcuda::Download<std::uint32_t>(ctx, d_iout, n);
+      return o;
+    };
+    const Outcome decoded = run(ExecutionTier::kDecoded, vgpu::ShapeMode::kOff);
+    const Outcome generic = run(ExecutionTier::kNative, vgpu::ShapeMode::kOff);
+    const Outcome shaped = run(ExecutionTier::kNative, vgpu::ShapeMode::kEager);
+    for (vcuda::DevPtr p : {d_in, d_out, d_iout}) ctx.Free(p);
+    EXPECT_EQ(generic.r.exec.served, ExecutionTier::kNative);
+    EXPECT_FALSE(generic.r.exec.native_shape);
+    EXPECT_EQ(shaped.r.exec.served, ExecutionTier::kNative);
+    EXPECT_TRUE(shaped.r.exec.native_shape);
+    EXPECT_TRUE(vgpu::StatsBitIdentical(decoded.r.stats, generic.r.stats));
+    EXPECT_TRUE(vgpu::StatsBitIdentical(decoded.r.stats, shaped.r.stats));
+    EXPECT_EQ(decoded.out, generic.out);
+    EXPECT_EQ(decoded.out, shaped.out);
+    EXPECT_EQ(decoded.iout, generic.iout);
+    EXPECT_EQ(decoded.iout, shaped.iout);
+  }
+  EXPECT_EQ(engine.stats().fallbacks, 0u);
+
+  // The emitted text: in each block, one fused lane run (one full-warp lane
+  // loop) per maximal run of register-only forms, and one Lanes call per
+  // form that keeps a loop of its own. The forms are listed here, not taken
+  // from the emitter's rule.
+  const vgpu::CompiledKernel& ker = mod->compiled().kernels.at(0);
+  auto own_loop = [](vgpu::Opcode op) {
+    using vgpu::Opcode;
+    for (Opcode o : {Opcode::kDiv, Opcode::kRem, Opcode::kSqrt, Opcode::kRsqrt, Opcode::kFloor,
+                     Opcode::kCeil, Opcode::kExp, Opcode::kLog, Opcode::kSin, Opcode::kCos}) {
+      if (op == o) return true;
+    }
+    return false;
+  };
+  auto fusable = [&](const vgpu::Instr& i) {
+    using vgpu::Opcode;
+    switch (i.op) {
+      case Opcode::kNop: case Opcode::kLd: case Opcode::kSt: case Opcode::kBra:
+      case Opcode::kBraPred: case Opcode::kBarSync: case Opcode::kExit: case Opcode::kTex2D:
+      case Opcode::kTex1D:
+        return false;
+      default:
+        return !vgpu::IsAtomicOp(i.op) && !own_loop(i.op);
+    }
+  };
+  auto count = [](const std::string& text, const std::string& what) {
+    std::size_t c = 0;
+    for (std::size_t at = text.find(what); at != std::string::npos; at = text.find(what, at + 1)) {
+      ++c;
+    }
+    return c;
+  };
+  // One `case` of the kernel function `fn` in `tu`: the text from its label
+  // to the next label.
+  auto block_text = [](const std::string& tu, const std::string& fn, int leader) {
+    const std::size_t body = tu.find("static void " + fn + "(");
+    const std::size_t from = tu.find("    case " + std::to_string(leader) + "u: {", body);
+    const std::size_t to =
+        std::min(tu.find("\n    case ", from + 1), tu.find("\n    default:", from + 1));
+    return tu.substr(from, to - from);
+  };
+  const std::string generic_tu = native::EmitModuleSource(mod->compiled(), "fused-runs");
+  native::ShapeSpec shape;
+  shape.block_x = 64;
+  shape.grid_x = kBlocks;
+  const std::string shape_tu = native::EmitModuleSource(mod->compiled(), "fused-runs", &shape);
+  const vgpu::Cfg cfg(ker.code);
+  std::size_t longest_run = 0;
+  for (int bi = 0; bi < cfg.size(); ++bi) {
+    std::size_t runs = 0, own_loops = 0;
+    for (int pc = cfg[bi].begin; pc < cfg[bi].end; ++pc) {
+      const vgpu::Instr& i = ker.code[static_cast<std::size_t>(pc)];
+      if (own_loop(i.op)) ++own_loops;
+      if (!fusable(i)) continue;
+      ++runs;
+      std::size_t len = 1;
+      while (pc + 1 < cfg[bi].end && fusable(ker.code[static_cast<std::size_t>(pc) + 1])) {
+        ++pc;
+        ++len;
+      }
+      longest_run = std::max(longest_run, len);
+    }
+    for (const auto& [tu, fn] : {std::pair{&generic_tu, "run_warp_k0"},
+                                 std::pair{&shape_tu, "run_warp_k0_full"}}) {
+      SCOPED_TRACE(std::string(fn) + ", block at pc " + std::to_string(cfg[bi].begin));
+      const std::string text = block_text(*tu, fn, cfg[bi].begin);
+      EXPECT_EQ(count(text, "fused lane run"), runs);
+      EXPECT_EQ(count(text, "for (unsigned l = 0; l < 32; ++l)"), runs);
+      EXPECT_EQ(count(text, "Lanes<"), own_loops);
+    }
+  }
+  EXPECT_GE(longest_run, 8u) << "the kernel must hold a long straight-line run";
+}
+
 // ---------------------------------------------------------------------------
 // Cross-tier identity over the four applications: decoded-serial,
 // decoded-parallel(4), interp, native-generic and native-shape runs of the

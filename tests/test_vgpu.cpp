@@ -562,5 +562,61 @@ TEST(Cfg, LeadersAndSuccessors) {
   EXPECT_EQ(Cfg({}).size(), 0);
 }
 
+// Block liveness, the one analysis kcc's register allocator and the native
+// emitter's fused lane runs read: a loop whose back edge keeps its counter
+// and bound live, a vreg dead after its last use, and a divergent if/else
+// whose two sides each define the value the join reads.
+TEST(Liveness, LoopBackEdgeDeadAfterLastUseAndIfElse) {
+  auto R = [](int r) { return Operand::Reg(r); };
+  auto I = [](std::uint64_t v) { return Operand::Imm(v); };
+  auto setp = [](CmpOp cmp, int p, Operand a, Operand b) {
+    Instr i = Instr::Make(Opcode::kSetp, Type::kU32, p, a, b);
+    i.cmp = cmp;
+    return i;
+  };
+  auto bra_pred = [](int p, int target, int reconv) {
+    Instr i = Instr::Make(Opcode::kBraPred, Type::kPred, -1, Operand::Reg(p));
+    i.target = target;
+    i.reconv = reconv;
+    return i;
+  };
+  Instr bra = Instr::Make(Opcode::kBra, Type::kI32, -1);
+  bra.target = 10;
+  const std::vector<Instr> code = {
+      Instr::Make(Opcode::kMov, Type::kU32, 1, I(0)),         // 0  block 0
+      Instr::Make(Opcode::kMov, Type::kU32, 2, I(10)),        // 1
+      Instr::Make(Opcode::kAdd, Type::kU32, 1, R(1), I(1)),   // 2  block 1: loop body
+      setp(CmpOp::kLt, 3, R(1), R(2)),                        // 3  r2's last use
+      bra_pred(3, 2, 5),                                      // 4  the back edge
+      setp(CmpOp::kEq, 4, R(1), I(10)),                       // 5  block 2: r1's last use
+      bra_pred(4, 9, 10),                                     // 6
+      Instr::Make(Opcode::kMov, Type::kU32, 5, I(1)),         // 7  block 3: else
+      bra,                                                    // 8
+      Instr::Make(Opcode::kMov, Type::kU32, 5, I(2)),         // 9  block 4: then
+      Instr::Make(Opcode::kSt, Type::kU32, -1, R(0), I(0), R(5)),  // 10 block 5: the join
+      Instr::Make(Opcode::kExit, Type::kI32, -1),             // 11
+  };
+  const Cfg cfg(code);
+  ASSERT_EQ(cfg.size(), 6);
+  const Liveness live(code, cfg);
+  EXPECT_EQ(live.num_regs(), 6u);
+  struct Want {
+    std::vector<int> in, out;
+  };
+  const std::vector<Want> want = {
+      {{0}, {0, 1, 2}},        // r1 and r2 enter the loop
+      {{0, 1, 2}, {0, 1, 2}},  // the back edge keeps r1 and r2 live through the body
+      {{0, 1}, {0}},           // r2 is dead after the loop; r1 after pc 5
+      {{0}, {0, 5}},           // each side defines r5 for the join
+      {{0}, {0, 5}},
+      {{0, 5}, {}},            // nothing is live after exit
+  };
+  for (int b = 0; b < cfg.size(); ++b) {
+    SCOPED_TRACE(b);
+    EXPECT_EQ(live.live_in(b), want[b].in);
+    EXPECT_EQ(live.live_out(b), want[b].out);
+  }
+}
+
 }  // namespace
 }  // namespace kspec::vgpu
