@@ -7,8 +7,8 @@
 // kNativeAbiVersion; the engine refuses (and rebuilds) artifacts whose
 // kspec_native_abi_version() disagrees, so stale shared objects degrade to
 // the decoded tier instead of corrupting memory. The ABI also covers the
-// vgpu types it names: BlockStats, TextureBinding, DeviceConsts and the Fault
-// codes.
+// vgpu types it names: BlockStats, TextureBinding, DeviceConsts, Warp and
+// its StackEntry, simt::Env and the Fault codes.
 //
 // Device cost constants travel in the launch struct at run time rather than
 // being baked into the generated code (see vgpu::DeviceConsts).
@@ -20,10 +20,13 @@
 
 namespace kspec::native {
 
-// Version 3: the block scheduler's two unreachable faults are gone, so every
-// vgpu::Fault code after kWatchdog moved down by two. Version 2:
-// shape-specialized variants (KSPEC_SHAPE).
-inline constexpr int kNativeAbiVersion = 3;
+// Version 4: kernel-only TUs. The engine runs the block scheduler over warps
+// it owns and calls each kernel's warp function (kspec_native_warp_fn) with a
+// KspecNativeState it builds; the reconvergence stack's pushes and pops are
+// host functions (KspecNativeStack). Version 3: the block scheduler's two
+// unreachable faults are gone, so every vgpu::Fault code after kWatchdog
+// moved down by two. Version 2: shape-specialized variants (KSPEC_SHAPE).
+inline constexpr int kNativeAbiVersion = 4;
 
 struct KspecNativeCallbacks {
   // Opaque vgpu::GlobalMemory*. try_access returns nullptr when the range is
@@ -43,6 +46,19 @@ struct KspecNativeCallbacks {
   unsigned char* Access(std::uint64_t addr, std::uint64_t len) const {
     return access(gmem, addr, len);
   }
+};
+
+// The reconvergence stack policy of a TU's simt::Env: simt::InlineStack's
+// Push and Pop, compiled host-side and filled in by the engine, so no TU
+// instantiates the stack's std::vector operations.
+struct KspecNativeStack {
+  void (*push)(vgpu::Warp& w, vgpu::StackEntry join, vgpu::StackEntry other) = nullptr;
+  bool (*pop)(vgpu::Warp& w) = nullptr;
+
+  void Push(vgpu::Warp& w, vgpu::StackEntry join, vgpu::StackEntry other) const {
+    push(w, join, other);
+  }
+  bool Pop(vgpu::Warp& w) const { return pop(w); }
 };
 
 struct KspecNativeLaunch {
@@ -66,14 +82,18 @@ struct KspecNativeLaunch {
   KspecNativeCallbacks cb;
 };
 
-struct KspecNativeBlock {
+// One block as a warp function sees it: the simt environment, the launch,
+// the block's coordinates and the runner's watchdog accumulator. The engine's
+// runner builds it once and sets ctaid and st per block.
+struct KspecNativeState : vgpu::simt::Env<const KspecNativeCallbacks*, KspecNativeStack> {
+  const KspecNativeLaunch* L = nullptr;
   unsigned ctaid_x = 0, ctaid_y = 0, ctaid_z = 0;
-  std::uint64_t* regs = nullptr;  // num_vregs x stride SoA register file
-  unsigned char* shared = nullptr;
-  std::uint64_t shared_bytes = 0;
-  vgpu::BlockStats* stats = nullptr;  // accumulated, never reset by the SO
   std::uint64_t* wd_accum = nullptr;  // per-runner watchdog accumulator
 };
+
+// One kernel's warp run: runs warp `w`, whose lanes start at slot
+// `lane_base`, until it stops at a barrier or is done (simt::Resume).
+using RunWarpFn = void (*)(KspecNativeState& S, vgpu::Warp& w, unsigned lane_base);
 
 // Entry points every generated shared object exports with default visibility:
 //   int         kspec_native_abi_version(void);
@@ -81,8 +101,9 @@ struct KspecNativeBlock {
 //   unsigned long long kspec_native_build_key_size(void);  // bytes in build_key
 //   unsigned    kspec_native_kernel_count(void);
 //   const char* kspec_native_kernel_name(unsigned index);
-//   void        kspec_native_run_block(unsigned index, const KspecNativeLaunch*,
-//                                      KspecNativeBlock*);
+//   RunWarpFn   kspec_native_warp_fn(unsigned index, const KspecNativeLaunch*);
+// warp_fn resolves a kernel's warp function for one launch; a shape variant
+// faults (Fault::kBadDispatch) on a launch whose shape is not its own.
 // The canonical key text is binary (length-prefixed fields, embedded NULs), so
 // build_key is NOT a C string — always pair it with build_key_size.
 using AbiVersionFn = int (*)();
@@ -90,6 +111,6 @@ using BuildKeyFn = const char* (*)();
 using BuildKeySizeFn = unsigned long long (*)();
 using KernelCountFn = unsigned (*)();
 using KernelNameFn = const char* (*)(unsigned);
-using RunBlockFn = void (*)(unsigned, const KspecNativeLaunch*, KspecNativeBlock*);
+using WarpFnFn = RunWarpFn (*)(unsigned, const KspecNativeLaunch*);
 
 }  // namespace kspec::native

@@ -1,14 +1,16 @@
-// See codegen.hpp. The emitted translation unit has four parts:
+// See codegen.hpp. The emitted translation unit holds only its kernels, in
+// four parts:
 //
 //   1. the runtime text: vgpu/simt.hpp and native/abi.hpp, embedded by the
-//      build — the very lane rules, cost charges, block scheduler and ABI
-//      structs the interpreter and the engine compile. It opens the TU with
-//      nothing before it, so a build can load it precompiled (build.hpp);
-//   2. the TU-only prelude (kPrelude below): the per-block State with its
-//      special-register coordinate source, operand accessors and the entry
-//      wiring, preceded in a shape variant by its KSPEC_SHAPE* #defines;
-//   3. one run_warp_kN function per kernel: a `dispatch` label over
-//      simt::Resume, and a switch over the vgpu::Cfg basic blocks whose
+//      build — the very lane rules, cost charges and ABI structs the
+//      interpreter and the engine compile. It opens the TU with nothing
+//      before it, so a build can load it precompiled (build.hpp);
+//   2. the TU-only prelude (kPrelude below): the special registers'
+//      coordinate source and the operand accessors, preceded in a shape
+//      variant by its KSPEC_SHAPE* #defines;
+//   3. one run_warp_kN function per kernel, a RunWarpFn over the block state
+//      the engine builds (abi.hpp's KspecNativeState): a `dispatch` label
+//      over simt::Resume, and a switch over the vgpu::Cfg basic blocks whose
 //      cases are straight-line code over the simt rules, control
 //      instructions included, each opening with the block's charges. Each
 //      maximal run of register-only instructions is one fused lane loop
@@ -17,10 +19,17 @@
 //      it; a form that keeps a loop of its own (simt::LaneLoopOfItsOwn) is
 //      one `Lanes<BODY>(…)` call, and every other instruction one call;
 //   4. the kernel tables, the embedded build key and the extern "C" entry
-//      points.
+//      points, kspec_native_warp_fn among them.
+//
+// The block scheduler (simt::RunBlock), the warps and the reconvergence
+// stack's pushes and pops are not in the TU: the engine's runner runs the
+// scheduler host-side and calls a kernel's warp function per warp run, and
+// the stack is reached through the state's stack policy. So a TU instantiates
+// no std::vector operation, holds no thread_local state, and every SO can be
+// unloaded.
 //
 // The charge rule is the decoded tier's too (interp.cpp): a warp entering a
-// block charges it once, with WarpTally::Charge(n, n * popcount(mask),
+// block charges it once, with WarpTally::Charge(n, n * LaneCount(mask),
 // BlockIssueCost), so the watchdog counts the whole block at entry; then it
 // adds the block's ILP values in pc order. The mask is constant inside a
 // block (control flow only happens at block boundaries), and all
@@ -52,9 +61,9 @@ using vgpu::Type;
 
 // The TU-only prelude. It follows kEmbeddedRuntime — the text of
 // vgpu/simt.hpp and native/abi.hpp, generated by src/native/CMakeLists.txt —
-// and holds only what exists in a TU alone: the per-block State with its
-// special-register coordinate source, the operand accessors and the entry
-// wiring.
+// and holds only what exists in a TU alone: the coordinate source of the
+// special registers and the operand accessors. The block state the warp
+// functions take (KspecNativeState) is built by the engine.
 constexpr const char* kPrelude = R"kspecrt(
 namespace kspec_rt {
 
@@ -67,19 +76,16 @@ using Ty = Type;
 using Cmp = CmpOp;
 using Sp = Space;
 using SR = SpecialReg;
+using State = KspecNativeState;
 
-// The simt environment plus what only a TU reads, including the coordinate
-// source simt::Sreg reads (axis 0..2 for x..z). Shape-specialized TUs
-// #define KSPEC_SHAPE and the KSPEC_SHAPE_* launch dimensions between the
+// The coordinate source SregLane reads (axis 0..2 for x..z). Shape-specialized
+// TUs #define KSPEC_SHAPE and the KSPEC_SHAPE_* launch dimensions between the
 // runtime text and this prelude, so there the block and grid dimensions are
 // constants; the generic TU reads them from the launch descriptor.
-struct State : Env<const KspecNativeCallbacks*> {
-  const KspecNativeLaunch* L;
-  unsigned ctaid_x, ctaid_y, ctaid_z;
-  u64* wd_accum;
-
-  const u32* tid(int a) const { return a == 0 ? L->tid_x : a == 1 ? L->tid_y : L->tid_z; }
-  u64 ctaid(int a) const { return a == 0 ? ctaid_x : a == 1 ? ctaid_y : ctaid_z; }
+struct Coords {
+  const State& S;
+  const u32* tid(int a) const { return a == 0 ? S.L->tid_x : a == 1 ? S.L->tid_y : S.L->tid_z; }
+  u64 ctaid(int a) const { return a == 0 ? S.ctaid_x : a == 1 ? S.ctaid_y : S.ctaid_z; }
 #ifdef KSPEC_SHAPE
   u64 ntid(int a) const {
     return a == 0 ? KSPEC_SHAPE_BLOCK_X : a == 1 ? KSPEC_SHAPE_BLOCK_Y : KSPEC_SHAPE_BLOCK_Z;
@@ -88,10 +94,10 @@ struct State : Env<const KspecNativeCallbacks*> {
     return a == 0 ? KSPEC_SHAPE_GRID_X : a == 1 ? KSPEC_SHAPE_GRID_Y : KSPEC_SHAPE_GRID_Z;
   }
 #else
-  u64 ntid(int a) const { return a == 0 ? L->block_x : a == 1 ? L->block_y : L->block_z; }
-  u64 nctaid(int a) const { return a == 0 ? L->grid_x : a == 1 ? L->grid_y : L->grid_z; }
+  u64 ntid(int a) const { return a == 0 ? S.L->block_x : a == 1 ? S.L->block_y : S.L->block_z; }
+  u64 nctaid(int a) const { return a == 0 ? S.L->grid_x : a == 1 ? S.L->grid_y : S.L->grid_z; }
 #endif
-  unsigned warp_size() const { return L->dev.warp_size; }
+  unsigned warp_size() const { return S.L->dev.warp_size; }
 };
 
 // Operands: the emitter writes `RS{RW(S,n)+lb}` for a register and `IM{imm}`
@@ -100,53 +106,6 @@ struct State : Env<const KspecNativeCallbacks*> {
 inline u64* RW(State& S, int r) { return S.Row(r); }
 struct RS { const u64* p; u64 operator[](unsigned l) const { return p[l]; } };
 struct IM { u64 v; u64 operator[](unsigned) const { return v; } };
-
-using RunWarpFn = void (*)(State&, Warp&, unsigned);
-
-inline void run_entry(RunWarpFn rw, const KspecNativeLaunch* L, KspecNativeBlock* B) {
-#ifdef KSPEC_SHAPE
-  // The entry point only admits the variant's shape on 32-lane warps, so
-  // these are exact constants: the host compiler sees which warps are full.
-  constexpr unsigned warp_size = 32;
-  constexpr unsigned nthreads = KSPEC_SHAPE_NTHREADS;
-#else
-  const unsigned warp_size = L->dev.warp_size;
-  const unsigned nthreads = L->block_x * L->block_y * L->block_z;
-#endif
-  const unsigned nwarps = (nthreads + warp_size - 1) / warp_size;
-  State S;
-  S.dev = &L->dev;
-  S.st = B->stats;
-  S.gm = &L->cb;
-  S.regs = B->regs;
-  S.stride = nwarps * warp_size;
-  S.shared = B->shared;
-  S.shared_size = B->shared_bytes;
-  S.cmem = L->cmem;
-  S.cmem_size = L->cmem_bytes;
-  S.textures = L->textures;
-  S.ntextures = L->ntextures;
-  S.fail_ctx = L->cb.fail_ctx;
-  S.fail = L->cb.fail;
-  S.L = L;
-  S.ctaid_x = B->ctaid_x;
-  S.ctaid_y = B->ctaid_y;
-  S.ctaid_z = B->ctaid_z;
-  S.wd_accum = B->wd_accum;
-#ifdef KSPEC_SHAPE
-  // No thread_local cache here: a shape variant may be dlclosed on LRU
-  // eviction, and a TU that installs thread-local destructors must never be
-  // unloaded. The generic TU (below) is kept loaded forever, so it may.
-  std::vector<Warp> warps(nwarps);
-#else
-  // Reused across blocks and kernels of this SO on the same host thread (the
-  // engine runs each chunk on one thread, like the interpreter's runner).
-  static thread_local std::vector<Warp> warps;
-  if (warps.size() < nwarps) warps.resize(nwarps);
-#endif
-  RunBlock(S, warps.data(), warp_size, nthreads, L->args, L->nargs,
-           [&](Warp& w, unsigned lb) { rw(S, w, lb); });
-}
 
 )kspecrt";
 
@@ -166,8 +125,8 @@ KSPEC_EXPORT unsigned kspec_native_kernel_count() { return kspec_rt::kNumKernels
 KSPEC_EXPORT const char* kspec_native_kernel_name(unsigned i) {
   return i < kspec_rt::kNumKernels ? kspec_rt::kKernelNames[i] : "";
 }
-KSPEC_EXPORT void kspec_native_run_block(unsigned k, const kspec::native::KspecNativeLaunch* L,
-                                         kspec::native::KspecNativeBlock* B) {
+KSPEC_EXPORT kspec::native::RunWarpFn kspec_native_warp_fn(
+    unsigned k, const kspec::native::KspecNativeLaunch* L) {
 #ifdef KSPEC_SHAPE
   // Defense in depth: the engine only routes matching launches here, but a
   // stale or mislabeled artifact must fail loudly, not corrupt the stats.
@@ -176,10 +135,12 @@ KSPEC_EXPORT void kspec_native_run_block(unsigned k, const kspec::native::KspecN
       L->grid_x != KSPEC_SHAPE_GRID_X || L->grid_y != KSPEC_SHAPE_GRID_Y ||
       L->grid_z != KSPEC_SHAPE_GRID_Z) {
     L->cb.fail(L->cb.fail_ctx, static_cast<int>(kspec::vgpu::Fault::kBadDispatch), 0, 1);
-    return;
+    return nullptr;
   }
+#else
+  (void)L;
 #endif
-  kspec_rt::run_entry(kspec_rt::kKernelFns[k], L, B);
+  return k < kspec_rt::kNumKernels ? kspec_rt::kKernelFns[k] : nullptr;
 }
 )kspecrt";
 
@@ -305,7 +266,7 @@ void EmitLaneRun(std::string& out, const std::vector<Instr>& code, std::uint32_t
     });
     std::string value;
     if (i.op == Opcode::kSreg) {
-      value = Format("SregLane<SR(%u)>(S, lb, l)", static_cast<unsigned>(i.a.imm));
+      value = Format("SregLane<SR(%u)>(Coords{S}, lb, l)", static_cast<unsigned>(i.a.imm));
     } else {
       const vgpu::LaneBodyName name =
           vgpu::WithLaneRule(i, []<vgpu::simt::LaneFn>(vgpu::LaneBodyName n) { return n; });
@@ -412,7 +373,7 @@ void EmitKernel(std::string& out, const CompiledKernel& ker, unsigned idx,
   // `goto dispatch` keeps the warp running; `break` ends its run, at a
   // barrier or done.
   out += " dispatch:\n";
-  out += Format("  if (Resume(w, %uu)) switch (w.pc) {\n", ncode);
+  out += Format("  if (Resume(S, w, %uu)) switch (w.pc) {\n", ncode);
 
   // One case per block: every pc Resume lets through is a block's first pc
   // (a branch target, a reconvergence pc or a fall-through). Control-flow
@@ -442,7 +403,7 @@ void EmitKernel(std::string& out, const CompiledKernel& ker, unsigned idx,
     out += Format("    case %uu: {\n", leader);
     // The block's one charge, as the decoded tier's RunWarp makes it.
     const std::string lanes = full ? Format("%lluull", static_cast<unsigned long long>(n) * 32ull)
-                                   : Format("%lluull * (u64)std::popcount(w.mask)",
+                                   : Format("%lluull * (u64)LaneCount(w.mask)",
                                             static_cast<unsigned long long>(n));
     const std::string cost =
         cost_nf == cost_f
@@ -566,7 +527,7 @@ void EmitKernel(std::string& out, const CompiledKernel& ker, unsigned idx,
           closed = true;
           break;
         case Opcode::kExit:
-          out += Format("      if (ExitLanes(w)) goto dispatch;  // pc %u: %s\n", pc,
+          out += Format("      if (ExitLanes(S, w)) goto dispatch;  // pc %u: %s\n", pc,
                         disasm.c_str());
           out += "      break;\n";
           closed = true;

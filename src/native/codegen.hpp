@@ -2,7 +2,9 @@
 //
 // EmitModuleSource walks every kernel of a decoded module and emits one
 // standalone C++20 translation unit (standard headers only) that the host
-// toolchain compiles into a shared object:
+// toolchain compiles into a shared object. The unit holds only the kernels:
+// one warp function each (abi.hpp's RunWarpFn), which the engine calls from
+// the block scheduler it runs host-side, as the interpreter does.
 //
 //   * the SoA register file and warp lanes become plain inner loops the host
 //     compiler can unroll and autovectorize;
@@ -23,8 +25,8 @@
 //     once and stores back only the vregs live after it (vgpu::Liveness).
 //     A form whose body calls libm or divides ends the run and keeps a loop
 //     of its own, Lanes<BODY>(mask, dst, a, b, c); any other instruction is
-//     one call. A small TU-only prelude adds the per-block state, operand
-//     accessors, special registers and entry wiring.
+//     one call. A small TU-only prelude adds the special registers'
+//     coordinate source and the operand accessors.
 //
 // The emitted unit embeds the ModuleCacheKey canonical text (served back via
 // kspec_native_build_key) so a loaded artifact can be verified against the
@@ -33,8 +35,8 @@
 // With a ShapeSpec the unit is shape-specialized: launch dimensions become
 // compile-time constants, each kernel gets a full-warp body (driven by the
 // mask-constant-propagation pass in maskprop.hpp) plus, when the block size
-// is not a multiple of 32, a boundary-warp body, and the exported run_block
-// refuses launches whose shape does not match.
+// is not a multiple of 32, a boundary-warp body, and the exported
+// kspec_native_warp_fn refuses launches whose shape does not match.
 #pragma once
 
 #include <cstdint>

@@ -51,35 +51,58 @@ unsigned char* AccessCb(void* gmem, std::uint64_t addr, std::uint64_t len) {
   return static_cast<vgpu::GlobalMemory*>(gmem)->Access(addr, len);
 }
 
-// The per-worker execution state the SO borrows for each block, like the
-// interpreter's runner: the register file and shared array are reused
-// across blocks and chunks, the watchdog accumulator spans its lifetime.
+// The reconvergence stack policy the SO's warp functions call: the
+// interpreter's inline rules, compiled here.
+constexpr KspecNativeStack kHostStack = {&vgpu::simt::InlineStack::Push,
+                                         &vgpu::simt::InlineStack::Pop};
+
+// Executes blocks on one host thread, as the interpreter's BlockRunner does:
+// it owns the register file, shared memory and warps, reused across blocks
+// and chunks, runs the block scheduler here and calls the SO's warp function
+// per warp run. The watchdog accumulator spans its lifetime.
 class NativeRunner final : public vgpu::BlockExecutor {
  public:
-  NativeRunner(RunBlockFn run, unsigned kernel_index, const KspecNativeLaunch& launch,
-               std::size_t regs, std::size_t shared_bytes)
-      : run_(run), kernel_index_(kernel_index), launch_(launch), regs_(regs),
-        shared_(shared_bytes) {}
+  NativeRunner(RunWarpFn run_warp, const KspecNativeLaunch& launch,
+               const vgpu::BlockLayout& layout, std::size_t num_vregs, std::size_t shared_bytes)
+      : run_warp_(run_warp), nthreads_(layout.nthreads),
+        regs_(num_vregs * layout.stride), shared_(shared_bytes), warps_(layout.nwarps) {
+    S_.dev = &launch.dev;
+    S_.gm = &launch.cb;
+    S_.ws = kHostStack;
+    S_.regs = regs_.data();
+    S_.stride = layout.stride;
+    S_.shared = shared_.data();
+    S_.shared_size = shared_.size();
+    S_.cmem = launch.cmem;
+    S_.cmem_size = launch.cmem_bytes;
+    S_.textures = launch.textures;
+    S_.ntextures = launch.ntextures;
+    S_.fail_ctx = launch.cb.fail_ctx;
+    S_.fail = launch.cb.fail;
+    S_.L = &launch;
+    S_.wd_accum = &wd_accum_;
+  }
+  // S_ points into this runner.
+  NativeRunner(const NativeRunner&) = delete;
+  NativeRunner& operator=(const NativeRunner&) = delete;
 
   void RunBlock(const vgpu::Dim3& ctaid, vgpu::BlockStats& stats) override {
-    KspecNativeBlock blk;
-    blk.ctaid_x = ctaid.x;
-    blk.ctaid_y = ctaid.y;
-    blk.ctaid_z = ctaid.z;
-    blk.regs = regs_.data();
-    blk.shared = shared_.data();
-    blk.shared_bytes = shared_.size();
-    blk.stats = &stats;
-    blk.wd_accum = &wd_accum_;
-    run_(kernel_index_, &launch_, &blk);
+    S_.ctaid_x = ctaid.x;
+    S_.ctaid_y = ctaid.y;
+    S_.ctaid_z = ctaid.z;
+    S_.st = &stats;
+    vgpu::simt::RunBlock(S_, warps_.data(), S_.L->dev.warp_size, nthreads_, S_.L->args,
+                         S_.L->nargs,
+                         [this](vgpu::Warp& w, unsigned lane_base) { run_warp_(S_, w, lane_base); });
   }
 
  private:
-  RunBlockFn run_;
-  unsigned kernel_index_;
-  const KspecNativeLaunch& launch_;
+  RunWarpFn run_warp_;
+  unsigned nthreads_;
   std::vector<std::uint64_t> regs_;
   std::vector<unsigned char> shared_;
+  std::vector<vgpu::Warp> warps_;
+  KspecNativeState S_;
   std::uint64_t wd_accum_ = 0;
 };
 
@@ -92,17 +115,12 @@ struct NativeEngine::LoadedKernel {
 };
 
 struct NativeEngine::LoadedModule {
-  // Generic TUs are never dlclosed once any kernel ran: they hold
-  // thread_local state whose destructors would run after the handle is gone.
-  // Shape-variant TUs are emitted without thread_local state precisely so
-  // closeable can be true and LRU eviction can really unload them.
   void* handle = nullptr;
-  bool closeable = false;
-  RunBlockFn run_block = nullptr;
+  WarpFnFn warp_fn = nullptr;
   std::map<std::string, LoadedKernel> kernels;  // by name
 
   ~LoadedModule() {
-    if (handle != nullptr && closeable) ::dlclose(handle);
+    if (handle != nullptr) ::dlclose(handle);
   }
 };
 
@@ -207,7 +225,7 @@ bool NativeEngine::EnsureReady(const kcc::ModuleCacheKey& key, const kcc::Compil
 
 std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
     std::span<const std::uint8_t> so_bytes, const std::string& expect_key_text,
-    const kcc::CompiledModule& mod, bool closeable, bool* stale) {
+    const kcc::CompiledModule& mod, bool* stale) {
   std::string path;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -225,15 +243,14 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
       reinterpret_cast<BuildKeySizeFn>(::dlsym(handle, "kspec_native_build_key_size"));
   auto count = reinterpret_cast<KernelCountFn>(::dlsym(handle, "kspec_native_kernel_count"));
   auto name = reinterpret_cast<KernelNameFn>(::dlsym(handle, "kspec_native_kernel_name"));
-  auto run = reinterpret_cast<RunBlockFn>(::dlsym(handle, "kspec_native_run_block"));
+  auto warp_fn = reinterpret_cast<WarpFnFn>(::dlsym(handle, "kspec_native_warp_fn"));
   // The embedded key is binary (the canonical text has NULs) — compare by
   // (pointer, size), never strlen.
-  if (!abi || !build_key || !build_key_size || !count || !name || !run ||
+  if (!abi || !build_key || !build_key_size || !count || !name || !warp_fn ||
       abi() != kNativeAbiVersion ||
       expect_key_text !=
           std::string_view(build_key(), static_cast<std::size_t>(build_key_size()))) {
-    // Stale or foreign SO (older codegen, bumped ABI). Nothing stateful ran
-    // yet, so dlclose is safe here even for a non-closeable module.
+    // Stale or foreign SO (older codegen, bumped ABI).
     ::dlclose(handle);
     if (stale) *stale = true;
     Bump(&NativeEngineStats::stale_discarded);
@@ -242,8 +259,7 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
 
   auto lm = std::make_shared<LoadedModule>();
   lm->handle = handle;
-  lm->closeable = closeable;
-  lm->run_block = run;
+  lm->warp_fn = warp_fn;
   const unsigned n = count();
   for (unsigned i = 0; i < n; ++i) {
     // The embedded key matched, so `mod` is the module this SO was built from.
@@ -360,17 +376,16 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::FetchOrBuild(
     const kcc::ModuleCacheKey& key, const kcc::CompiledModule& mod, const ShapeSpec* shape,
     bool may_build) {
   // The generic artifact is the shape-less case: a variant differs only in
-  // file name, embedded key text, closeability, counters and the shape
-  // compiled into its TU.
+  // file name, embedded key text, counters and the shape compiled into its
+  // TU.
   const std::string key_text = shape ? VariantKeyText(key, *shape) : GenericKeyText(key);
   const std::string file_name = shape ? VariantFileName(key, *shape) : ArtifactFileName(key);
-  const bool closeable = shape != nullptr;
   const LadderCounters& n = shape ? kShapeCounters : kGenericCounters;
 
   std::shared_ptr<LoadedModule> lm;
   bool stale = false;
   const kcc::ArtifactDir::BodyFn open = [&](std::span<const std::uint8_t> body) {
-    lm = OpenSharedObject(kcc::DecodeNativeBody(body), key_text, mod, closeable, &stale);
+    lm = OpenSharedObject(kcc::DecodeNativeBody(body), key_text, mod, &stale);
   };
 
   // 2. Disk.
@@ -413,7 +428,7 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::FetchOrBuild(
   std::string error = "the built shared object failed to load";
   const std::vector<std::uint8_t> so_bytes =
       CompileSharedObject(EmitModuleSource(mod, key_text, shape), &error);
-  if (!so_bytes.empty()) lm = OpenSharedObject(so_bytes, key_text, mod, closeable, nullptr);
+  if (!so_bytes.empty()) lm = OpenSharedObject(so_bytes, key_text, mod, nullptr);
   if (!lm) {
     KSPEC_LOG_WARN << "native tier: build failed for " << key.Describe()
                    << (shape ? " at shape " + shape->CanonicalText() : std::string()) << ": "
@@ -534,9 +549,12 @@ vgpu::LaunchStats NativeEngine::RunNative(vcuda::Context& ctx, const LoadedModul
   L.cb.fail_ctx = &site;
   L.cb.fail = &vgpu::RaiseFault;
 
-  const std::size_t regs = static_cast<std::size_t>(k.num_vregs) * shell.layout.stride;
+  // A shape variant faults here, host-side, on a launch of another shape.
+  const RunWarpFn run_warp = lm.warp_fn(kernel.index, &L);
+  KSPEC_CHECK_MSG(run_warp != nullptr, "native: no warp function for " + k.name);
   return vgpu::ExecuteLaunch(dev, shell, cfg.grid, [&] {
-    return std::make_unique<NativeRunner>(lm.run_block, kernel.index, L, regs, shared_bytes);
+    return std::make_unique<NativeRunner>(run_warp, L, shell.layout,
+                                          static_cast<std::size_t>(k.num_vregs), shared_bytes);
   });
 }
 

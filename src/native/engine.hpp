@@ -28,20 +28,23 @@
 // shape-specialized variants, content-addressed by (module key, launch
 // shape): divergence-aware TUs whose launch dimensions are compile-time
 // constants (codegen + maskprop). A variant runs the same ladder; only its
-// file name, embedded key text, closeability and counters differ. The
+// file name, embedded key text and counters differ. The
 // generic artifact always stays resident as the fallback, so a kAuto launch
 // never blocks: under ShapeMode::kAuto a (module, shape) pair that crosses
 // Options::shape_hot_threshold launches is promoted by a build task on a
 // one-worker serve::CompileExecutor the engine creates on first promotion;
 // under kEager the variant builds inline. Variants beyond
-// Options::max_shape_variants are LRU-evicted — and since shape TUs hold no
-// thread_local state, an evicted variant's shared object really is dlclosed
-// once its last in-flight launch completes.
+// Options::max_shape_variants are LRU-evicted. No TU holds thread_local
+// state (the block scheduler and the warps are the engine's), so every shared
+// object is dlclosed once its last holder lets go: an evicted variant once
+// its last in-flight launch completes, the rest with the engine.
 //
 // The launch itself runs the interpreter's shell: vgpu::PrepareLaunch and
 // vgpu::ExecuteLaunch (the one chunk driver, per-worker runners from its
-// free list, chunk partials folded in chunk order), and the SO executes the
-// same simt.hpp rules — which is why the native tier's LaunchStats are
+// free list, chunk partials folded in chunk order). Each runner runs the
+// block scheduler (simt::RunBlock) itself, as the interpreter's does, and
+// calls the SO's warp function for the kernel, which executes the same
+// simt.hpp rules — which is why the native tier's LaunchStats are
 // bit-identical to the decoded tier's.
 #pragma once
 
@@ -182,8 +185,7 @@ class NativeEngine : public vcuda::NativeExecutionService {
   // kernel is looked up in `mod`, the module the key names.
   std::shared_ptr<LoadedModule> OpenSharedObject(std::span<const std::uint8_t> so_bytes,
                                                  const std::string& key_text,
-                                                 const kcc::CompiledModule& mod, bool closeable,
-                                                 bool* stale);
+                                                 const kcc::CompiledModule& mod, bool* stale);
   bool SlotReady(const kcc::ModuleCacheKey& key, const ShapeSpec* shape) const;
   void Bump(std::uint64_t NativeEngineStats::*counter);
 

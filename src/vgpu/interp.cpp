@@ -200,13 +200,13 @@ void BlockRunner::RunWarp(Warp& w, unsigned lane_base) {
   const DecodedBlock* blocks = dk_.blocks.data();
   const std::uint32_t ncode = static_cast<std::uint32_t>(dk_.code.size());
   simt::WarpTally tally(*env_.dev, wd_accum_);
-  while (simt::Resume(w, ncode)) {
+  while (simt::Resume(env_, w, ncode)) {
     // Every pc Resume lets through starts a block (a branch target, a
     // reconvergence pc or the pc after a control instruction).
     const std::uint32_t begin = w.pc;
     const DecodedBlock b = blocks[begin];
     const std::uint64_t n = b.end - begin;
-    tally.Charge(env_, n, n * static_cast<unsigned>(std::popcount(w.mask)), b.issue_cost);
+    tally.Charge(env_, n, n * simt::LaneCount(w.mask), b.issue_cost);
     for (std::uint32_t pc = begin; pc < b.end; ++pc) tally.ilp_sum += ilp[pc];
     for (std::uint32_t pc = begin; pc < b.body_end; ++pc) fn[pc](*this, code[pc], w, lane_base);
     const std::uint32_t last = b.end - 1;
@@ -223,7 +223,7 @@ void BlockRunner::RunWarp(Warp& w, unsigned lane_base) {
         simt::Barrier(env_, w, b.end);
         break;
       case Opcode::kExit:
-        if (simt::ExitLanes(w)) continue;
+        if (simt::ExitLanes(env_, w)) continue;
         break;
       default:
         w.pc = b.end;

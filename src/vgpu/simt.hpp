@@ -11,7 +11,11 @@
 // (branch, barrier, exit, reconvergence, the warp counters and the
 // watchdog) and the block barrier scheduler have one definition, and
 // outputs and LaunchStats stay bit-identical across interp, decoded and
-// native (DESIGN.md section 8).
+// native (DESIGN.md section 8). The block scheduler (RunBlock) and the
+// reconvergence stack's pushes and pops (InlineStack) only ever run
+// host-side: the interpreter and the native engine's runner call RunBlock,
+// and a native TU, which holds only its kernels' warp functions, reaches the
+// stack through its Env's stack policy.
 //
 // Rules for this file, since the host toolchain compiles it inside every
 // native TU: only the standard headers below, no kspec header, no block
@@ -228,16 +232,57 @@ using u64 = std::uint64_t;
 using i32 = std::int32_t;
 using i64 = std::int64_t;
 
+// The number of set bits of a lane mask, without a call. GCC lowers
+// std::popcount to a call to libgcc's __popcountdi2 unless the target has a
+// popcount instruction, and no build flag enables one (native artifacts stay
+// portable across the machines sharing a store).
+[[gnu::always_inline]] constexpr unsigned LaneCount(std::uint32_t m) {
+  m = m - ((m >> 1) & 0x55555555u);
+  m = (m & 0x33333333u) + ((m >> 2) & 0x33333333u);
+  m = (m + (m >> 4)) & 0x0f0f0f0fu;
+  return (m * 0x01010101u) >> 24;
+}
+
+// The reconvergence stack's two mutating rules, a policy of simt::Env like
+// its global memory: Push pushes a divergent branch's join continuation and
+// then its fall-through side; Pop pops entries, dropping retired lanes, until
+// one has live lanes, and resumes it (false when none is left). The
+// interpreter runs these inline; a native TU calls the same two functions,
+// compiled host-side, through the engine (abi.hpp's KspecNativeStack), so no
+// TU instantiates a std::vector operation.
+struct InlineStack {
+  static void Push(Warp& w, StackEntry join, StackEntry other) {
+    w.stack.push_back(join);
+    w.stack.push_back(other);
+  }
+  static bool Pop(Warp& w) {
+    while (!w.stack.empty()) {
+      StackEntry e = w.stack.back();
+      w.stack.pop_back();
+      e.mask &= w.live;
+      if (e.mask) {
+        w.pc = e.pc;
+        w.mask = e.mask;
+        w.rpc = e.rpc;
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
 // One block's execution environment as the rules below see it. `GM` is the
 // global-memory policy: gm->TryAccess(addr, len) returns nullptr unless the
 // range sits inside one live allocation, gm->Access(addr, len) returns the
 // pointer or raises the host's precise error. The interpreter passes its
-// GlobalMemory*, a native TU its callback table.
-template <class GM>
+// GlobalMemory*, a native TU its callback table. `WS` is the reconvergence
+// stack policy (InlineStack's Push and Pop).
+template <class GM, class WS = InlineStack>
 struct Env {
   const DeviceConsts* dev = nullptr;
   BlockStats* st = nullptr;
   GM gm{};
+  [[no_unique_address]] WS ws{};
   u64* regs = nullptr;  // register file, one row of `stride` lanes per vreg
   unsigned stride = 0;  // warps per block x warp size
   u8* shared = nullptr;
@@ -887,7 +932,7 @@ inline void Atomic(E& X, const Warp& w, Opcode op, Type ty, Space space, u64* ds
   if (!IsAtomicOp(op)) X.Fail(Fault::kBadAtomic);
   const std::size_t esz = TypeSize(ty);
   u32 m = FULL ? kFullMask : w.mask;
-  const int lanes = FULL ? 32 : std::popcount(m);
+  const int lanes = FULL ? 32 : static_cast<int>(LaneCount(m));
   if (space == Space::kGlobal) {
     X.st->mem_transactions += lanes;
     X.st->memory_cycles += lanes * X.dev->cycles_per_global_tx;
@@ -929,7 +974,7 @@ inline void Tex(E& X, const Warp& w, int slot, u64* dst, A a, B b) {
   if (tex.base == 0 || tex.w <= 0 || tex.h <= 0) {
     X.Fail(Fault::kTexInvalid, static_cast<u64>(static_cast<i64>(slot)));
   }
-  const int lanes = FULL ? 32 : std::popcount(w.mask);
+  const int lanes = FULL ? 32 : static_cast<int>(LaneCount(w.mask));
   X.st->texture_fetches += static_cast<u64>(lanes);
   X.st->memory_cycles += 0.25 * X.dev->cycles_per_global_tx * Max(1, lanes / 8);
   ++X.st->global_instrs;
@@ -1037,30 +1082,14 @@ struct WarpTally {
   }
 };
 
-// Pops reconvergence-stack entries until one with live lanes is found.
-// Returns false when the warp has fully retired.
-inline bool PopState(Warp& w) {
-  while (!w.stack.empty()) {
-    StackEntry e = w.stack.back();
-    w.stack.pop_back();
-    e.mask &= w.live;
-    if (e.mask) {
-      w.pc = e.pc;
-      w.mask = e.mask;
-      w.rpc = e.rpc;
-      return true;
-    }
-  }
-  return false;
-}
-
 // `exit` retires the active lanes and resumes the next pending path.
 // Returns false, with the warp marked done, when none is left. Pending
-// entries keep their masks: PopState drops the retired lanes from each as it
-// pops it.
-inline bool ExitLanes(Warp& w) {
+// entries keep their masks: the stack's Pop drops the retired lanes from
+// each as it pops it.
+template <class E>
+inline bool ExitLanes(const E& X, Warp& w) {
   w.live &= ~w.mask;
-  if (PopState(w)) return true;
+  if (X.ws.Pop(w)) return true;
   w.state = WarpState::kDone;
   return false;
 }
@@ -1073,15 +1102,16 @@ inline bool ExitLanes(Warp& w) {
 // A warp run is a loop over this call that ends when it returns false, at
 // `bar.sync` (Barrier) or when `exit` (ExitLanes) returns false. So a run
 // returns only with the warp at a barrier or done, which RunBlock relies on.
-inline bool Resume(Warp& w, u32 ncode) {
+template <class E>
+inline bool Resume(const E& X, Warp& w, u32 ncode) {
   for (;;) {
     if (w.pc == w.rpc) {
-      if (!PopState(w)) {
+      if (!X.ws.Pop(w)) {
         w.state = WarpState::kDone;
         return false;
       }
     } else if (w.pc >= ncode) {
-      if (!ExitLanes(w)) return false;
+      if (!ExitLanes(X, w)) return false;
     } else {
       return true;
     }
@@ -1116,8 +1146,7 @@ template <class E>
 inline void Diverge(const E& X, Warp& w, u32 mask, u32 taken, u32 pc, u32 target, i32 reconv) {
   if (reconv < 0) X.Fail(Fault::kNoReconv, pc);
   const u32 r = static_cast<u32>(reconv);
-  w.stack.push_back({r, mask, w.rpc});
-  w.stack.push_back({pc + 1, mask & ~taken, r});
+  X.ws.Push(w, {r, mask, w.rpc}, {pc + 1, mask & ~taken, r});
   w.mask = taken;
   w.rpc = r;
   w.pc = target;
@@ -1152,9 +1181,9 @@ inline void Barrier(const E& X, Warp& w, u32 next) {
   w.state = WarpState::kAtBarrier;
 }
 
-// Runs one block of `nthreads` threads in warps of `ws` lanes to completion
-// (a native shape variant passes both as constants, so the host compiler
-// sees which warps are full). Zeroes shared memory,
+// Runs one block of `nthreads` threads in warps of `ws` lanes to completion,
+// on the host side of every tier: the interpreter's runner and the native
+// engine's call it with their warp function. Zeroes shared memory,
 // starts every warp at pc 0 (the last one partial when the block is not a
 // multiple of the warp size), refills the parameter registers [0, nargs)
 // (ordinary vregs a kernel may overwrite), then runs each runnable warp —

@@ -617,6 +617,150 @@ TEST(NativeTier, RuntimePchServesBuilds) {
   }
 }
 
+// Output of a shell command, "" when it cannot run.
+std::string CommandOutput(const std::string& cmd) {
+  std::string out;
+  if (FILE* pipe = ::popen(cmd.c_str(), "r")) {
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) out.append(buf, n);
+    ::pclose(pipe);
+  }
+  return out;
+}
+
+// A TU holds only its kernels: the engine runs the block scheduler over its
+// own warps and the reconvergence stack's pushes and pops are host
+// functions, so neither the emitted text after the runtime nor the built
+// shared objects carry the scheduler, a std::vector operation, thread_local
+// state or a libgcc popcount call. GCC may inline a std::vector operation
+// whole, leaving no symbol named after it, so the SOs must also import no
+// allocation (operator new/delete, the length error a growing vector
+// throws) and no thread-local storage.
+TEST(NativeTier, KernelOnlyTu) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  EXPECT_EQ(native::kNativeAbiVersion, 4);
+  vcuda::Context ctx(vgpu::TeslaC1060());
+  auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+  const kcc::ModuleCacheKey key =
+      kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name);
+  native::ShapeSpec shape;  // RunReduce's launch: 4 blocks of 64 threads
+  shape.block_x = 64;
+  shape.grid_x = 4;
+  TempCacheDir dir;
+  const std::string runtime = native::kEmbeddedRuntime;
+  const native::ShapeSpec* const arms[] = {nullptr, &shape};
+  for (const native::ShapeSpec* s : arms) {
+    const std::string arm = s ? "shape" : "generic";
+    const std::string tu = native::EmitModuleSource(
+        mod->compiled(),
+        s ? native::NativeEngine::VariantKeyText(key, *s) : native::NativeEngine::GenericKeyText(key),
+        s);
+    ASSERT_EQ(tu.rfind(runtime, 0), 0u) << arm;
+    const std::string own = tu.substr(runtime.size());
+    EXPECT_NE(own.find("run_warp_k0"), std::string::npos) << arm;
+    for (const char* word : {"RunBlock", "thread_local", "std::vector"}) {
+      EXPECT_EQ(own.find(word), std::string::npos) << arm << " TU text names " << word;
+    }
+    std::string error;
+    const std::vector<std::uint8_t> so = native::CompileSharedObject(tu, &error);
+    ASSERT_FALSE(so.empty()) << error;
+    const fs::path path = dir.dir / (arm + ".so");
+    ASSERT_TRUE(WriteFileAtomic(path.string(), so));
+    const std::string symbols = CommandOutput("nm -C '" + path.string() + "' 2>/dev/null");
+    if (symbols.empty()) GTEST_SKIP() << "nm is not available";
+    EXPECT_NE(symbols.find("kspec_native_warp_fn"), std::string::npos) << arm << ":\n" << symbols;
+    for (const char* word :
+         {"std::vector", "RunBlock", "__popcount", "operator new", "operator delete",
+          "__throw_length_error", "__cxa_thread_atexit", "__tls_get_addr"}) {
+      EXPECT_EQ(symbols.find(word), std::string::npos)
+          << arm << " SO lists " << word << ":\n" << symbols;
+    }
+  }
+}
+
+// An artifact whose ABI version is not the engine's is stale: discarded and
+// rebuilt, never served, even when its build key matches.
+TEST(NativeTier, OlderAbiArtifactIsRebuilt) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  TempCacheDir cache;
+  vcuda::Context ctx(vgpu::TeslaC1060());
+  auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+  const kcc::ModuleCacheKey key =
+      kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name);
+  const std::string key_text = native::NativeEngine::GenericKeyText(key);
+  std::string tu = native::EmitModuleSource(mod->compiled(), key_text);
+  const std::string current = "return kspec::native::kNativeAbiVersion;";
+  const std::size_t at = tu.find(current);
+  ASSERT_NE(at, std::string::npos);
+  tu.replace(at, current.size(),
+             "return " + std::to_string(native::kNativeAbiVersion - 1) + ";");
+  std::string error;
+  const std::vector<std::uint8_t> so = native::CompileSharedObject(tu, &error);
+  ASSERT_FALSE(so.empty()) << error;
+  ASSERT_TRUE(WriteFileAtomic((cache.dir / native::NativeEngine::ArtifactFileName(key)).string(),
+                              kcc::SerializeNative(so, key_text)));
+
+  native::NativeEngine::Options nopts;
+  nopts.cache_dir = cache.str();
+  native::NativeEngine engine(nopts);
+  ctx.set_native_service(&engine);
+  const LaunchOutcome r = RunReduce(ctx, *mod, ExecutionTier::kNative);
+  ctx.set_native_service(nullptr);
+  EXPECT_EQ(r.exec.served, ExecutionTier::kNative);
+  const native::NativeEngineStats es = engine.stats();
+  EXPECT_EQ(es.stale_discarded, 1u);
+  EXPECT_EQ(es.disk_hits, 0u);
+  EXPECT_EQ(es.builds_completed, 1u);
+  const LaunchOutcome decoded = RunReduce(ctx, *mod, ExecutionTier::kDecoded);
+  EXPECT_TRUE(vgpu::StatsBitIdentical(decoded.stats, r.stats));
+  EXPECT_EQ(decoded.out, r.out);
+}
+
+// The engine's scratch shared objects mapped into this process (each engine
+// writes the SOs it loads to so_N.so files in a kspec-native-so directory).
+std::size_t MappedEngineSharedObjects() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find("kspec-native-so") != std::string::npos &&
+        line.find("/so_") != std::string::npos) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+// Generic SOs hold no thread_local state, so each one is dlclosed with its
+// engine: engines coming and going over one warm artifact leave no mapping.
+TEST(NativeTier, GenericSharedObjectsUnload) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  if (!fs::exists("/proc/self/maps")) GTEST_SKIP() << "no /proc/self/maps";
+  ShapeGuard generic_only(vgpu::ShapeMode::kOff);
+  TempCacheDir cache;
+  vcuda::Context ctx(vgpu::TeslaC1060());
+  auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+  native::NativeEngine::Options nopts;
+  nopts.cache_dir = cache.str();
+  std::size_t baseline = 0;
+  for (int round = 0; round <= 20; ++round) {
+    {
+      native::NativeEngine engine(nopts);
+      ctx.set_native_service(&engine);
+      const LaunchOutcome r = RunReduce(ctx, *mod, ExecutionTier::kNative);
+      ctx.set_native_service(nullptr);
+      ASSERT_EQ(r.exec.served, ExecutionTier::kNative) << "round " << round;
+      EXPECT_EQ(engine.stats().disk_hits, round == 0 ? 0u : 1u) << "round " << round;
+      EXPECT_GT(MappedEngineSharedObjects(), baseline) << "round " << round;
+    }
+    // Round 0 builds the artifact; the 20 after it load it warm.
+    if (round == 0) {
+      baseline = MappedEngineSharedObjects();
+    } else {
+      EXPECT_EQ(MappedEngineSharedObjects(), baseline) << "round " << round;
+    }
+  }
+}
+
 TEST(NativeTier, KeylessModuleDegrades) {
   SKIP_WITHOUT_TOOLCHAIN();
   native::NativeEngine engine;
